@@ -12,6 +12,7 @@
 #include "obs/telemetry.hpp"
 #include "prof/profile.hpp"
 #include "qos/adaptive_share.hpp"
+#include "sim/driver.hpp"
 
 namespace mp3d::arch {
 
@@ -213,8 +214,6 @@ void Cluster::reset_run_state() {
   dma_status_reads_ = 0;
   dma_retired_reads_ = 0;
   activity_ = 0;
-  last_activity_value_ = 0;
-  last_activity_cycle_ = 0;
   if (telemetry_ != nullptr) {
     telemetry_->reset();
     next_sample_at_ = telemetry_->timeline() != nullptr
@@ -841,15 +840,8 @@ void Cluster::note_core_halted(u16 /*core*/, bool was_awake) {
   }
 }
 
-sim::Cycle Cluster::fast_forward_target(sim::Cycle bound) const {
-  // Only a fully quiescent cycle may be skipped: every per-cycle source of
-  // observable work reports its next event (or now + 1 when it must tick).
-  // Landing one cycle *before* the earliest event lets the next step() run
-  // that event cycle through the normal phase order, so window rows, qos
-  // decisions, prof samples, and the deadlock verdict all fire exactly as
-  // if every skipped cycle had ticked.
-  //
-  // This runs on every all-asleep cycle, including the un-jumpable ones
+sim::Cycle Cluster::next_wake(sim::Cycle bound) const {
+  // Consulted on every all-asleep cycle, including the un-jumpable ones
   // (DMA grant windows keep the gmem queue busy for hundreds of cycles
   // while every core sleeps), so the sources are consulted cheapest-first
   // and the attempt bails as soon as the next cycle is pinned.
@@ -872,12 +864,15 @@ sim::Cycle Cluster::fast_forward_target(sim::Cycle bound) const {
   if (!ctrl_queue_.empty()) {
     target = std::min(target, ctrl_queue_.front().ready_at);
   }
-  if (qos_ != nullptr) {
-    target = std::min(target, qos_->next_window());
-  }
-  target = std::min(target, next_sample_at_);   // kNever when telemetry off
-  target = std::min(target, next_prof_at_);     // kNever when profiling off
   return target;
+}
+
+sim::Cycle Cluster::horizon() const {
+  sim::Cycle next = std::min(next_sample_at_, next_prof_at_);  // kNever when off
+  if (qos_ != nullptr) {
+    next = std::min(next, qos_->next_window());
+  }
+  return next;
 }
 
 void Cluster::skip_to(sim::Cycle target) {
@@ -890,42 +885,9 @@ void Cluster::skip_to(sim::Cycle target) {
   ff_skipped_cycles_ += span;
 }
 
-void Cluster::maybe_fast_forward(u64 max_cycles) {
-  const sim::Cycle bound =
-      std::min<sim::Cycle>(max_cycles, last_activity_cycle_ + kDeadlockWindow);
-  const sim::Cycle target = fast_forward_target(bound);
-  if (target <= cycle_ + 1) {
-    return;  // nothing to skip (or an event is already due/past)
-  }
-  skip_to(target);
-}
-
-void Cluster::step_component(sim::Cycle now) {
-  MP3D_ASSERT(now == cycle_ + 1);
-  (void)now;
-  step();
-}
-
-sim::Cycle Cluster::next_event_cycle(sim::Cycle /*now*/) const {
-  if (awake_cores_ > 0) {
-    return cycle_ + 1;  // a runnable core executes every cycle
-  }
-  return fast_forward_target(sim::kNever);
-}
-
-sim::Cycle Cluster::next_wake_event() const {
-  sim::Cycle next = gmem_->next_completion_cycle(cycle_);
-  next = std::min(next, dma_->next_ready_cycle(cycle_));
-  next = std::min(next, noc_->next_event_cycle(cycle_));
-  if (!active_banks_.empty() || !ctrl_queue_.empty()) {
-    next = std::min(next, cycle_ + 1);
-  }
-  return next;
-}
-
 std::string Cluster::deadlock_diagnostic() const {
   std::ostringstream oss;
-  oss << "no progress for " << kDeadlockWindow << " cycles at cycle " << cycle_ << "\n";
+  oss << "no progress for " << sim::kDeadlockWindow << " cycles at cycle " << cycle_ << "\n";
   u32 shown = 0;
   for (const auto& core : cores_) {
     if (shown >= 8) {
@@ -980,7 +942,7 @@ void Cluster::collect_counters(sim::CounterSet& counters) const {
   counters.set("cycles", cycle_);
 }
 
-RunResult Cluster::finish(bool eoc, bool deadlock, bool hit_max, u64 /*max_cycles*/) {
+RunResult Cluster::finish(bool eoc, bool deadlock, bool hit_max) {
   RunResult result;
   result.cycles = cycle_;
   result.eoc = eoc;
@@ -1021,34 +983,12 @@ RunResult Cluster::finish(bool eoc, bool deadlock, bool hit_max, u64 /*max_cycle
 
 RunResult Cluster::run(u64 max_cycles) {
   MP3D_CHECK(image_ != nullptr, "no program loaded");
-  while (cycle_ < max_cycles) {
-    if (fast_forward_ && awake_cores_ == 0 && halted_cores_ < cfg_.num_cores()) {
-      maybe_fast_forward(max_cycles);
-    }
-    step();
-    if (eoc_) {
-      return finish(true, false, false, max_cycles);
-    }
-    if (all_cores_halted()) {
-      return finish(false, false, false, max_cycles);
-    }
-    if (activity_ != last_activity_value_) {
-      last_activity_value_ = activity_;
-      last_activity_cycle_ = cycle_;
-    } else if (cycle_ - last_activity_cycle_ >= kDeadlockWindow) {
-      if (next_wake_event() != sim::kNever) {
-        // A completion is scheduled for a known future cycle (slow gmem
-        // response, DMA retire, in-flight NoC flit): that is a long wait,
-        // not a deadlock. Re-arm the watchdog; the verdict only fires once
-        // every wake oracle reports kNever.
-        last_activity_cycle_ = cycle_;
-      } else {
-        MP3D_WARN("deadlock: " << deadlock_diagnostic());
-        return finish(false, true, false, max_cycles);
-      }
-    }
+  const sim::RunEnd end = sim::drive(*this, max_cycles);
+  if (end == sim::RunEnd::kDeadlock) {
+    MP3D_WARN("deadlock: " << deadlock_diagnostic());
   }
-  return finish(false, false, true, max_cycles);
+  return finish(end == sim::RunEnd::kDone && eoc_, end == sim::RunEnd::kDeadlock,
+                end == sim::RunEnd::kMaxCycles);
 }
 
 }  // namespace mp3d::arch

@@ -32,7 +32,6 @@
 #include "arch/params.hpp"
 #include "isa/program.hpp"
 #include "sim/counters.hpp"
-#include "sim/stepped.hpp"
 #include "sim/types.hpp"
 
 namespace mp3d::obs {
@@ -126,9 +125,7 @@ struct RunResult {
   bool ok() const { return eoc && !deadlock && exit_code == 0; }
 };
 
-class Cluster final : public MemIssueSink,
-                      public DmaSpmPort,
-                      public sim::SteppedComponent {
+class Cluster final : public MemIssueSink, public DmaSpmPort {
  public:
   explicit Cluster(ClusterConfig cfg);
   ~Cluster() override;
@@ -138,11 +135,6 @@ class Cluster final : public MemIssueSink,
 
   const ClusterConfig& config() const { return cfg_; }
   const AddrMap& addr_map() const { return map_; }
-
-  /// No activity for this many cycles (with every wake oracle reporting
-  /// kNever) is a deadlock verdict — shared by Cluster::run and the
-  /// system-level driver so both watchdogs agree cycle-for-cycle.
-  static constexpr u64 kDeadlockWindow = 20000;
 
   /// Load a program image: code/data into global memory or SPM by address,
   /// reset all cores to the entry point, clear caches and statistics.
@@ -213,56 +205,46 @@ class Cluster final : public MemIssueSink,
   /// bit-identical whether or not fast-forward is enabled).
   u64 fast_forwarded_cycles() const { return ff_skipped_cycles_; }
 
-  // ---- run-loop machinery (shared with the system-level driver) -------------
-  // sys::System::run drives N clusters with the same phase ordering,
-  // fast-forward jump logic and deadlock watchdog as Cluster::run; these
-  // are the pieces both loops are built from.
-
-  /// A core wrote the EOC register (the run's natural end).
-  bool eoc_signaled() const { return eoc_; }
-  bool all_cores_halted() const { return halted_cores_ == cfg_.num_cores(); }
-  /// Every core is token-less asleep (none halted-out): a fast-forward
-  /// jump may be attempted.
-  bool quiescent() const {
-    return awake_cores_ == 0 && halted_cores_ < cfg_.num_cores();
-  }
-  /// Earliest cycle any memory-system source can wake a core (kNever when
-  /// everything is drained). The deadlock watchdog consults this before
-  /// issuing a verdict so a long in-flight wait is not mistaken for a hang.
-  sim::Cycle next_wake_event() const;
-  /// The idle-cycle fast-forward oracle: with every core asleep, the
-  /// earliest future cycle (capped at `bound`) at which any per-cycle
-  /// source does observable work. A result <= now() + 1 means the next
-  /// cycle is pinned and nothing can be skipped. Pure: charging the jump
-  /// is skip_to()'s job.
-  sim::Cycle fast_forward_target(sim::Cycle bound) const;
-  /// Jump the clock to one cycle before `target` (pre: quiescent() and
-  /// fast_forward_target(...) returned `target` > now() + 1), charging the
-  /// skipped cycles exactly as if each had ticked.
-  void skip_to(sim::Cycle target);
-  /// Assemble the RunResult, close trace spans, sample the final partial
-  /// telemetry window and deposit the run with the obs collector. The
-  /// driver calls this exactly once per run, at the cycle the run ends.
-  RunResult finish(bool eoc, bool deadlock, bool hit_max, u64 max_cycles);
-  /// Human-readable per-core stall summary for deadlock reports.
-  std::string deadlock_diagnostic() const;
-
-  // ---- sim::SteppedComponent -------------------------------------------------
-  /// One cycle through the full phase order (identical to step(); `now` is
-  /// the cycle being entered, i.e. now() + 1).
-  void step_component(sim::Cycle now) override;
-  /// Earliest future cycle with observable work: now() + 1 while any core
-  /// is runnable, otherwise the uncapped fast-forward oracle.
-  sim::Cycle next_event_cycle(sim::Cycle now) const override;
   /// Rewind the loaded program to its initial state: reset every core to
   /// the entry point, flush caches, drop queued traffic and zero the
   /// statistics (memory contents persist — reloading inputs is the kernel
   /// init hook's job, exactly as for load_program).
-  void reset_run_state() override;
-  void add_counters(sim::CounterSet& counters) const override {
-    collect_counters(counters);
+  void reset_run_state();
+
+  // ---- sim::drive hooks (see sim/driver.hpp) ---------------------------------
+  // Cluster::run hands the cluster itself to sim::drive; sys::System
+  // composes these across its running clusters, each on its local clock.
+
+  /// A core wrote the EOC register (the run's natural end).
+  bool eoc_signaled() const { return eoc_; }
+  bool all_cores_halted() const { return halted_cores_ == cfg_.num_cores(); }
+  bool done() const { return eoc_ || all_cores_halted(); }
+  /// Monotone progress witness of the deadlock watchdog.
+  u64 activity() const { return activity_; }
+  /// Fast-forward is enabled and every core is token-less asleep (none
+  /// halted-out): a jump may be attempted.
+  bool may_skip() const {
+    return fast_forward_ && awake_cores_ == 0 && halted_cores_ < cfg_.num_cores();
   }
-  u64 activity() const override { return activity_; }
+  /// The wake oracle: the earliest cycle (capped at `bound`) at which a
+  /// memory-system source (gmem, DMA, NoC, bank or ctrl work) does
+  /// observable work; kNever when everything is drained. A result
+  /// <= now() + 1 means the next cycle is pinned. Pure: charging a jump is
+  /// skip_to()'s job.
+  sim::Cycle next_wake(sim::Cycle bound) const;
+  /// The next qos window, telemetry sample or profiler stride boundary
+  /// (kNever when all are off): a jump must land on it exactly.
+  sim::Cycle horizon() const;
+  /// Jump the clock to one cycle before `target` (pre: may_skip() and
+  /// `target` > now() + 1 no later than next_wake() and horizon()),
+  /// charging the skipped cycles exactly as if each had ticked.
+  void skip_to(sim::Cycle target);
+  /// Assemble the RunResult, close trace spans, sample the final partial
+  /// telemetry window and deposit the run with the obs collector. Called
+  /// exactly once per run, at the cycle the run ends.
+  RunResult finish(bool eoc, bool deadlock, bool hit_max);
+  /// Human-readable per-core stall summary for deadlock reports.
+  std::string deadlock_diagnostic() const;
 
   // ---- DmaSpmPort (dedicated wide SPM port of the DMA engines) --------------
   u32 dma_read_spm(u32 addr) override;
@@ -284,11 +266,6 @@ class Cluster final : public MemIssueSink,
   void activate_bank(u32 global_bank);
   void init_telemetry();
   void sample_window();
-  /// With every core asleep, jump cycle_ to one cycle before the earliest
-  /// pending event (DMA completion, gmem drain, NoC pipe, ctrl/bank work,
-  /// qos window, telemetry sample, prof stride, deadlock verdict,
-  /// max_cycles), charging skipped cycles exactly as if each had ticked.
-  void maybe_fast_forward(u64 max_cycles);
 
   ClusterConfig cfg_;
   AddrMap map_;
@@ -368,10 +345,8 @@ class Cluster final : public MemIssueSink,
   std::unique_ptr<prof::StepProfiler> prof_;
   sim::Cycle next_prof_at_ = sim::kNever;
 
-  // Progress tracking for deadlock detection.
+  // Progress witness for deadlock detection (sim::drive's watchdog).
   u64 activity_ = 0;
-  u64 last_activity_value_ = 0;
-  sim::Cycle last_activity_cycle_ = 0;
 
   // ---- occupancy + idle-cycle fast-forward ---------------------------------
   // O(1) occupancy counts, updated by the MemIssueSink transition hooks

@@ -217,20 +217,6 @@ u32 DmaSubsystem::step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm) {
   return moved;
 }
 
-void DmaSubsystem::step_component(sim::Cycle now) {
-  MP3D_CHECK(bound_gmem_ != nullptr && bound_spm_ != nullptr,
-             "bind collaborators before stepping the DMA subsystem generically");
-  step(now, *bound_gmem_, *bound_spm_);
-}
-
-u64 DmaSubsystem::activity() const {
-  u64 total = 0;
-  for (const DmaEngine& e : engines_) {
-    total += e.bytes_moved() + e.descriptors_completed();
-  }
-  return total;
-}
-
 sim::Cycle DmaSubsystem::next_ready_cycle(sim::Cycle now) const {
   sim::Cycle next = sim::kNever;
   for (const DmaEngine& engine : engines_) {

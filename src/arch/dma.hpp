@@ -32,7 +32,6 @@
 
 #include "arch/params.hpp"
 #include "sim/counters.hpp"
-#include "sim/stepped.hpp"
 #include "sim/types.hpp"
 
 namespace mp3d::obs {
@@ -189,7 +188,7 @@ class DmaEngine {
 
 /// The cluster's DMA subsystem: `engines_per_group` engines per group,
 /// with per-group round-robin descriptor dispatch.
-class DmaSubsystem final : public sim::SteppedComponent {
+class DmaSubsystem {
  public:
   DmaSubsystem(const ClusterConfig& cfg);
 
@@ -239,26 +238,11 @@ class DmaSubsystem final : public sim::SteppedComponent {
 
   bool idle() const;
   void reset();
-  void add_counters(sim::CounterSet& counters) const override;
+  void add_counters(sim::CounterSet& counters) const;
 
   /// Bump the "a start write sat blocked on a full queue this cycle"
   /// counter (the Cluster's ctrl frontend detects the condition).
   void note_queue_full_stall() { ++queue_full_stall_cycles_; }
-
-  // ---- sim::SteppedComponent -----------------------------------------------
-  // Cluster::step keeps calling the rich step(now, gmem, spm) directly (it
-  // threads the returned grant count into its activity witness); the
-  // generic entry uses collaborators bound once via bind().
-  void bind(GlobalMemory* gmem, DmaSpmPort* spm) {
-    bound_gmem_ = gmem;
-    bound_spm_ = spm;
-  }
-  void step_component(sim::Cycle now) override;
-  sim::Cycle next_event_cycle(sim::Cycle now) const override {
-    return next_ready_cycle(now);
-  }
-  void reset_run_state() override { reset(); }
-  u64 activity() const override;
 
  private:
   u32 num_groups_;
@@ -273,8 +257,6 @@ class DmaSubsystem final : public sim::SteppedComponent {
   u64 queue_full_stall_cycles_ = 0;
   obs::Trace* trace_ = nullptr;   ///< kept so reset() can re-attach
   std::vector<u32> engine_tracks_;
-  GlobalMemory* bound_gmem_ = nullptr;  ///< step_component collaborators
-  DmaSpmPort* bound_spm_ = nullptr;
 
   void apply_trace();
 };

@@ -23,7 +23,6 @@
 #include "arch/mem_types.hpp"
 #include "arch/params.hpp"
 #include "sim/counters.hpp"
-#include "sim/stepped.hpp"
 
 namespace mp3d::obs {
 class Trace;
@@ -31,7 +30,7 @@ class Trace;
 
 namespace mp3d::arch {
 
-class GlobalMemory final : public sim::SteppedComponent {
+class GlobalMemory {
  public:
   GlobalMemory(u32 base, u64 size, u32 bytes_per_cycle, u32 latency,
                GmemArbiterConfig arbiter = {});
@@ -123,31 +122,12 @@ class GlobalMemory final : public sim::SteppedComponent {
   /// Cycles step() was handed nonzero bulk demand (the QoS controller's
   /// demand-pressure signal; counted under every policy, share 0 included).
   u64 bulk_demand_cycles() const { return bulk_demand_cycles_; }
-  void add_counters(sim::CounterSet& counters) const override;
+  void add_counters(sim::CounterSet& counters) const;
 
   /// Drop queued/in-flight traffic, LR reservations and arbiter credit,
   /// and zero all statistics; storage is untouched. Called between program
   /// loads on one cluster.
-  void reset_run_state() override;
-
-  // ---- sim::SteppedComponent -----------------------------------------------
-  // Cluster::step keeps calling the rich step() overloads directly (it must
-  // route completions in the same cycle); the generic entry buffers the
-  // cycle's completions internally for callers that drain them afterwards.
-  void step_component(sim::Cycle now) override {
-    completed_responses_.clear();
-    completed_refills_.clear();
-    step(now, completed_responses_, completed_refills_, 0);
-  }
-  sim::Cycle next_event_cycle(sim::Cycle now) const override {
-    return next_completion_cycle(now);
-  }
-  u64 activity() const override { return requests_served_ + bytes_transferred_; }
-  /// Completions of the most recent step_component() call.
-  const std::vector<MemResponse>& completed_responses() const {
-    return completed_responses_;
-  }
-  const std::vector<u32>& completed_refills() const { return completed_refills_; }
+  void reset_run_state();
 
  private:
   struct Item {
@@ -212,10 +192,6 @@ class GlobalMemory final : public sim::SteppedComponent {
   u64 bulk_stall_cycles_ = 0;    ///< bulk demand present but granted 0 B
   u64 bulk_demand_cycles_ = 0;   ///< cycles stepped with nonzero bulk demand
   sim::Cycle busy_stamp_ = ~sim::Cycle{0};  ///< last cycle counted as busy
-
-  // Completion spill buffers of the generic step_component() entry.
-  std::vector<MemResponse> completed_responses_;
-  std::vector<u32> completed_refills_;
 
   static constexpr u32 kPageWords = 16384;  ///< 64 KiB pages
 

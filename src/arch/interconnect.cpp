@@ -157,13 +157,6 @@ void Interconnect::reset_run_state() {
   global_hops_ = 0;
 }
 
-void Interconnect::step_component(sim::Cycle now) {
-  MP3D_CHECK(request_sink_ && response_sink_,
-             "bind_sinks before stepping the interconnect generically");
-  step_requests(now, request_sink_);
-  step_responses(now, response_sink_);
-}
-
 void Interconnect::add_counters(sim::CounterSet& counters) const {
   counters.set("noc.req_flits", req_flits_);
   counters.set("noc.resp_flits", resp_flits_);

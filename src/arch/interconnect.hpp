@@ -24,12 +24,11 @@
 #include "arch/params.hpp"
 #include "sim/counters.hpp"
 #include "sim/delay_pipe.hpp"
-#include "sim/stepped.hpp"
 #include "sim/types.hpp"
 
 namespace mp3d::arch {
 
-class Interconnect final : public sim::SteppedComponent {
+class Interconnect {
  public:
   static constexpr u32 kNumNetworks = 4;  ///< local + 3 inter-group
 
@@ -69,24 +68,13 @@ class Interconnect final : public sim::SteppedComponent {
   /// catch-up on a jump. An O(1) occupancy count answers the common
   /// fully-drained case without scanning the ports (this is called on
   /// every failed fast-forward attempt).
-  sim::Cycle next_event_cycle(sim::Cycle now) const override;
+  sim::Cycle next_event_cycle(sim::Cycle now) const;
 
-  void add_counters(sim::CounterSet& counters) const override;
+  void add_counters(sim::CounterSet& counters) const;
 
   /// Drop in-flight flits and zero the statistics. Called between program
   /// loads on one cluster.
-  void reset_run_state() override;
-
-  // ---- sim::SteppedComponent -----------------------------------------------
-  // Cluster::step interleaves step_requests / step_responses around the
-  // bank phase, so it keeps the split calls; the generic entry is for
-  // drivers that bind the delivery sinks once.
-  void bind_sinks(RequestSink request_sink, ResponseSink response_sink) {
-    request_sink_ = std::move(request_sink);
-    response_sink_ = std::move(response_sink);
-  }
-  void step_component(sim::Cycle now) override;
-  u64 activity() const override { return req_flits_ + resp_flits_; }
+  void reset_run_state();
 
  private:
   template <typename T>
@@ -129,11 +117,6 @@ class Interconnect final : public sim::SteppedComponent {
   // length, so they are counted separately.
   u64 local_hops_ = 0;
   u64 global_hops_ = 0;
-
-  // Delivery sinks of the generic step_component() entry (unset when the
-  // owner drives the split step_requests/step_responses calls itself).
-  RequestSink request_sink_;
-  ResponseSink response_sink_;
 };
 
 }  // namespace mp3d::arch

@@ -14,6 +14,8 @@ std::vector<std::string> split(std::string_view s, char sep);
 std::vector<std::string> split_ws(std::string_view s);
 bool starts_with(std::string_view s, std::string_view prefix);
 std::string to_lower(std::string_view s);
+/// JSON string escaping (control characters, quotes, backslash).
+std::string json_escape(const std::string& s);
 /// printf-style formatting into std::string.
 std::string strfmt(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

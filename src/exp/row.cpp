@@ -1,8 +1,6 @@
 // SPDX-License-Identifier: Apache-2.0
 #include "exp/row.hpp"
 
-#include <cstdio>
-
 #include "common/table.hpp"
 
 namespace mp3d::exp {
@@ -87,29 +85,6 @@ std::string rows_to_csv(const std::vector<Row>& rows) {
       csv_cell(out, row.get(columns[i]));
     }
     out += '\n';
-  }
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
   }
   return out;
 }

@@ -40,7 +40,4 @@ std::vector<std::string> union_columns(const std::vector<Row>& rows);
 /// row does not define are left empty. RFC-4180 quoting.
 std::string rows_to_csv(const std::vector<Row>& rows);
 
-/// JSON string escaping (control characters, quotes, backslash).
-std::string json_escape(const std::string& s);
-
 }  // namespace mp3d::exp

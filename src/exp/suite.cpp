@@ -11,6 +11,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/strings.hpp"
 #include "common/table.hpp"
 #include "obs/collector.hpp"
 #include "prof/record.hpp"

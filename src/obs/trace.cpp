@@ -4,7 +4,7 @@
 #include <algorithm>
 #include <set>
 
-#include "exp/row.hpp"
+#include "common/strings.hpp"
 
 namespace mp3d::obs {
 
@@ -34,7 +34,7 @@ void append_metadata(std::string& out, const Trace& trace, u32 pid_offset,
       out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
       out += std::to_string(track.pid + pid_offset);
       out += ",\"args\":{\"name\":";
-      out += '"' + exp::json_escape(process_prefix + track.process) + '"';
+      out += '"' + json_escape(process_prefix + track.process) + '"';
       out += "}}";
     }
     if (!out.empty()) {
@@ -45,7 +45,7 @@ void append_metadata(std::string& out, const Trace& trace, u32 pid_offset,
     out += ",\"tid\":";
     out += std::to_string(track.tid);
     out += ",\"args\":{\"name\":";
-    out += '"' + exp::json_escape(track.thread) + '"';
+    out += '"' + json_escape(track.thread) + '"';
     out += "}}";
   }
 }
@@ -85,7 +85,7 @@ void append_chrome_events(std::string& out, const Trace& trace, u32 pid_offset,
       out += ',';
     }
     out += "{\"name\":";
-    out += '"' + exp::json_escape(trace.names()[event.name]) + '"';
+    out += '"' + json_escape(trace.names()[event.name]) + '"';
     out += ",\"cat\":\"mp3d\",\"ph\":\"";
     out += phase_code(event.phase);
     out += "\",\"pid\":";

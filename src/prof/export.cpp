@@ -1,7 +1,7 @@
 // SPDX-License-Identifier: Apache-2.0
 #include "prof/export.hpp"
 
-#include "exp/row.hpp"
+#include "common/strings.hpp"
 
 namespace mp3d::prof {
 
@@ -46,7 +46,7 @@ std::string to_speedscope(const ProfileReport& report, const std::string& name) 
       weights += ',';
     }
     frames += "{\"name\":\"";
-    frames += exp::json_escape(std::string("Cluster::step ") +
+    frames += json_escape(std::string("Cluster::step ") +
                                phase_name(static_cast<Phase>(p)));
     frames += "\"}";
     samples += "[" + std::to_string(index) + "]";
@@ -55,12 +55,12 @@ std::string to_speedscope(const ProfileReport& report, const std::string& name) 
     ++index;
   }
   std::string out = "{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\",";
-  out += "\"name\":\"" + exp::json_escape(name) + "\",";
+  out += "\"name\":\"" + json_escape(name) + "\",";
   out += "\"activeProfileIndex\":0,";
   out += "\"exporter\":\"mp3d-prof\",";
   out += "\"shared\":{\"frames\":[" + frames + "]},";
   out += "\"profiles\":[{\"type\":\"sampled\",";
-  out += "\"name\":\"" + exp::json_escape(name) + "\",";
+  out += "\"name\":\"" + json_escape(name) + "\",";
   out += "\"unit\":\"nanoseconds\",";
   out += "\"startValue\":0,";
   out += "\"endValue\":" + std::to_string(end) + ",";

@@ -8,7 +8,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "exp/row.hpp"
+#include "common/strings.hpp"
 
 namespace mp3d::prof {
 
@@ -335,8 +335,8 @@ WorkloadComparison compare_workload(const WorkloadRecord* base,
 
 std::string PerfRecord::to_json() const {
   std::string j = "{\n";
-  j += "  \"bench\": \"" + exp::json_escape(bench) + "\",\n";
-  j += "  \"suite\": \"" + exp::json_escape(suite) + "\",\n";
+  j += "  \"bench\": \"" + json_escape(bench) + "\",\n";
+  j += "  \"suite\": \"" + json_escape(suite) + "\",\n";
   j += "  \"schema\": " + std::to_string(schema) + ",\n";
   j += "  \"scenarios\": " + std::to_string(scenarios) + ",\n";
   j += "  \"jobs\": " + std::to_string(jobs) + ",\n";
@@ -350,7 +350,7 @@ std::string PerfRecord::to_json() const {
     const WorkloadRecord& w = workloads[i];
     j += (i == 0 ? "\n" : ",\n");
     j += "    {\n";
-    j += "      \"name\": \"" + exp::json_escape(w.name) + "\",\n";
+    j += "      \"name\": \"" + json_escape(w.name) + "\",\n";
     j += "      \"wall_ms\": " + fmt_double(w.wall_ms) + ",\n";
     j += "      \"sim_cycles\": " + std::to_string(w.sim_cycles) + ",\n";
     j += "      \"sim_instret\": " + std::to_string(w.sim_instret) + ",\n";
@@ -359,7 +359,7 @@ std::string PerfRecord::to_json() const {
     j += "      \"breakdown\": {";
     for (std::size_t k = 0; k < w.breakdown.size(); ++k) {
       j += (k == 0 ? "\n" : ",\n");
-      j += "        \"" + exp::json_escape(w.breakdown[k].first) +
+      j += "        \"" + json_escape(w.breakdown[k].first) +
            "\": " + fmt_double(w.breakdown[k].second);
     }
     j += w.breakdown.empty() ? "}\n" : "\n      }\n";

@@ -8,7 +8,7 @@
 // ingress port with a per-cycle byte budget, and a claim for (src -> dst)
 // is granted min(egress[src], ingress[dst], asked) bytes. Budgets are
 // stamped per cycle on first claim, so the fabric is passive between
-// claims (next_event_cycle = kNever) and needs no catch-up on a
+// claims (it has no events of its own) and needs no catch-up on a
 // fast-forward jump. Hop distance only adds latency (charged by the DMA
 // engine on completion) and energy (`sys.icn.byte_hops` x pj_per_byte_hop,
 // costed by sys::account_system); a local src == dst claim models the
@@ -17,12 +17,13 @@
 
 #include <vector>
 
-#include "sim/stepped.hpp"
+#include "sim/counters.hpp"
+#include "sim/types.hpp"
 #include "sys/params.hpp"
 
 namespace mp3d::sys {
 
-class ClusterIcn final : public sim::SteppedComponent {
+class ClusterIcn {
  public:
   ClusterIcn(const IcnConfig& cfg, u32 num_clusters);
 
@@ -42,14 +43,8 @@ class ClusterIcn final : public sim::SteppedComponent {
   u64 bytes_moved() const { return bytes_moved_; }
   u64 byte_hops() const { return byte_hops_; }
 
-  // ---- sim::SteppedComponent -----------------------------------------------
-  void step_component(sim::Cycle /*now*/) override {}  // passive: see header
-  sim::Cycle next_event_cycle(sim::Cycle /*now*/) const override {
-    return sim::kNever;
-  }
-  void reset_run_state() override;
-  void add_counters(sim::CounterSet& counters) const override;
-  u64 activity() const override { return bytes_moved_; }
+  void reset_run_state();
+  void add_counters(sim::CounterSet& counters) const;
 
  private:
   void refresh_budgets(sim::Cycle now);

@@ -13,7 +13,6 @@ JobScheduler::JobScheduler(SchedPolicy policy, u32 num_clusters)
 
 void JobScheduler::reset(std::size_t num_jobs) {
   num_jobs_ = num_jobs;
-  dispatched_ = 0;
   fifo_cursor_ = 0;
   for (u32 k = 0; k < num_clusters_; ++k) {
     rr_cursor_[k] = k;  // cluster k's first pinned job is job k
@@ -29,14 +28,12 @@ std::optional<std::size_t> JobScheduler::next_job(u32 cluster) {
         return std::nullopt;
       }
       rr_cursor_[cluster] = job + num_clusters_;
-      ++dispatched_;
       return job;
     }
     case SchedPolicy::kLeastLoaded: {
       if (fifo_cursor_ >= num_jobs_) {
         return std::nullopt;
       }
-      ++dispatched_;
       return fifo_cursor_++;
     }
   }

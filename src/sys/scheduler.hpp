@@ -31,15 +31,16 @@ class JobScheduler {
   /// The next job index for newly idle `cluster`, or nullopt when no job
   /// is available for it. The returned job is consumed.
   std::optional<std::size_t> next_job(u32 cluster);
-
-  /// Every job has been handed out (not necessarily finished).
-  bool all_dispatched() const { return dispatched_ == num_jobs_; }
+  /// Whether next_job(cluster) would hand out a job (nothing is consumed).
+  bool has_job(u32 cluster) const {
+    return (policy_ == SchedPolicy::kRoundRobin ? rr_cursor_[cluster] : fifo_cursor_) <
+           num_jobs_;
+  }
 
  private:
   SchedPolicy policy_;
   u32 num_clusters_;
   std::size_t num_jobs_ = 0;
-  std::size_t dispatched_ = 0;
   std::size_t fifo_cursor_ = 0;           ///< kLeastLoaded: global FIFO front
   std::vector<std::size_t> rr_cursor_;    ///< kRoundRobin: per-cluster next job
 };

@@ -102,7 +102,7 @@ void SysDma::step_engine(u32 e, sim::Cycle now) {
   }
 }
 
-void SysDma::step_component(sim::Cycle now) {
+void SysDma::step(sim::Cycle now) {
   const u32 n = num_engines();
   const u64 before = bytes_moved_;
   for (u32 i = 0; i < n; ++i) {

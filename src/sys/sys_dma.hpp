@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "arch/dma.hpp"
-#include "sim/stepped.hpp"
 #include "sys/icn.hpp"
 #include "sys/params.hpp"
 
@@ -42,7 +41,7 @@ struct C2cDescriptor {
   u64 ticket = 0;    ///< per-engine sequential id (assigned at push)
 };
 
-class SysDma final : public sim::SteppedComponent {
+class SysDma {
  public:
   SysDma(const SysDmaConfig& cfg, ClusterIcn& icn,
          std::vector<arch::GlobalMemory*> shards);
@@ -67,12 +66,17 @@ class SysDma final : public sim::SteppedComponent {
     step_rr_ = n == 0 ? 0 : static_cast<u32>((step_rr_ + span % n) % n);
   }
 
-  // ---- sim::SteppedComponent -----------------------------------------------
-  void step_component(sim::Cycle now) override;
-  sim::Cycle next_event_cycle(sim::Cycle now) const override;
-  void reset_run_state() override;
-  void add_counters(sim::CounterSet& counters) const override;
-  u64 activity() const override { return bytes_moved_ + descriptors_completed_; }
+  /// Advance every engine one cycle, in the rotated service order.
+  void step(sim::Cycle now);
+  /// Earliest cycle an engine does observable work: `now + 1` while any
+  /// engine has bytes to claim, else the first wire-drain completion
+  /// (kNever when idle).
+  sim::Cycle next_event_cycle(sim::Cycle now) const;
+  /// Drop queued and in-flight descriptors and zero the statistics.
+  void reset_run_state();
+  void add_counters(sim::CounterSet& counters) const;
+  /// Progress witness of the System's deadlock watchdog.
+  u64 activity() const { return bytes_moved_ + descriptors_completed_; }
 
  private:
   struct Completion {

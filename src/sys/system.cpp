@@ -64,8 +64,6 @@ void System::reset_run_state() {
   records_.clear();
   jobs_done_ = 0;
   home_slot_top_ = cfg_.cluster.gmem_base + cfg_.cluster.gmem_size;
-  last_activity_value_ = 0;
-  last_activity_cycle_ = 0;
 }
 
 u32 System::alloc_home_slot(u64 bytes) {
@@ -107,7 +105,7 @@ void System::begin_running(u32 k) {
   records_[seat.job].started_at = cycle_;
 }
 
-void System::dispatch_jobs(std::vector<JobSpec>& jobs) {
+void System::dispatch_jobs() {
   for (u32 k = 0; k < num_clusters(); ++k) {
     if (seats_[k].state != ClusterState::kIdle) {
       continue;
@@ -118,7 +116,7 @@ void System::dispatch_jobs(std::vector<JobSpec>& jobs) {
     }
     Seat& seat = seats_[k];
     seat.job = *job;
-    JobSpec& spec = jobs[*job];
+    JobSpec& spec = jobs_[*job];
     JobRecord& rec = records_[*job];
     rec.cluster = k;
     rec.assigned_at = cycle_;
@@ -157,27 +155,25 @@ void System::dispatch_jobs(std::vector<JobSpec>& jobs) {
 }
 
 arch::RunResult System::labelled_finish(u32 k, bool eoc, bool deadlock,
-                                        bool hit_max, u64 max_cycles) {
+                                        bool hit_max) {
   if (num_clusters() == 1) {
     // Single-cluster back-compat: do not touch the collect label, so the
     // deposited timeline/trace bytes match a bare Cluster run exactly.
-    return clusters_[k]->finish(eoc, deadlock, hit_max, max_cycles);
+    return clusters_[k]->finish(eoc, deadlock, hit_max);
   }
   const std::string saved = obs::collect_label();
   const std::string mine = "c" + std::to_string(k);
   obs::set_collect_label(saved.empty() ? mine : saved + "." + mine);
-  arch::RunResult result = clusters_[k]->finish(eoc, deadlock, hit_max, max_cycles);
+  arch::RunResult result = clusters_[k]->finish(eoc, deadlock, hit_max);
   obs::set_collect_label(saved);
   return result;
 }
 
-void System::finish_job(u32 k, const JobSpec& spec, bool eoc, bool deadlock,
-                        bool hit_max) {
+void System::finish_job(u32 k, bool eoc, bool deadlock, bool hit_max) {
   Seat& seat = seats_[k];
+  const JobSpec& spec = jobs_[seat.job];
   JobRecord& rec = records_[seat.job];
-  const u64 job_max =
-      seat.job_max_cycles > 0 ? seat.job_max_cycles : sim::kNever;
-  rec.result = labelled_finish(k, eoc, deadlock, hit_max, job_max);
+  rec.result = labelled_finish(k, eoc, deadlock, hit_max);
   rec.eoc_at = cycle_;
   if (eoc && spec.kernel.verify) {
     rec.verify_error = spec.kernel.verify(*clusters_[k], rec.result);
@@ -194,9 +190,52 @@ void System::finish_job(u32 k, const JobSpec& spec, bool eoc, bool deadlock,
   seat.state = ClusterState::kIdle;
 }
 
-bool System::all_jobs_done() const { return jobs_done_ == records_.size(); }
+void System::step() {
+  // Dispatch runs first, so a newly assigned job starts this very cycle
+  // (may_skip() holds every jump while a dispatch is due).
+  dispatch_jobs();
+  const sim::Cycle now = cycle_ + 1;
+  sdma_->step(now);
+  // Staging transitions ride the same cycle their transfer retires in:
+  // the system DMA steps before the clusters (mirroring the cluster's
+  // gmem-before-cores phase order), so a landed input lets its cluster
+  // start this very cycle.
+  for (u32 k = 0; k < num_clusters(); ++k) {
+    Seat& seat = seats_[k];
+    if (seat.state == ClusterState::kStagingIn &&
+        sdma_->retired(k) >= seat.staging_ticket) {
+      begin_running(k);
+    } else if (seat.state == ClusterState::kStagingOut &&
+               sdma_->retired(k) >= seat.staging_ticket) {
+      records_[seat.job].completed_at = now;
+      ++jobs_done_;
+      seat.state = ClusterState::kIdle;
+    }
+  }
+  for (u32 k = 0; k < num_clusters(); ++k) {
+    if (seats_[k].state == ClusterState::kRunning) {
+      clusters_[k]->step();
+    }
+  }
+  ++cycle_;
+  for (u32 k = 0; k < num_clusters(); ++k) {
+    const Seat& seat = seats_[k];
+    if (seat.state != ClusterState::kRunning) {
+      continue;
+    }
+    const arch::Cluster& cluster = *clusters_[k];
+    if (cluster.eoc_signaled()) {
+      finish_job(k, true, false, false);
+    } else if (cluster.all_cores_halted()) {
+      finish_job(k, false, false, false);
+    } else if (seat.job_max_cycles > 0 &&
+               cycle_ - seat.offset >= seat.job_max_cycles) {
+      finish_job(k, false, false, true);
+    }
+  }
+}
 
-u64 System::aggregate_activity() const {
+u64 System::activity() const {
   u64 total = sdma_->activity();
   for (const auto& cluster : clusters_) {
     total += cluster->activity();
@@ -204,80 +243,84 @@ u64 System::aggregate_activity() const {
   return total;
 }
 
-sim::Cycle System::next_wake_event() const {
-  sim::Cycle next = sdma_->next_event_cycle(cycle_);
-  for (u32 k = 0; k < num_clusters(); ++k) {
-    if (seats_[k].state == ClusterState::kRunning) {
-      next = std::min(next, to_system_cycle(clusters_[k]->next_wake_event(),
-                                            seats_[k].offset));
-    }
-  }
-  return next;
-}
-
-void System::maybe_fast_forward(u64 max_cycles) {
-  // Identical gating to Cluster::run: every running cluster must be
-  // fast-forward enabled and fully quiescent (frozen staging clusters do
-  // not veto — they have no work until their transfer lands). With no
-  // cluster running, the system-wide setting (cluster 0's env-resolved
-  // flag) decides whether staging waits may be skipped.
+bool System::may_skip() const {
+  // Frozen staging clusters do not veto: they have no work until their
+  // transfer lands.
   bool any_running = false;
   for (u32 k = 0; k < num_clusters(); ++k) {
-    if (seats_[k].state != ClusterState::kRunning) {
-      continue;
-    }
-    any_running = true;
-    if (!clusters_[k]->fast_forward_enabled() || !clusters_[k]->quiescent()) {
-      return;
+    switch (seats_[k].state) {
+      case ClusterState::kIdle:
+        if (scheduler_.has_job(k)) {
+          return false;  // step() dispatches to this cluster first
+        }
+        break;
+      case ClusterState::kRunning:
+        if (!clusters_[k]->may_skip()) {
+          return false;
+        }
+        any_running = true;
+        break;
+      default:
+        break;
     }
   }
-  if (!any_running && !fast_forward_) {
-    return;
-  }
+  return any_running || fast_forward_;
+}
+
+sim::Cycle System::next_wake(sim::Cycle bound) const {
   const sim::Cycle floor = cycle_ + 1;
-  sim::Cycle bound = std::min<sim::Cycle>(
-      max_cycles, last_activity_cycle_ + arch::Cluster::kDeadlockWindow);
-  for (u32 k = 0; k < num_clusters(); ++k) {
-    const Seat& seat = seats_[k];
-    if (seat.state == ClusterState::kRunning && seat.job_max_cycles > 0) {
-      bound = std::min(bound, to_system_cycle(seat.job_max_cycles, seat.offset));
-    }
-  }
   sim::Cycle target = std::min(bound, sdma_->next_event_cycle(cycle_));
   if (target <= floor) {
-    return;
+    return floor;
   }
   for (u32 k = 0; k < num_clusters(); ++k) {
     const Seat& seat = seats_[k];
     if (seat.state != ClusterState::kRunning) {
       continue;
     }
-    const sim::Cycle local_target =
-        clusters_[k]->fast_forward_target(target - seat.offset);
-    target = std::min(target, to_system_cycle(local_target, seat.offset));
+    const sim::Cycle local = clusters_[k]->next_wake(target - seat.offset);
+    target = std::min(target, to_system_cycle(local, seat.offset));
     if (target <= floor) {
-      return;
+      return floor;
     }
   }
-  const u64 span = target - cycle_ - 1;
+  return target;
+}
+
+sim::Cycle System::horizon() const {
+  sim::Cycle next = sim::kNever;
+  for (u32 k = 0; k < num_clusters(); ++k) {
+    const Seat& seat = seats_[k];
+    if (seat.state != ClusterState::kRunning) {
+      continue;
+    }
+    next = std::min(next, to_system_cycle(clusters_[k]->horizon(), seat.offset));
+    if (seat.job_max_cycles > 0) {
+      next = std::min(next, to_system_cycle(seat.job_max_cycles, seat.offset));
+    }
+  }
+  return next;
+}
+
+void System::skip_to(sim::Cycle target) {
   for (u32 k = 0; k < num_clusters(); ++k) {
     if (seats_[k].state == ClusterState::kRunning) {
       clusters_[k]->skip_to(target - seats_[k].offset);
     }
   }
+  const u64 span = target - cycle_ - 1;
   sdma_->skip_cycles(span);
   cycle_ += span;
 }
 
-SystemResult System::assemble_result(bool deadlock, bool hit_max,
-                                     u64 /*max_cycles*/,
-                                     std::vector<JobSpec>& /*jobs*/) {
+SystemResult System::assemble_result(bool deadlock, bool hit_max) {
   SystemResult result;
   result.cycles = cycle_;
   result.deadlock = deadlock;
   result.hit_max_cycles = hit_max;
   result.jobs = std::move(records_);
   records_.clear();
+  jobs_.clear();
   result.ok = !deadlock && !hit_max &&
               std::all_of(result.jobs.begin(), result.jobs.end(),
                           [](const JobRecord& job) { return job.ok(); });
@@ -307,90 +350,28 @@ SystemResult System::assemble_result(bool deadlock, bool hit_max,
 
 SystemResult System::run_jobs(std::vector<JobSpec> jobs, u64 max_cycles) {
   reset_run_state();
-  scheduler_.reset(jobs.size());
-  records_.resize(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    records_[i] = JobRecord{};
-    records_[i].name = jobs[i].name;
+  jobs_ = std::move(jobs);
+  scheduler_.reset(jobs_.size());
+  records_.assign(jobs_.size(), JobRecord{});
+  for (std::size_t i = 0; i < jobs_.size(); ++i) {
+    records_[i].name = jobs_[i].name;
   }
-  while (cycle_ < max_cycles && !all_jobs_done()) {
-    dispatch_jobs(jobs);
-    maybe_fast_forward(max_cycles);
-    const sim::Cycle now = cycle_ + 1;
-    sdma_->step_component(now);
-    // Staging transitions ride the same cycle their transfer retires in:
-    // the system DMA steps before the clusters (mirroring the cluster's
-    // gmem-before-cores phase order), so a landed input lets its cluster
-    // start this very cycle.
+  const sim::RunEnd end = done() ? sim::RunEnd::kDone : sim::drive(*this, max_cycles);
+  if (end != sim::RunEnd::kDone) {
+    const bool deadlock = end == sim::RunEnd::kDeadlock;
     for (u32 k = 0; k < num_clusters(); ++k) {
-      Seat& seat = seats_[k];
-      if (seat.state == ClusterState::kStagingIn &&
-          sdma_->retired(k) >= seat.staging_ticket) {
-        begin_running(k);
-      } else if (seat.state == ClusterState::kStagingOut &&
-                 sdma_->retired(k) >= seat.staging_ticket) {
-        records_[seat.job].completed_at = now;
-        ++jobs_done_;
-        seat.state = ClusterState::kIdle;
-      }
-    }
-    for (u32 k = 0; k < num_clusters(); ++k) {
-      if (seats_[k].state == ClusterState::kRunning) {
-        clusters_[k]->step_component(now - seats_[k].offset);
-      }
-    }
-    ++cycle_;
-    for (u32 k = 0; k < num_clusters(); ++k) {
-      Seat& seat = seats_[k];
-      if (seat.state != ClusterState::kRunning) {
+      if (seats_[k].state != ClusterState::kRunning) {
         continue;
       }
-      arch::Cluster& cluster = *clusters_[k];
-      const JobSpec& spec = jobs[seat.job];
-      if (cluster.eoc_signaled()) {
-        finish_job(k, spec, true, false, false);
-      } else if (cluster.all_cores_halted()) {
-        finish_job(k, spec, false, false, false);
-      } else if (seat.job_max_cycles > 0 &&
-                 cycle_ - seat.offset >= seat.job_max_cycles) {
-        finish_job(k, spec, false, false, true);
+      if (deadlock) {
+        MP3D_WARN("system deadlock: cluster " << k << ": "
+                                              << clusters_[k]->deadlock_diagnostic());
       }
-    }
-    const u64 activity = aggregate_activity();
-    if (activity != last_activity_value_) {
-      last_activity_value_ = activity;
-      last_activity_cycle_ = cycle_;
-    } else if (cycle_ - last_activity_cycle_ >= arch::Cluster::kDeadlockWindow) {
-      if (next_wake_event() != sim::kNever) {
-        last_activity_cycle_ = cycle_;  // long wait, not a hang (see Cluster)
-      } else {
-        std::string diag;
-        for (u32 k = 0; k < num_clusters(); ++k) {
-          if (seats_[k].state == ClusterState::kRunning) {
-            diag = "cluster " + std::to_string(k) + ": " +
-                   clusters_[k]->deadlock_diagnostic();
-            break;
-          }
-        }
-        MP3D_WARN("system deadlock: " << diag);
-        for (u32 k = 0; k < num_clusters(); ++k) {
-          if (seats_[k].state == ClusterState::kRunning) {
-            finish_job(k, jobs[seats_[k].job], false, true, false);
-          }
-        }
-        return assemble_result(true, false, max_cycles, jobs);
-      }
+      finish_job(k, false, deadlock, !deadlock);
     }
   }
-  if (!all_jobs_done()) {
-    for (u32 k = 0; k < num_clusters(); ++k) {
-      if (seats_[k].state == ClusterState::kRunning) {
-        finish_job(k, jobs[seats_[k].job], false, false, true);
-      }
-    }
-    return assemble_result(false, true, max_cycles, jobs);
-  }
-  return assemble_result(false, false, max_cycles, jobs);
+  return assemble_result(end == sim::RunEnd::kDeadlock,
+                         end == sim::RunEnd::kMaxCycles);
 }
 
 SystemResult System::run_kernel(const kernels::Kernel& kernel, u64 max_cycles,

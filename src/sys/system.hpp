@@ -1,8 +1,7 @@
 // SPDX-License-Identifier: Apache-2.0
 // The hierarchical multi-cluster System: N identical Clusters, each owning
 // one shard of the partitioned global memory, joined by the inter-cluster
-// interconnect (ClusterIcn) and cluster-to-cluster DMA (SysDma), driven by
-// one run loop through the shared sim::SteppedComponent interface.
+// interconnect (ClusterIcn) and cluster-to-cluster DMA (SysDma).
 //
 // System::run_jobs shards independent jobs across the clusters:
 //
@@ -18,12 +17,14 @@
 //             is DMA'd back to the home shard before the cluster is
 //             considered idle again.
 //
-// The loop reuses Cluster::run's machinery piece for piece — the same
-// phase ordering, the same idle-cycle fast-forward oracle (the jump is the
-// min over every running cluster's target plus the system DMA's next
-// event), and the same deadlock watchdog window — so a single-cluster
-// System run is bit-identical to a bare Cluster::run: same RunResult, same
-// counter names, same timeline and trace bytes.
+// The System is a sim::drive model, exactly like a bare Cluster: step()
+// runs dispatch, the system DMA, the staging transitions and every running
+// cluster in that order; the wake oracle is the system DMA's next event
+// plus every running cluster's next_wake on the system clock; the horizon
+// adds each running job's cycle cap to the clusters' own boundaries. With
+// the same loop and watchdog, a single-cluster System run is bit-identical
+// to a bare Cluster::run: same RunResult, same counter names, same
+// timeline and trace bytes.
 //
 // Counter namespacing: at N == 1 the job's counters merge into
 // SystemResult::counters unprefixed (bare-cluster names); at N > 1 each
@@ -40,6 +41,7 @@
 
 #include "arch/cluster.hpp"
 #include "kernels/kernel.hpp"
+#include "sim/driver.hpp"
 #include "sys/icn.hpp"
 #include "sys/params.hpp"
 #include "sys/scheduler.hpp"
@@ -136,24 +138,31 @@ class System {
     u32 home_slot = 0;            ///< staging slot in the home shard
   };
 
-  void dispatch_jobs(std::vector<JobSpec>& jobs);
+  // sim::drive hooks (see sim/driver.hpp).
+  template <typename Model>
+  friend sim::RunEnd sim::drive(Model& model, u64 max_cycles);
+  /// One system cycle: dispatch to idle clusters, the system DMA, staging
+  /// transitions, then every running cluster; jobs that ended are finished.
+  void step();
+  bool done() const { return jobs_done_ == records_.size(); }
+  /// Aggregate progress witness (system DMA plus every cluster).
+  u64 activity() const;
+  /// Every running cluster may skip and no idle cluster is about to be
+  /// handed a job (with none running, the system-wide setting decides).
+  bool may_skip() const;
+  sim::Cycle next_wake(sim::Cycle bound) const;
+  sim::Cycle horizon() const;
+  void skip_to(sim::Cycle target);
+
+  void dispatch_jobs();
   void begin_staging_in(u32 k, const JobSpec& spec);
   void begin_running(u32 k);
-  void finish_job(u32 k, const JobSpec& spec, bool eoc, bool deadlock,
-                  bool hit_max);
+  void finish_job(u32 k, bool eoc, bool deadlock, bool hit_max);
   /// Cluster k's finish(), with the telemetry collect label suffixed
   /// ".c<k>" at N > 1 so merged traces keep per-cluster pseudo-processes.
-  arch::RunResult labelled_finish(u32 k, bool eoc, bool deadlock, bool hit_max,
-                                  u64 max_cycles);
-  bool all_jobs_done() const;
-  u64 aggregate_activity() const;
-  /// Earliest system cycle any component can make progress (the deadlock
-  /// watchdog's oracle, kNever when everything is drained).
-  sim::Cycle next_wake_event() const;
-  void maybe_fast_forward(u64 max_cycles);
+  arch::RunResult labelled_finish(u32 k, bool eoc, bool deadlock, bool hit_max);
   u32 alloc_home_slot(u64 bytes);
-  SystemResult assemble_result(bool deadlock, bool hit_max, u64 max_cycles,
-                               std::vector<JobSpec>& jobs);
+  SystemResult assemble_result(bool deadlock, bool hit_max);
 
   SystemConfig cfg_;
   std::vector<std::unique_ptr<arch::Cluster>> clusters_;
@@ -165,16 +174,13 @@ class System {
   sim::Cycle cycle_ = 0;
   std::vector<Seat> seats_;
   std::vector<u8> loaded_;  ///< clusters with a program image (resettable)
+  std::vector<JobSpec> jobs_;  ///< the current run's job list
   std::vector<JobRecord> records_;
   std::size_t jobs_done_ = 0;
 
   // Home-shard staging slots: a descending bump allocator from the top of
   // the home cluster's gmem window (kernel code/data grow from the bottom).
   u64 home_slot_top_ = 0;
-
-  // Deadlock watchdog (same window as Cluster::run, on aggregate activity).
-  u64 last_activity_value_ = 0;
-  sim::Cycle last_activity_cycle_ = 0;
 };
 
 }  // namespace mp3d::sys

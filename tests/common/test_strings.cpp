@@ -22,6 +22,13 @@ TEST(Strings, Split) {
   EXPECT_EQ(parts[3], "c");
 }
 
+TEST(Strings, JsonEscape) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
+  EXPECT_EQ(json_escape(std::string("\x01", 1)), "\\u0001");
+}
+
 TEST(Strings, SplitSingle) {
   const auto parts = split("abc", ',');
   ASSERT_EQ(parts.size(), 1U);

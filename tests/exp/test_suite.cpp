@@ -133,13 +133,6 @@ TEST(Rows, NumericCellsAndGet) {
   EXPECT_EQ(row.get("missing"), "");
 }
 
-TEST(Rows, JsonEscape) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-  EXPECT_EQ(json_escape(std::string("\x01", 1)), "\\u0001");
-}
-
 TEST(Output, WriteCreatesParentDirectories) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "mp3d_exp_test" / "nested";

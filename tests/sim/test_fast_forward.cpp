@@ -270,6 +270,36 @@ _start:
   const arch::RunResult off = run_with_ff(cfg, src, false, 500'000);
   EXPECT_TRUE(on.deadlock);
   expect_identical(on, off);
+
+  // Telemetry samples and profiler strides are boundaries a jump must land
+  // on, not wakes: they neither hide the hang nor move the verdict.
+  arch::ClusterConfig observed = cfg;
+  observed.telemetry.sample_window = 64;
+  observed.profiling.stride = 100;
+  for (const bool ff : {true, false}) {
+    const arch::RunResult r = run_with_ff(observed, src, ff, 500'000);
+    EXPECT_TRUE(r.deadlock) << "ff " << ff;
+    EXPECT_EQ(r.cycles, on.cycles) << "ff " << ff;
+  }
+
+  // The same verdict through the System, on the bare cluster's cycle: at
+  // N=1, and at N=2 with the second cluster left idle.
+  isa::AsmOptions options;
+  options.default_base = cfg.gmem_base;
+  kernels::Kernel sleeper;
+  sleeper.name = "sleep_forever";
+  sleeper.program = isa::assemble(src, options);
+  for (const u32 clusters : {1U, 2U}) {
+    sys::SystemConfig scfg;
+    scfg.num_clusters = clusters;
+    scfg.cluster = cfg;
+    sys::System system(scfg);
+    const sys::SystemResult r = system.run_kernel(sleeper, 500'000);
+    EXPECT_TRUE(r.deadlock) << clusters << " clusters";
+    ASSERT_EQ(r.jobs.size(), 1U);
+    EXPECT_TRUE(r.jobs[0].result.deadlock) << clusters << " clusters";
+    EXPECT_EQ(r.cycles, on.cycles) << clusters << " clusters";
+  }
 }
 
 TEST(FastForwardCluster, MaxCyclesIsRespectedAcrossAJump) {

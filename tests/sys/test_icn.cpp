@@ -64,9 +64,9 @@ TEST(ClusterIcn, LocalClaimsModelTheHomePortWithZeroHops) {
 TEST(ClusterIcn, ResetClearsBudgetsAndStats) {
   sys::ClusterIcn icn(sys::IcnConfig{}, 2);
   icn.claim(0, 1, 64, 5);
-  EXPECT_GT(icn.activity(), 0U);
+  EXPECT_GT(icn.bytes_moved(), 0U);
   icn.reset_run_state();
-  EXPECT_EQ(icn.activity(), 0U);
+  EXPECT_EQ(icn.bytes_moved(), 0U);
   // The stale cycle-5 stamp is gone: a claim at cycle 5 again sees a
   // fresh budget (back-to-back runs restart the clock at zero).
   EXPECT_EQ(icn.claim(0, 1, 64, 5), 64U);

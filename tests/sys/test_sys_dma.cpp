@@ -40,7 +40,7 @@ struct Rig {
     sim::Cycle now = from;
     while (dma->retired(engine) < ticket) {
       ++now;
-      dma->step_component(now);
+      dma->step(now);
       EXPECT_LT(now, 100'000U);
     }
     return now;
@@ -69,8 +69,11 @@ TEST(SysDma, CompletionWaitsOutTheRouteLatency) {
   // adds hop_latency cycles of wire after the last grant.
   Rig rig(2);
   const u32 hop = rig.icn_cfg.hop_latency;
+  EXPECT_EQ(rig.dma->next_event_cycle(5), sim::kNever);  // idle: no events
   const u64 ticket =
       rig.dma->push(1, sys::C2cDescriptor{0, 1, kBase, kBase, 256, 0});
+  // Backlog to claim: the engine must tick the very next cycle.
+  EXPECT_EQ(rig.dma->next_event_cycle(5), 6U);
   const sim::Cycle done = rig.run_until_retired(1, ticket);
   EXPECT_EQ(done, 4U + hop);
   // The oracle agreed along the way: after the grants, the next event is
@@ -101,7 +104,7 @@ TEST(SysDma, EnginesShareContendedPortsFairly) {
   sim::Cycle now = 0;
   while (rig.dma->retired(1) < t1 || rig.dma->retired(2) < t2) {
     ++now;
-    rig.dma->step_component(now);
+    rig.dma->step(now);
     ASSERT_LT(now, 10'000U);
   }
   // Perfect sharing: 1024 bytes through a 64 B/cycle ingress = 16 grant
@@ -141,7 +144,7 @@ TEST(SysDma, SkipCyclesKeepsTheServiceRotationBitExact) {
       now = kSpan;
     } else {
       for (; now < kSpan; ) {
-        rig.dma->step_component(++now);
+        rig.dma->step(++now);
       }
     }
     const u64 t1 =
@@ -150,7 +153,7 @@ TEST(SysDma, SkipCyclesKeepsTheServiceRotationBitExact) {
         2, sys::C2cDescriptor{2, 0, kBase, kBase + 0x2000, 256, 0});
     while (rig.dma->retired(1) < t1 || rig.dma->retired(2) < t2) {
       ++now;
-      rig.dma->step_component(now);
+      rig.dma->step(now);
     }
     return now;
   };
