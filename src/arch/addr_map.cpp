@@ -16,10 +16,14 @@ AddrMap::AddrMap(const ClusterConfig& cfg)
       gmem_size_(cfg.gmem_size),
       num_tiles_(cfg.num_tiles()),
       banks_per_tile_(cfg.banks_per_tile),
+      bank_shift_(log2_exact(cfg.banks_per_tile)),
       num_banks_(cfg.num_banks()),
+      num_banks_shift_(log2_exact(cfg.num_banks())),
       rows_per_bank_(cfg.bank_words()),
       seq_rows_per_bank_(
-          static_cast<u32>(cfg.seq_bytes_per_tile / (4ULL * cfg.banks_per_tile))) {}
+          static_cast<u32>(cfg.seq_bytes_per_tile / (4ULL * cfg.banks_per_tile))) {
+  MP3D_ASSERT(is_pow2(banks_per_tile_) && is_pow2(num_banks_));
+}
 
 Region AddrMap::classify(u32 addr) const {
   if (addr >= spm_base_ && addr < spm_base_ + spm_capacity_) {
@@ -42,16 +46,16 @@ BankTarget AddrMap::spm_target(u32 addr) const {
     const u32 within = static_cast<u32>(off % seq_per_tile_);
     const u32 word = within / 4;
     t.tile = tile;
-    t.bank = word % banks_per_tile_;
-    t.row = word / banks_per_tile_;
+    t.bank = word & (banks_per_tile_ - 1);
+    t.row = word >> bank_shift_;
     MP3D_ASSERT(t.row < seq_rows_per_bank_);
     return t;
   }
-  const u64 word = (off - seq_total_) / 4;
-  const u32 global_bank = static_cast<u32>(word % num_banks_);
-  t.tile = global_bank / banks_per_tile_;
-  t.bank = global_bank % banks_per_tile_;
-  t.row = seq_rows_per_bank_ + static_cast<u32>(word / num_banks_);
+  const u32 word = static_cast<u32>((off - seq_total_) / 4);
+  const u32 global_bank = word & (num_banks_ - 1);
+  t.tile = global_bank >> bank_shift_;
+  t.bank = global_bank & (banks_per_tile_ - 1);
+  t.row = seq_rows_per_bank_ + (word >> num_banks_shift_);
   MP3D_ASSERT(t.row < rows_per_bank_);
   return t;
 }

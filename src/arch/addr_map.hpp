@@ -23,6 +23,7 @@ namespace mp3d::arch {
 
 class AddrMap {
  public:
+  /// Pre: `cfg` passed ClusterConfig::validate().
   explicit AddrMap(const ClusterConfig& cfg);
 
   Region classify(u32 addr) const;
@@ -63,8 +64,12 @@ class AddrMap {
   u32 gmem_base_;
   u64 gmem_size_;
   u32 num_tiles_;
+  // Bank counts are powers of two (ClusterConfig::validate), so the bank
+  // decode is a mask and a shift.
   u32 banks_per_tile_;
+  u32 bank_shift_;  ///< log2(banks_per_tile_)
   u32 num_banks_;
+  u32 num_banks_shift_;  ///< log2(num_banks_)
   u32 rows_per_bank_;
   u32 seq_rows_per_bank_;
 };

@@ -11,8 +11,7 @@ std::optional<MemResponse> SpmBank::serve(sim::Cycle now) {
   if (!has_ready(now)) {
     return std::nullopt;
   }
-  BankRequest request = std::move(queue_.front());
-  queue_.pop_front();
+  const BankRequest request = queue_.pop_front();
   ++accesses_;
   // Array activation accounting: loads read, stores write, AMOs and lr/sc
   // do both (the bank reads the old word and writes the new one).

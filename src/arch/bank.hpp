@@ -4,19 +4,21 @@
 // execute here) and holds per-row LR/SC reservations.
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "arch/mem_types.hpp"
+#include "sim/ring_fifo.hpp"
 #include "sim/types.hpp"
 
 namespace mp3d::arch {
 
-/// Row field is stored in MemRequest::ready_at-adjacent metadata: requests
-/// routed to a bank carry the decomposed row in `row`.
+/// A request routed to a bank. The address is decoded once, at issue: the
+/// request carries its cluster-wide bank index and the row within that
+/// bank.
 struct BankRequest {
   MemRequest req;
+  u32 bank = 0;  ///< global bank index (tile * banks_per_tile + bank in tile)
   u32 row = 0;
 };
 
@@ -74,7 +76,7 @@ class SpmBank {
   u32 execute(const BankRequest& request);
 
   std::vector<u32> storage_;
-  std::deque<BankRequest> queue_;
+  sim::RingFifo<BankRequest> queue_;
   // LR/SC reservations: (row, core) pairs; invalidated by any intervening
   // write from another core.
   std::vector<std::pair<u32, u16>> reservations_;

@@ -52,8 +52,18 @@ std::vector<u64> RunResult::marker_cycles(u32 id) const {
   return out;
 }
 
-Cluster::Cluster(ClusterConfig cfg) : cfg_(std::move(cfg)), map_(cfg_) {
-  cfg_.validate();
+namespace {
+
+/// Validation runs before any member is derived from the config: AddrMap
+/// and the bank array divide by its counts.
+ClusterConfig validated(ClusterConfig cfg) {
+  cfg.validate();
+  return cfg;
+}
+
+}  // namespace
+
+Cluster::Cluster(ClusterConfig cfg) : cfg_(validated(std::move(cfg))), map_(cfg_) {
   noc_ = std::make_unique<Interconnect>(cfg_);
   gmem_ = std::make_unique<GlobalMemory>(cfg_.gmem_base, cfg_.gmem_size,
                                          cfg_.gmem_bytes_per_cycle, cfg_.gmem_latency,
@@ -320,10 +330,11 @@ IssueResult Cluster::issue_mem(const MemRequest& request) {
       const BankTarget t = map_.spm_target(request.addr);
       BankRequest breq;
       breq.req = request;
+      breq.bank = t.tile * cfg_.banks_per_tile + t.bank;
       breq.row = t.row;
       if (t.tile == src_tile) {
         breq.req.ready_at = cycle_ + 1;  // local crossbar: bank sees it next cycle
-        const u32 gb = t.tile * cfg_.banks_per_tile + t.bank;
+        const u32 gb = breq.bank;
         banks_[gb].push(std::move(breq));
         activate_bank(gb);
         ++activity_;
@@ -386,10 +397,9 @@ void Cluster::deliver_response_to_core(const MemResponse& response) {
 }
 
 void Cluster::deliver_remote_request(u32 dst_tile, BankRequest&& request) {
-  const BankTarget t = map_.spm_target(request.req.addr);
-  MP3D_ASSERT(t.tile == dst_tile);
+  const u32 gb = request.bank;  // decoded once, in issue_mem
+  MP3D_ASSERT(gb / cfg_.banks_per_tile == dst_tile);
   request.req.ready_at = cycle_;
-  const u32 gb = dst_tile * cfg_.banks_per_tile + t.bank;
   banks_[gb].push(std::move(request));
   activate_bank(gb);
   ++activity_;

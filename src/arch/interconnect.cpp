@@ -2,27 +2,84 @@
 #include "arch/interconnect.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/assert.hpp"
 
 namespace mp3d::arch {
+
+namespace {
+
+constexpr std::size_t kWordBits = 64;
+
+u64 port_bit(std::size_t port) { return u64{1} << (port % kWordBits); }
+
+bool any(const std::vector<u64>& mask) {
+  return std::any_of(mask.begin(), mask.end(), [](u64 word) { return word != 0; });
+}
+
+/// Calls `visit(port)` for every set bit of `mask`, in port order starting
+/// at port `start` and wrapping around. Each mask word is read when the
+/// walk reaches it, so `visit` may clear the bit of the port it visits.
+template <typename F>
+void for_each_port(const std::vector<u64>& mask, std::size_t start, F&& visit) {
+  const std::size_t words = mask.size();
+  const std::size_t first = start / kWordBits;
+  const u64 from_start = ~u64{0} << (start % kWordBits);
+  // words + 1 steps: the start word's upper part first, its lower part last.
+  for (std::size_t i = 0; i <= words; ++i) {
+    const std::size_t w = first + i < words ? first + i : first + i - words;
+    u64 bits = mask[w];
+    if (i == 0) {
+      bits &= from_start;
+    } else if (i == words) {
+      bits &= ~from_start;
+    }
+    for (; bits != 0; bits &= bits - 1) {
+      visit(w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
+  }
+}
+
+}  // namespace
+
+template <typename T>
+bool Interconnect::Direction<T>::idle() const {
+  return !any(queued) && !any(piped);
+}
+
+template <typename T>
+void Interconnect::Direction<T>::clear() {
+  for (auto& port : ports) {
+    port.queue.clear();
+    port.pipe.clear();
+  }
+  std::fill(queued.begin(), queued.end(), 0);
+  std::fill(piped.begin(), piped.end(), 0);
+  flits = 0;
+  hol_blocked = 0;
+}
 
 Interconnect::Interconnect(const ClusterConfig& cfg)
     : tiles_per_group_(cfg.tiles_per_group),
       num_tiles_(cfg.num_tiles()),
       local_pipe_(cfg.local_net_pipe),
       global_pipe_(cfg.global_net_pipe) {
-  req_ports_.reserve(static_cast<std::size_t>(num_tiles_) * kNumNetworks);
-  resp_ports_.reserve(static_cast<std::size_t>(num_tiles_) * kNumNetworks);
-  for (u32 t = 0; t < num_tiles_; ++t) {
-    for (u32 n = 0; n < kNumNetworks; ++n) {
-      const u32 latency = pipe_latency(n);
-      req_ports_.emplace_back(cfg.port_queue_depth, latency);
-      resp_ports_.emplace_back(cfg.port_queue_depth, latency);
+  const std::size_t num_ports = static_cast<std::size_t>(num_tiles_) * kNumNetworks;
+  const std::size_t mask_words = (num_ports + kWordBits - 1) / kWordBits;
+  const auto build = [&](auto& dir) {
+    dir.ports.reserve(num_ports);
+    for (u32 t = 0; t < num_tiles_; ++t) {
+      for (u32 n = 0; n < kNumNetworks; ++n) {
+        dir.ports.emplace_back(cfg.port_queue_depth, pipe_latency(n));
+      }
     }
-  }
-  req_ingress_budget_.assign(static_cast<std::size_t>(num_tiles_) * kNumNetworks, 0);
-  resp_ingress_budget_.assign(static_cast<std::size_t>(num_tiles_) * kNumNetworks, 0);
+    dir.queued.assign(mask_words, 0);
+    dir.piped.assign(mask_words, 0);
+    dir.ingress_taken.assign(mask_words, 0);
+  };
+  build(req_);
+  build(resp_);
 }
 
 u32 Interconnect::network(u32 src_tile, u32 dst_tile) const {
@@ -40,128 +97,112 @@ u32 Interconnect::network(u32 src_tile, u32 dst_tile) const {
 }
 
 bool Interconnect::can_push_request(u32 src_tile, u32 net) const {
-  return !req_ports_[port_index(src_tile, net)].queue.full();
+  return !req_.ports[port_index(src_tile, net)].queue.full();
 }
 
 bool Interconnect::can_push_response(u32 src_tile, u32 net) const {
-  return !resp_ports_[port_index(src_tile, net)].queue.full();
+  return !resp_.ports[port_index(src_tile, net)].queue.full();
+}
+
+template <typename T>
+bool Interconnect::push(Direction<T>& dir, u32 src_tile, u32 dst_tile, T&& payload) {
+  const u32 net = network(src_tile, dst_tile);
+  (net == 0 ? local_hops_ : global_hops_) += 1;
+  const u32 p = port_index(src_tile, net);
+  if (!dir.ports[p].queue.try_push(Flit<T>{dst_tile, std::move(payload)})) {
+    return false;
+  }
+  dir.queued[p / kWordBits] |= port_bit(p);
+  return true;
 }
 
 void Interconnect::push_request(u32 src_tile, u32 dst_tile, BankRequest&& request) {
-  const u32 net = network(src_tile, dst_tile);
-  (net == 0 ? local_hops_ : global_hops_) += 1;
-  const bool ok = req_ports_[port_index(src_tile, net)].queue.try_push(
-      Flit<BankRequest>{dst_tile, std::move(request)});
+  const bool ok = push(req_, src_tile, dst_tile, std::move(request));
   MP3D_ASSERT_MSG(ok, "push_request without can_push_request check");
-  ++in_flight_;
 }
 
 void Interconnect::push_response(u32 src_tile, u32 dst_tile, MemResponse&& response) {
-  const u32 net = network(src_tile, dst_tile);
-  (net == 0 ? local_hops_ : global_hops_) += 1;
-  const bool ok = resp_ports_[port_index(src_tile, net)].queue.try_push(
-      Flit<MemResponse>{dst_tile, std::move(response)});
+  const bool ok = push(resp_, src_tile, dst_tile, std::move(response));
   MP3D_ASSERT_MSG(ok, "push_response without can_push_response check");
-  ++in_flight_;
 }
 
 template <typename T, typename SinkT>
-void Interconnect::step_ports(std::vector<Port<T>>& ports, sim::Cycle now,
-                              const SinkT& sink, std::vector<u8>& ingress_budget,
-                              u64& moved, u64& hol_blocked) {
-  // Refresh ingress budgets: one flit per (tile, network) per cycle.
-  std::fill(ingress_budget.begin(), ingress_budget.end(), 1);
-  // Inject: each egress port forwards one queued flit into its pipe.
-  for (Port<T>& port : ports) {
-    if (!port.queue.empty()) {
-      port.pipe.push(now, port.queue.pop());
-      ++moved;
+void Interconnect::step_ports(Direction<T>& dir, sim::Cycle now, const SinkT& sink) {
+  // Inject: each egress port with a queued flit forwards one into its pipe.
+  for_each_port(dir.queued, 0, [&](std::size_t p) {
+    Port<T>& port = dir.ports[p];
+    port.pipe.push(now, port.queue.pop());
+    ++dir.flits;
+    dir.piped[p / kWordBits] |= port_bit(p);
+    if (port.queue.empty()) {
+      dir.queued[p / kWordBits] &= ~port_bit(p);
     }
-  }
-  // Deliver: drain arrived flits, honoring the destination port rate. The
-  // starting port rotates with the cycle count for long-run fairness.
-  const std::size_t n = ports.size();
-  const std::size_t start = static_cast<std::size_t>(now) % n;
-  for (std::size_t k = 0; k < n; ++k) {
-    Port<T>& port = ports[(start + k) % n];
+  });
+  // Deliver: drain arrived flits, one per destination ingress port per
+  // cycle. The starting port rotates with the cycle count for long-run
+  // fairness.
+  std::fill(dir.ingress_taken.begin(), dir.ingress_taken.end(), 0);
+  const auto start = static_cast<std::size_t>(now % dir.ports.size());
+  for_each_port(dir.piped, start, [&](std::size_t p) {
+    Port<T>& port = dir.ports[p];
+    const u32 net = static_cast<u32>(p % kNumNetworks);
     while (port.pipe.ready(now)) {
-      const u32 dst = port.pipe.front().dst;
-      const u32 net = static_cast<u32>((start + k) % n) % kNumNetworks;
-      u8& budget = ingress_budget[port_index(dst, net)];
-      if (budget == 0) {
-        ++hol_blocked;
+      const u32 ingress = port_index(port.pipe.front().dst, net);
+      u64& taken = dir.ingress_taken[ingress / kWordBits];
+      if ((taken & port_bit(ingress)) != 0) {
+        ++dir.hol_blocked;
         break;  // head-of-line blocking on the destination port
       }
-      --budget;
+      taken |= port_bit(ingress);
       Flit<T> flit = port.pipe.pop(now);
-      MP3D_ASSERT(in_flight_ > 0);
-      --in_flight_;
       sink(flit.dst, std::move(flit.payload));
     }
-  }
+    if (port.pipe.empty()) {
+      dir.piped[p / kWordBits] &= ~port_bit(p);
+    }
+  });
 }
 
 void Interconnect::step_requests(sim::Cycle now, const RequestSink& sink) {
-  if (in_flight_ == 0) {
-    return;  // nothing queued or piped in either direction
+  if (!req_.idle()) {
+    step_ports(req_, now, sink);
   }
-  step_ports(req_ports_, now, sink, req_ingress_budget_, req_flits_, req_hol_blocked_);
 }
 
 void Interconnect::step_responses(sim::Cycle now, const ResponseSink& sink) {
-  if (in_flight_ == 0) {
-    return;
+  if (!resp_.idle()) {
+    step_ports(resp_, now, sink);
   }
-  step_ports(resp_ports_, now, sink, resp_ingress_budget_, resp_flits_,
-             resp_hol_blocked_);
 }
 
 sim::Cycle Interconnect::next_event_cycle(sim::Cycle now) const {
-  if (in_flight_ == 0) {
-    return sim::kNever;  // O(1) fast path: every port is drained
+  if (any(req_.queued) || any(resp_.queued)) {
+    return now + 1;  // a queued flit injects into its pipe next step
   }
   sim::Cycle next = sim::kNever;
-  const auto port_next = [&](const auto& port) {
-    if (!port.queue.empty()) {
-      next = now + 1;  // injects into its pipe next step
-    } else if (!port.pipe.empty()) {
-      next = std::min(next, port.pipe.front_ready_at());
-    }
-  };
-  for (const auto& port : req_ports_) {
-    port_next(port);
-  }
-  for (const auto& port : resp_ports_) {
-    port_next(port);
-  }
+  for_each_port(req_.piped, 0, [&](std::size_t p) {
+    next = std::min(next, req_.ports[p].pipe.front_ready_at());
+  });
+  for_each_port(resp_.piped, 0, [&](std::size_t p) {
+    next = std::min(next, resp_.ports[p].pipe.front_ready_at());
+  });
   return next;
 }
 
-bool Interconnect::idle() const { return in_flight_ == 0; }
+bool Interconnect::idle() const { return req_.idle() && resp_.idle(); }
 
 void Interconnect::reset_run_state() {
-  for (auto& port : req_ports_) {
-    port.queue.clear();
-    port.pipe.clear();
-  }
-  for (auto& port : resp_ports_) {
-    port.queue.clear();
-    port.pipe.clear();
-  }
-  in_flight_ = 0;
-  req_flits_ = 0;
-  resp_flits_ = 0;
-  req_hol_blocked_ = 0;
-  resp_hol_blocked_ = 0;
+  req_.clear();
+  resp_.clear();
   local_hops_ = 0;
   global_hops_ = 0;
 }
 
 void Interconnect::add_counters(sim::CounterSet& counters) const {
-  counters.set("noc.req_flits", req_flits_);
-  counters.set("noc.resp_flits", resp_flits_);
-  counters.set("noc.req_hol_blocked", req_hol_blocked_);
-  counters.set("noc.resp_hol_blocked", resp_hol_blocked_);
+  counters.set("noc.req_flits", req_.flits);
+  counters.set("noc.resp_flits", resp_.flits);
+  counters.set("noc.req_hol_blocked", req_.hol_blocked);
+  counters.set("noc.resp_hol_blocked", resp_.hol_blocked);
   counters.set("noc.local_hops", local_hops_);
   counters.set("noc.global_hops", global_hops_);
 }

@@ -13,7 +13,8 @@
 // destination is limited to one flit per (tile, network, direction) per
 // cycle (the tile's single remote port), with head-of-line blocking —
 // the first-order contention behaviour of the butterfly under the paper's
-// interleaved-SPM traffic.
+// interleaved-SPM traffic. Contended ingress ports go to the source port
+// visited first, in port order starting at `now % ports` and wrapping.
 #pragma once
 
 #include <functional>
@@ -65,9 +66,9 @@ class Interconnect {
   /// past when delivery was head-of-line blocked, naturally forbidding a
   /// jump — or kNever when every port is drained. The per-cycle delivery
   /// rotation is derived from the cycle number itself, so it needs no
-  /// catch-up on a jump. An O(1) occupancy count answers the common
-  /// fully-drained case without scanning the ports (this is called on
-  /// every failed fast-forward attempt).
+  /// catch-up on a jump. Reads the live-port masks, so a drained network
+  /// answers without touching a port (this is called on every failed
+  /// fast-forward attempt).
   sim::Cycle next_event_cycle(sim::Cycle now) const;
 
   void add_counters(sim::CounterSet& counters) const;
@@ -90,27 +91,41 @@ class Interconnect {
     sim::DelayPipe<Flit<T>> pipe;
   };
 
+  /// One bit per port, indexed like the ports (port_index).
+  using PortMask = std::vector<u64>;
+
+  /// The ports of one direction (requests or responses) and the masks of
+  /// the live ones, so a cycle costs what is in flight, not the port count.
+  template <typename T>
+  struct Direction {
+    std::vector<Port<T>> ports;
+    PortMask queued;         ///< ports with a non-empty egress queue
+    PortMask piped;          ///< ports with a non-empty pipe
+    PortMask ingress_taken;  ///< ingress ports that took a flit this cycle
+    u64 flits = 0;        ///< flits injected into a pipe
+    u64 hol_blocked = 0;  ///< pipe fronts held back by a taken ingress port
+
+    bool idle() const;
+    void clear();
+  };
+
   u32 port_index(u32 tile, u32 net) const { return tile * kNumNetworks + net; }
 
+  /// Queue a flit at its source port; false when that egress queue is full.
+  template <typename T>
+  bool push(Direction<T>& dir, u32 src_tile, u32 dst_tile, T&& payload);
+
   template <typename T, typename SinkT>
-  void step_ports(std::vector<Port<T>>& ports, sim::Cycle now, const SinkT& sink,
-                  std::vector<u8>& ingress_budget, u64& moved, u64& hol_blocked);
+  void step_ports(Direction<T>& dir, sim::Cycle now, const SinkT& sink);
 
   u32 tiles_per_group_;
   u32 num_tiles_;
   u32 local_pipe_;
   u32 global_pipe_;
 
-  std::vector<Port<BankRequest>> req_ports_;
-  std::vector<Port<MemResponse>> resp_ports_;
-  std::vector<u8> req_ingress_budget_;   ///< per (tile, net), reset each cycle
-  std::vector<u8> resp_ingress_budget_;
+  Direction<BankRequest> req_;
+  Direction<MemResponse> resp_;
 
-  u64 in_flight_ = 0;  ///< flits in any queue or pipe (push..deliver)
-  u64 req_flits_ = 0;
-  u64 resp_flits_ = 0;
-  u64 req_hol_blocked_ = 0;
-  u64 resp_hol_blocked_ = 0;
   // Hops per network level (request + response flits combined): local =
   // intra-group butterfly traversals, global = inter-group network
   // traversals. The energy model charges each level a different wire

@@ -56,20 +56,185 @@ struct Instr {
   bool valid() const { return op != Op::kInvalid; }
 };
 
-// Classification helpers used by the core's issue logic.
-bool is_load(Op op);
-bool is_store(Op op);
-bool is_amo(Op op);        ///< includes lr/sc
-bool is_mem(Op op);        ///< any memory access
-bool is_branch(Op op);     ///< conditional branches
-bool is_jump(Op op);       ///< jal/jalr
-bool writes_rd(const Instr& instr);
-bool reads_rs1(const Instr& instr);
-bool reads_rs2(const Instr& instr);
+// Classification helpers used by the core's issue logic. They are inline:
+// the core's hazard check runs several of them for every stepped cycle.
+inline bool is_load(Op op) {
+  switch (op) {
+    case Op::kLb:
+    case Op::kLh:
+    case Op::kLw:
+    case Op::kLbu:
+    case Op::kLhu:
+    case Op::kPLwPost:
+    case Op::kPLwRPost:
+      return true;
+    default:
+      return false;
+  }
+}
+
+inline bool is_store(Op op) {
+  switch (op) {
+    case Op::kSb:
+    case Op::kSh:
+    case Op::kSw:
+    case Op::kPSwPost:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Atomics, including lr/sc.
+inline bool is_amo(Op op) {
+  switch (op) {
+    case Op::kLrW:
+    case Op::kScW:
+    case Op::kAmoSwapW:
+    case Op::kAmoAddW:
+    case Op::kAmoXorW:
+    case Op::kAmoAndW:
+    case Op::kAmoOrW:
+    case Op::kAmoMinW:
+    case Op::kAmoMaxW:
+    case Op::kAmoMinuW:
+    case Op::kAmoMaxuW:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Any memory access.
+inline bool is_mem(Op op) { return is_load(op) || is_store(op) || is_amo(op); }
+
+/// Conditional branches.
+inline bool is_branch(Op op) {
+  switch (op) {
+    case Op::kBeq:
+    case Op::kBne:
+    case Op::kBlt:
+    case Op::kBge:
+    case Op::kBltu:
+    case Op::kBgeu:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// jal/jalr.
+inline bool is_jump(Op op) { return op == Op::kJal || op == Op::kJalr; }
+
+inline bool writes_rd(const Instr& instr) {
+  if (instr.rd == 0) {
+    return false;
+  }
+  switch (instr.op) {
+    case Op::kBeq:
+    case Op::kBne:
+    case Op::kBlt:
+    case Op::kBge:
+    case Op::kBltu:
+    case Op::kBgeu:
+    case Op::kSb:
+    case Op::kSh:
+    case Op::kSw:
+    case Op::kPSwPost:
+    case Op::kFence:
+    case Op::kEcall:
+    case Op::kEbreak:
+    case Op::kWfi:
+    case Op::kInvalid:
+      return false;
+    default:
+      return true;
+  }
+}
+
+inline bool reads_rs1(const Instr& instr) {
+  switch (instr.op) {
+    case Op::kLui:
+    case Op::kAuipc:
+    case Op::kJal:
+    case Op::kFence:
+    case Op::kEcall:
+    case Op::kEbreak:
+    case Op::kWfi:
+    case Op::kCsrrwi:
+    case Op::kCsrrsi:
+    case Op::kCsrrci:
+    case Op::kInvalid:
+      return false;
+    default:
+      return true;
+  }
+}
+
+inline bool reads_rs2(const Instr& instr) {
+  if (is_branch(instr.op)) {
+    return true;
+  }
+  switch (instr.op) {
+    case Op::kSb:
+    case Op::kSh:
+    case Op::kSw:
+    case Op::kPSwPost:
+    case Op::kPLwRPost:
+    case Op::kAdd:
+    case Op::kSub:
+    case Op::kSll:
+    case Op::kSlt:
+    case Op::kSltu:
+    case Op::kXor:
+    case Op::kSrl:
+    case Op::kSra:
+    case Op::kOr:
+    case Op::kAnd:
+    case Op::kMul:
+    case Op::kMulh:
+    case Op::kMulhsu:
+    case Op::kMulhu:
+    case Op::kDiv:
+    case Op::kDivu:
+    case Op::kRem:
+    case Op::kRemu:
+    case Op::kScW:
+    case Op::kAmoSwapW:
+    case Op::kAmoAddW:
+    case Op::kAmoXorW:
+    case Op::kAmoAndW:
+    case Op::kAmoOrW:
+    case Op::kAmoMinW:
+    case Op::kAmoMaxW:
+    case Op::kAmoMinuW:
+    case Op::kAmoMaxuW:
+    case Op::kPMac:
+    case Op::kPMsu:
+    case Op::kPMax:
+    case Op::kPMin:
+      return true;
+    default:
+      return false;
+  }
+}
+
 /// Post-incrementing accesses also *write* rs1.
-bool writes_rs1(const Instr& instr);
+inline bool writes_rs1(const Instr& instr) {
+  switch (instr.op) {
+    case Op::kPLwPost:
+    case Op::kPLwRPost:
+    case Op::kPSwPost:
+      return instr.rs1 != 0;
+    default:
+      return false;
+  }
+}
+
 /// p.mac/p.msu read rd as a third source (accumulator).
-bool reads_rd(const Instr& instr);
+inline bool reads_rd(const Instr& instr) {
+  return (instr.op == Op::kPMac || instr.op == Op::kPMsu) && instr.rd != 0;
+}
 
 /// Well-known CSR numbers.
 inline constexpr u16 kCsrMHartId = 0xF14;

@@ -71,6 +71,54 @@ TEST(InterconnectUnit, OneFlitPerCyclePerPort) {
   EXPECT_EQ(total, 6U);
 }
 
+TEST(InterconnectUnit, RotatingStartArbitratesContendedIngress) {
+  // Tiles 1 and 2 of the one-group mini cluster each send one flit to tile
+  // 0 on the local network: egress ports 4 and 8 (tile * 4 + net) of 16,
+  // contending for tile 0's single ingress port. Delivery visits the ports
+  // starting at `now % 16` and wrapping, so port 8 wins exactly when the
+  // start lies in (4, 8]; the loser is head-of-line blocked for a cycle.
+  const ClusterConfig cfg = ClusterConfig::mini();
+  ASSERT_EQ(cfg.num_tiles(), 4U);
+  ASSERT_EQ(cfg.local_net_pipe, 1U);
+  for (sim::Cycle arrive = 16; arrive < 32; ++arrive) {
+    SCOPED_TRACE("arrival cycle " + std::to_string(arrive));
+    Interconnect noc(cfg);
+    BankRequest from_tile1;
+    from_tile1.req.core = 4;
+    BankRequest from_tile2;
+    from_tile2.req.core = 8;
+    noc.push_request(1, 0, std::move(from_tile1));
+    noc.push_request(2, 0, std::move(from_tile2));
+    std::vector<u16> seen;
+    const auto sink = [&](u32 dst_tile, BankRequest&& request) {
+      EXPECT_EQ(dst_tile, 0U);
+      seen.push_back(request.req.core);
+    };
+    noc.step_requests(arrive - 1, sink);  // both inject; the pipe takes a cycle
+    EXPECT_TRUE(seen.empty());
+
+    noc.step_requests(arrive, sink);
+    const u64 start = arrive % 16;
+    const u16 winner = start > 4 && start <= 8 ? 8 : 4;
+    ASSERT_EQ(seen.size(), 1U) << "one ingress port delivers one flit per cycle";
+    EXPECT_EQ(seen[0], winner);
+    sim::CounterSet counters;
+    noc.add_counters(counters);
+    EXPECT_EQ(counters.get("noc.req_hol_blocked"), 1U);
+    EXPECT_LE(noc.next_event_cycle(arrive), arrive + 1) << "the loser is still ready";
+
+    noc.step_requests(arrive + 1, sink);
+    ASSERT_EQ(seen.size(), 2U);
+    EXPECT_EQ(seen[1], winner == 4 ? 8 : 4);
+    EXPECT_TRUE(noc.idle());
+    EXPECT_EQ(noc.next_event_cycle(arrive + 1), sim::kNever);
+    counters.reset();
+    noc.add_counters(counters);
+    EXPECT_EQ(counters.get("noc.req_hol_blocked"), 1U);
+    EXPECT_EQ(counters.get("noc.req_flits"), 2U);
+  }
+}
+
 TEST(InterconnectStress, RandomDisjointTrafficIsConsistent) {
   // Every core writes a unique pattern to a pseudo-random remote location,
   // then reads it back after a barrier-like delay; values must match.

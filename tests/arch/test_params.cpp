@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/cluster.hpp"
+
 namespace mp3d::arch {
 namespace {
 
@@ -111,6 +113,25 @@ TEST(ClusterConfig, RejectsBadTiming) {
   cfg = ClusterConfig::mempool();
   cfg.lsu_max_outstanding = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+TEST(ClusterConfig, ClusterRejectsInvalidConfigBeforeBuildingAnything) {
+  // A Cluster validates its config before deriving the address map or the
+  // bank array from it; both divide by these counts, so a zero must throw
+  // like validate() does, not crash the process.
+  ClusterConfig cfg = ClusterConfig::mini();
+  cfg.banks_per_tile = 0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
+
+  cfg = ClusterConfig::mini();
+  cfg.tiles_per_group = 0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
+
+  cfg = ClusterConfig::mini();
+  cfg.banks_per_tile = 24;  // not a power of two: the bank decode shifts
+  EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
 }
 
 TEST(ClusterConfig, ToStringMentionsShape) {
