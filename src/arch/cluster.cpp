@@ -2,6 +2,7 @@
 #include "arch/cluster.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <numeric>
 #include <sstream>
@@ -63,7 +64,10 @@ ClusterConfig validated(ClusterConfig cfg) {
 
 }  // namespace
 
-Cluster::Cluster(ClusterConfig cfg) : cfg_(validated(std::move(cfg))), map_(cfg_) {
+Cluster::Cluster(ClusterConfig cfg)
+    : cfg_(validated(std::move(cfg))),
+      map_(cfg_),
+      bank_tile_shift_(log2_exact(cfg_.banks_per_tile)) {
   noc_ = std::make_unique<Interconnect>(cfg_);
   gmem_ = std::make_unique<GlobalMemory>(cfg_.gmem_base, cfg_.gmem_size,
                                          cfg_.gmem_bytes_per_cycle, cfg_.gmem_latency,
@@ -89,6 +93,7 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(validated(std::move(cfg))), map_(cfg_
   for (u32 c = 0; c < cfg_.num_cores(); ++c) {
     cores_.emplace_back(cfg_, static_cast<u16>(c), c / cfg_.cores_per_tile);
   }
+  active_.assign((cfg_.num_cores() + 63) / 64, 0);
   halted_cores_ = cfg_.num_cores();  // cores start halted until load_program
   fast_forward_ = cfg_.fast_forward;
   if (const char* env = std::getenv("MP3D_FAST_FORWARD")) {
@@ -181,12 +186,16 @@ void Cluster::reset_run_state() {
     cores_[c].reset(entry_, sp);
   }
   // reset() does not route through the transition hooks; rebuild the
-  // occupancy counts and the (fully populated, ascending) active list.
+  // occupancy counts and the (fully populated) active set, with nothing
+  // parked.
   awake_cores_ = cfg_.num_cores();
   halted_cores_ = 0;
-  active_core_ids_.resize(cfg_.num_cores());
-  std::iota(active_core_ids_.begin(), active_core_ids_.end(), 0U);
-  active_dirty_ = false;
+  std::fill(active_.begin(), active_.end(), 0);
+  for (u32 c = 0; c < cfg_.num_cores(); ++c) {
+    activate_core(c);
+  }
+  parked_.fill(0);
+  parked_cycles_.fill(0);
   wfi_idle_cycles_ = 0;
   ff_skipped_cycles_ = 0;
   for (TileICache& icache : icaches_) {
@@ -341,11 +350,10 @@ IssueResult Cluster::issue_mem(const MemRequest& request) {
         return IssueResult::kAccepted;
       }
       const u32 net = noc_->network(src_tile, t.tile);
-      if (!noc_->can_push_request(src_tile, net)) {
+      if (!noc_->can_push_request(src_tile, net, cycle_)) {
         return IssueResult::kPortBusy;
       }
-      breq.req.ready_at = cycle_;  // network stamps its own latency
-      noc_->push_request(src_tile, t.tile, std::move(breq));
+      noc_->push_request(src_tile, t.tile, std::move(breq), cycle_);
       ++activity_;
       return IssueResult::kAccepted;
     }
@@ -392,13 +400,31 @@ void Cluster::request_icache_refill(u32 tile, u32 pc) {
 }
 
 void Cluster::deliver_response_to_core(const MemResponse& response) {
-  cores_[response.core].deliver(response, cycle_);
+  SnitchCore& core = cores_[response.core];
+  core.deliver(response);
+  if (core.wait() != Wait::kNone) {
+    unpark(response.core);
+  }
   ++activity_;
+}
+
+void Cluster::unpark(u32 core) {
+  SnitchCore& c = cores_[core];
+  const Wait wait = c.wait();
+  if (wait == Wait::kNone) {
+    return;
+  }
+  MP3D_ASSERT(parked_[wait_index(wait)] > 0);
+  --parked_[wait_index(wait)];
+  c.resume();
+  if (!c.halted()) {
+    activate_core(core);
+  }
 }
 
 void Cluster::deliver_remote_request(u32 dst_tile, BankRequest&& request) {
   const u32 gb = request.bank;  // decoded once, in issue_mem
-  MP3D_ASSERT(gb / cfg_.banks_per_tile == dst_tile);
+  MP3D_ASSERT(gb >> bank_tile_shift_ == dst_tile);
   request.req.ready_at = cycle_;
   banks_[gb].push(std::move(request));
   activate_bank(gb);
@@ -410,14 +436,14 @@ void Cluster::serve_banks() {
   for (std::size_t i = 0; i < active_banks_.size(); ++i) {
     const u32 gb = active_banks_[i];
     SpmBank& bank = banks_[gb];
-    const u32 bank_tile = gb / cfg_.banks_per_tile;
+    const u32 bank_tile = gb >> bank_tile_shift_;
     if (const BankRequest* front = bank.peek(cycle_); front != nullptr) {
       const u32 dst_core_tile = cores_[front->req.core].tile_id();
       bool can_respond = true;
       u32 net = 0;
       if (dst_core_tile != bank_tile) {
         net = noc_->network(bank_tile, dst_core_tile);
-        can_respond = noc_->can_push_response(bank_tile, net);
+        can_respond = noc_->can_push_response(bank_tile, net, cycle_);
       }
       if (can_respond) {
         std::optional<MemResponse> resp = bank.serve(cycle_);
@@ -426,7 +452,7 @@ void Cluster::serve_banks() {
         if (dst_core_tile == bank_tile) {
           deliver_response_to_core(*resp);
         } else {
-          noc_->push_response(bank_tile, dst_core_tile, std::move(*resp));
+          noc_->push_response(bank_tile, dst_core_tile, std::move(*resp), cycle_);
         }
       }
     }
@@ -737,6 +763,10 @@ void Cluster::step() {
   for (const u32 token : gmem_refills_) {
     const auto [tile, line_addr] = refill_slots_[token];
     icaches_[tile].finish_refill(line_addr);
+    // The new line may evict a parked core's: its next step must fetch.
+    for (u32 c = tile * cfg_.cores_per_tile; c < (tile + 1) * cfg_.cores_per_tile; ++c) {
+      unpark(c);
+    }
     refill_free_.push_back(token);
     ++activity_;
   }
@@ -784,26 +814,29 @@ void Cluster::step() {
   });
   timer.mark(prof::Phase::kNoc);
 
-  // 5. Cores. Only runnable cores are visited; token-less sleepers are
-  // charged in bulk (identical to each bumping its own wfi counter).
-  // Wakes land in phases 1-4 only, so the list is stable while iterating;
-  // it must step in ascending id because request FIFO ordering into the
-  // banks, networks, and queues follows core step order.
+  // 5. Cores. Only the active set is stepped. Token-less sleepers and
+  // parked cores are charged in bulk (identical to each bumping its own
+  // wfi or stall counter); a step that parks or sleeps clears the core's
+  // bit. Wakes and un-parks land in phases 1-4 only, so the set is stable
+  // while iterating; it steps in ascending id because request FIFO
+  // ordering into the banks, networks, and queues follows core step order.
   wfi_idle_cycles_ += cfg_.num_cores() - awake_cores_ - halted_cores_;
-  if (active_dirty_) {
-    std::sort(active_core_ids_.begin(), active_core_ids_.end());
-    active_dirty_ = false;
+  for (std::size_t r = 0; r < kNumWaits; ++r) {
+    parked_cycles_[r] += parked_[r];
   }
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < active_core_ids_.size(); ++i) {
-    const u32 id = active_core_ids_[i];
-    SnitchCore& core = cores_[id];
-    core.step(cycle_);
-    if (core.runnable()) {
-      active_core_ids_[keep++] = id;
+  for (std::size_t w = 0; w < active_.size(); ++w) {
+    for (u64 bits = active_[w]; bits != 0; bits &= bits - 1) {
+      const auto bit = static_cast<u32>(std::countr_zero(bits));
+      SnitchCore& core = cores_[w * 64 + bit];
+      core.step(cycle_);
+      if (const Wait wait = core.wait(); wait != Wait::kNone) {
+        ++parked_[wait_index(wait)];
+        active_[w] &= ~(u64{1} << bit);
+      } else if (!core.runnable()) {
+        active_[w] &= ~(u64{1} << bit);
+      }
     }
   }
-  active_core_ids_.resize(keep);
   timer.mark(prof::Phase::kCores);
 
   // 6. Telemetry. next_sample_at_ is kNever unless windowed sampling is
@@ -838,11 +871,11 @@ void Cluster::note_core_asleep(u16 /*core*/) {
 
 void Cluster::note_core_awake(u16 core) {
   ++awake_cores_;
-  active_core_ids_.push_back(core);
-  active_dirty_ = true;
+  activate_core(core);
 }
 
-void Cluster::note_core_halted(u16 /*core*/, bool was_awake) {
+void Cluster::note_core_halted(u16 core, bool was_awake) {
+  unpark(core);  // a fault can reach a parked core: stop its charge
   ++halted_cores_;
   if (was_awake) {
     MP3D_ASSERT(awake_cores_ > 0);
@@ -916,9 +949,13 @@ void Cluster::collect_counters(sim::CounterSet& counters) const {
   for (const SnitchCore& core : cores_) {
     core.add_counters(counters);
   }
-  // Bulk-charged sleep cycles from phase 5 / fast-forward jumps; same
-  // aggregated key every core bumps, so the sum stays bit-identical.
+  // Bulk-charged sleep cycles from phase 5 / fast-forward jumps and parked
+  // cycles from phase 5; same aggregated keys every core bumps, so the sums
+  // stay bit-identical.
   counters.bump("core.wfi_cycles", wfi_idle_cycles_);
+  counters.bump("core.stall_raw", parked_cycles_[wait_index(Wait::kRaw)]);
+  counters.bump("core.stall_lsu_full", parked_cycles_[wait_index(Wait::kLsuFull)]);
+  counters.bump("core.stall_fence", parked_cycles_[wait_index(Wait::kFence)]);
   u64 bank_accesses = 0;
   u64 bank_reads = 0;
   u64 bank_writes = 0;
@@ -939,6 +976,9 @@ void Cluster::collect_counters(sim::CounterSet& counters) const {
   for (const TileICache& icache : icaches_) {
     icache.add_counters(counters);
   }
+  // A parked core's every repeated step would have hit in its icache.
+  counters.bump("icache.hits",
+                std::accumulate(parked_cycles_.begin(), parked_cycles_.end(), u64{0}));
   noc_->add_counters(counters);
   gmem_->add_counters(counters);
   dma_->add_counters(counters);

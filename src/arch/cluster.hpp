@@ -15,6 +15,7 @@
 // access in n+3, a remote-group access in n+5.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -196,8 +197,8 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   /// Effective fast-forward setting (ClusterConfig::fast_forward, overridden
   /// by the MP3D_FAST_FORWARD environment variable at construction).
   bool fast_forward_enabled() const { return fast_forward_; }
-  /// Runnable (non-halted, not token-less-sleeping) cores, maintained O(1)
-  /// on sleep/wake/halt transitions.
+  /// Runnable (non-halted, not token-less-sleeping) cores, parked ones
+  /// included, maintained O(1) on sleep/wake/halt transitions.
   u32 awake_cores() const { return awake_cores_; }
   u32 halted_cores() const { return halted_cores_; }
   /// Cycles skipped by fast-forward jumps since load_program (host-side
@@ -263,12 +264,17 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   void spm_write_word(u32 addr, u32 value);
   void deliver_response_to_core(const MemResponse& response);
   void deliver_remote_request(u32 dst_tile, BankRequest&& request);
+  /// Return a parked core to the stepped set (a halted one only stops
+  /// being charged). No-op for a core that is not parked.
+  void unpark(u32 core);
+  void activate_core(u32 core) { active_[core / 64] |= u64{1} << (core % 64); }
   void activate_bank(u32 global_bank);
   void init_telemetry();
   void sample_window();
 
   ClusterConfig cfg_;
   AddrMap map_;
+  u32 bank_tile_shift_;  ///< log2(banks_per_tile): global bank -> tile
   sim::Cycle cycle_ = 0;
   u32 entry_ = 0;  ///< entry point of the loaded program (reset_run_state)
 
@@ -350,20 +356,30 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
 
   // ---- occupancy + idle-cycle fast-forward ---------------------------------
   // O(1) occupancy counts, updated by the MemIssueSink transition hooks
-  // (note_core_asleep/awake/halted) instead of scanning every core.
+  // (note_core_asleep/awake/halted) instead of scanning every core. A
+  // parked core counts as awake.
   u32 awake_cores_ = 0;
   u32 halted_cores_ = 0;
-  // Phase 5 visits only runnable cores, in ascending id (request FIFO
-  // ordering into banks/noc/ctrl/gmem depends on core step order). Wakes
-  // append out of order and set the dirty flag; the list is re-sorted
-  // before stepping and compacted (serve_banks-style) as cores sleep/halt.
-  std::vector<u32> active_core_ids_;
-  bool active_dirty_ = false;
+  // Phase 5 steps the cores whose bit is set here, walking the words in
+  // ascending id (request FIFO ordering into banks/noc/ctrl/gmem depends on
+  // core step order). A bit is cleared when its core sleeps, halts or
+  // parks, and set again when it wakes or un-parks; no list to sort.
+  std::vector<u64> active_;
+  // Parked cores: a step stalled on a memory response (SnitchCore::wait())
+  // and the core left the active set. Until something can change that
+  // stall — a response to it (deliver), a refill landing on its tile (it
+  // may evict the core's line), its halt, or reset_run_state — every
+  // cycle would repeat it, so phase 5 charges the parked count per wait
+  // reason instead of stepping them; collect_counters adds the charge to
+  // the reason's stall counter and to icache.hits (each repeated step
+  // would have hit).
+  std::array<u32, kNumWaits> parked_{};
+  std::array<u64, kNumWaits> parked_cycles_{};
   // Cluster-level wfi charge: each ticked cycle adds the count of
   // token-less sleeping cores, and a fast-forward jump adds span x idle —
   // bit-identical to every core bumping its own counter per slept cycle.
   // (Core-local wfi_cycles_ still accrues when cores are stepped directly,
-  // outside the cluster's active-list loop.)
+  // outside the cluster's active-set loop.)
   u64 wfi_idle_cycles_ = 0;
   u64 ff_skipped_cycles_ = 0;  ///< host diagnostic, not a sim counter
   bool fast_forward_ = true;   ///< cfg_.fast_forward after env override

@@ -2,6 +2,7 @@
 #include "arch/core.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/assert.hpp"
 #include "isa/disasm.hpp"
@@ -17,7 +18,9 @@ SnitchCore::SnitchCore(const ClusterConfig& cfg, u16 global_id, u32 tile_id)
       jump_penalty_(cfg.jump_penalty),
       div_latency_(cfg.div_latency),
       mul_latency_(cfg.mul_latency),
-      lsu_slots_(std::min<u32>(cfg.lsu_max_outstanding, 32)),
+      lsu_slots_mask_(cfg.lsu_max_outstanding >= 32
+                          ? ~0U
+                          : (1U << cfg.lsu_max_outstanding) - 1),
       global_id_(global_id),
       tile_id_(tile_id) {}
 
@@ -30,10 +33,11 @@ void SnitchCore::attach(MemIssueSink* sink, TileICache* icache, const DecodedIma
 void SnitchCore::reset(u32 pc, u32 sp) {
   regs_.fill(0);
   reg_ready_.fill(0);
-  for (LsuSlot& slot : lsu_) {
-    slot = LsuSlot{};
-  }
-  outstanding_ = 0;
+  lsu_rd_.fill(0);
+  lsu_busy_ = 0;
+  loads_pending_ = 0;
+  long_op_until_ = 0;
+  wait_ = Wait::kNone;
   pc_ = pc;
   regs_[2] = sp;
   state_ = CoreState::kRunning;
@@ -53,17 +57,16 @@ void SnitchCore::reset(u32 pc, u32 sp) {
   mac_ops_ = 0;
 }
 
-void SnitchCore::deliver(const MemResponse& resp, sim::Cycle now) {
-  MP3D_ASSERT(resp.tag < lsu_.size());
-  LsuSlot& slot = lsu_[resp.tag];
-  MP3D_ASSERT_MSG(slot.in_use, "response for free LSU slot on core " << global_id_);
-  if (slot.is_load && slot.rd != 0) {
-    regs_[slot.rd] = resp.rdata;
-    reg_ready_[slot.rd] = now;
+void SnitchCore::deliver(const MemResponse& resp) {
+  MP3D_ASSERT(resp.tag < lsu_rd_.size());
+  const u32 slot = 1U << resp.tag;
+  MP3D_ASSERT_MSG((lsu_busy_ & slot) != 0, "response for free LSU slot on core " << global_id_);
+  // Only loads and AMOs name a destination (stores leave the slot's rd 0).
+  if (const u8 rd = lsu_rd_[resp.tag]; rd != 0) {
+    regs_[rd] = resp.rdata;
+    loads_pending_ &= ~(1U << rd);
   }
-  slot = LsuSlot{};
-  MP3D_ASSERT(outstanding_ > 0);
-  --outstanding_;
+  lsu_busy_ &= ~slot;
 }
 
 void SnitchCore::wake(sim::Cycle /*now*/) {
@@ -73,37 +76,28 @@ void SnitchCore::wake(sim::Cycle /*now*/) {
   wake_tokens_ = std::min(wake_tokens_ + 1, 1U);
 }
 
-bool SnitchCore::hazard(const Instr& in, sim::Cycle now) const {
-  if (isa::reads_rs1(in) && reg_ready_[in.rs1] > now) {
-    return true;
-  }
-  if (isa::reads_rs2(in) && reg_ready_[in.rs2] > now) {
-    return true;
-  }
-  // WAW on the destination and the p.mac accumulator input.
-  if ((isa::writes_rd(in) || isa::reads_rd(in)) && reg_ready_[in.rd] > now) {
-    return true;
-  }
-  if (isa::writes_rs1(in) && reg_ready_[in.rs1] > now) {
-    return true;
+bool SnitchCore::long_op_hazard(u32 regs, sim::Cycle now) const {
+  for (; regs != 0; regs &= regs - 1) {
+    if (reg_ready_[std::countr_zero(regs)] > now) {
+      return true;
+    }
   }
   return false;
 }
 
 void SnitchCore::step(sim::Cycle now) {
-  if (halted()) {
-    return;
-  }
-  if (state_ == CoreState::kWfi) {
-    if (wake_tokens_ > 0) {
-      --wake_tokens_;
-      state_ = CoreState::kRunning;
-      if (trace_ != nullptr) {
-        trace_->end(track_, ev_wfi_, now);
-      }
-    } else {
+  if (state_ != CoreState::kRunning) {
+    if (halted()) {
+      return;
+    }
+    if (wake_tokens_ == 0) {
       ++wfi_cycles_;
       return;
+    }
+    --wake_tokens_;
+    state_ = CoreState::kRunning;
+    if (trace_ != nullptr) {
+      trace_->end(track_, ev_wfi_, now);
     }
   }
   if (now < stall_until_) {
@@ -120,42 +114,43 @@ void SnitchCore::step(sim::Cycle now) {
     return;
   }
   icache_->count_hit();
-  const Instr* instr = image_->lookup(pc_);
-  if (instr == nullptr) {
+  const DecodedInstr* decoded = image_->lookup(pc_);
+  if (decoded == nullptr) {
     halt_error("fetch outside program image at pc=0x" + std::to_string(pc_));
     return;
   }
-  if (!instr->valid()) {
+  if (!decoded->instr.valid()) {
     halt_error("illegal instruction at pc=0x" + std::to_string(pc_));
     return;
   }
   // ---- hazards ----------------------------------------------------------------
-  if (hazard(*instr, now)) {
+  // One AND against the loads in flight; the per-register ready cycles
+  // matter only while a multi-cycle mul/div result is outstanding.
+  if ((decoded->hazard_regs & loads_pending_) != 0) {
+    ++stall_raw_;
+    wait_ = Wait::kRaw;
+    return;
+  }
+  if (now < long_op_until_ && long_op_hazard(decoded->hazard_regs, now)) {
     ++stall_raw_;
     return;
   }
-  execute(*instr, now);
+  execute(decoded->instr, now);
 }
 
-bool SnitchCore::issue_memory_op(const Instr& in, sim::Cycle now) {
-  // Find a free LSU slot.
-  u8 tag = 0xFF;
-  for (u8 i = 0; i < lsu_slots_; ++i) {
-    if (!lsu_[i].in_use) {
-      tag = i;
-      break;
-    }
-  }
-  if (tag == 0xFF) {
+bool SnitchCore::issue_memory_op(const Instr& in) {
+  const u32 free_slots = ~lsu_busy_ & lsu_slots_mask_;
+  if (free_slots == 0) {
     ++stall_lsu_full_;
+    wait_ = Wait::kLsuFull;
     return false;
   }
+  const auto tag = static_cast<u8>(std::countr_zero(free_slots));
 
   MemRequest req;
   req.op = in.op;
   req.core = global_id_;
   req.tag = tag;
-  req.issued_at = now;
   req.sign_extend = in.op == Op::kLb || in.op == Op::kLh;
   switch (in.op) {
     case Op::kLb:
@@ -190,9 +185,6 @@ bool SnitchCore::issue_memory_op(const Instr& in, sim::Cycle now) {
   if (isa::is_store(in.op) || isa::is_amo(in.op)) {
     req.wdata = regs_[in.rs2];
   }
-  if (in.op == Op::kPSwPost) {
-    req.wdata = regs_[in.rs2];
-  }
 
   const IssueResult result = sink_->issue_mem(req);
   if (result == IssueResult::kPortBusy) {
@@ -201,20 +193,19 @@ bool SnitchCore::issue_memory_op(const Instr& in, sim::Cycle now) {
   }
 
   // Accepted: commit side effects.
-  LsuSlot& slot = lsu_[tag];
-  slot.in_use = true;
-  slot.is_load = isa::is_load(in.op) || isa::is_amo(in.op);
-  slot.rd = isa::writes_rd(in) ? in.rd : 0;
-  ++outstanding_;
+  const u8 rd = isa::writes_rd(in) ? in.rd : 0;
+  lsu_rd_[tag] = rd;
+  lsu_busy_ |= 1U << tag;
   ++mem_ops_;
-  if (slot.rd != 0) {
-    reg_ready_[slot.rd] = sim::kNever;
+  if (rd != 0) {
+    loads_pending_ |= 1U << rd;
   }
-  // Post-increment address update happens in the AGU at issue.
+  // Post-increment address update happens in the AGU at issue; the base is
+  // ready at once, even when it is also the load's destination.
   if (isa::writes_rs1(in)) {
     const u32 incr = in.op == Op::kPLwRPost ? regs_[in.rs2] : static_cast<u32>(in.imm);
     regs_[in.rs1] = regs_[in.rs1] + incr;
-    reg_ready_[in.rs1] = now;
+    loads_pending_ &= ~(1U << in.rs1);
   }
   return true;
 }
@@ -342,8 +333,9 @@ void SnitchCore::execute(const Instr& in, sim::Cycle now) {
     case Op::kPMin: value = static_cast<u32>(std::min(as, bs)); wrote = true; break;
     case Op::kPAbs: value = static_cast<u32>(as < 0 ? -as : as); wrote = true; break;
     case Op::kFence:
-      if (outstanding_ > 0) {
+      if (lsu_busy_ != 0) {
         ++stall_fence_;
+        wait_ = Wait::kFence;
         return;  // keep pc, retry
       }
       break;
@@ -400,7 +392,7 @@ void SnitchCore::execute(const Instr& in, sim::Cycle now) {
     }
     default:
       if (isa::is_mem(in.op)) {
-        if (!issue_memory_op(in, now)) {
+        if (!issue_memory_op(in)) {
           return;  // stall recorded; retry next cycle
         }
         pc_ = next_pc;
@@ -413,7 +405,10 @@ void SnitchCore::execute(const Instr& in, sim::Cycle now) {
 
   if (wrote && in.rd != 0) {
     regs_[in.rd] = value;
-    reg_ready_[in.rd] = ready;
+    if (ready > now) {  // multi-cycle mul/div: the result lands later
+      reg_ready_[in.rd] = ready;
+      long_op_until_ = std::max(long_op_until_, ready);
+    }
   }
   pc_ = next_pc;
   ++instret_;

@@ -6,8 +6,9 @@
 //
 // Timing model:
 //   - one instruction issued per cycle when no hazard stalls;
-//   - RAW/WAW hazards stall until the producing value is ready
-//     (reg_ready[r] tracks availability; pending loads use kNever);
+//   - RAW/WAW hazards stall until the producing value is ready (a mask of
+//     registers with a load in flight, plus per-register ready cycles for
+//     multi-cycle mul/div results);
 //   - taken branches/jumps pay a configurable flush penalty;
 //   - memory operations allocate an LSU slot; the memory system may also
 //     back-pressure (port busy), retried the next cycle;
@@ -16,6 +17,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <string>
 
 #include "arch/decoded_image.hpp"
@@ -41,7 +43,7 @@ class MemIssueSink {
   virtual void request_icache_refill(u32 tile, u32 pc) = 0;
 
   // Occupancy transitions, so the cluster can keep an O(1) awake-core count
-  // and an active-core list instead of scanning every cycle. "Awake" means
+  // and an active-core set instead of scanning every cycle. "Awake" means
   // runnable: kRunning, or kWfi holding a wake token (it resumes on its
   // next step). Transitions are rare (sleep/wake/halt), so the virtual call
   // is off the per-cycle hot path. Default no-ops keep test stubs simple.
@@ -58,6 +60,19 @@ class MemIssueSink {
 
 enum class CoreState : u8 { kRunning, kWfi, kHalted, kError };
 
+/// Why a step stalled on a memory response. Only a response can end such a
+/// stall, so the cluster stops stepping the core until one arrives (it
+/// "parks" it) and charges each waiting cycle in bulk, per reason.
+enum class Wait : u8 {
+  kNone,     ///< not waiting on a response
+  kRaw,      ///< an operand or the destination has a load in flight
+  kLsuFull,  ///< every LSU slot holds an outstanding request
+  kFence,    ///< fence with requests outstanding
+};
+inline constexpr std::size_t kNumWaits = 3;  ///< reasons other than kNone
+/// Index of a reason other than kNone in per-reason arrays.
+inline constexpr std::size_t wait_index(Wait wait) { return static_cast<std::size_t>(wait) - 1; }
+
 class SnitchCore {
  public:
   SnitchCore(const ClusterConfig& cfg, u16 global_id, u32 tile_id);
@@ -68,17 +83,25 @@ class SnitchCore {
   void reset(u32 pc, u32 sp);
 
   void step(sim::Cycle now);
-  void deliver(const MemResponse& resp, sim::Cycle now);
+  void deliver(const MemResponse& resp);
   /// Post a wake-up token (consumed by wfi; saturating at 1).
   void wake(sim::Cycle now);
+
+  /// Why the last step stalled on a memory response (Wait::kNone if it did
+  /// not). Set by step(), kept until resume(): a waiting core's next step
+  /// would repeat the same stall (an icache hit plus this stall counter)
+  /// until a response arrives, unless its icache line is evicted.
+  Wait wait() const { return wait_; }
+  /// Clear the response wait (the core is stepped again).
+  void resume() { wait_ = Wait::kNone; }
 
   // ---- state queries -------------------------------------------------------
   CoreState state() const { return state_; }
   bool halted() const { return state_ == CoreState::kHalted || state_ == CoreState::kError; }
   bool asleep() const { return state_ == CoreState::kWfi; }
   /// True when step() would make progress: running, or sleeping with a
-  /// pending wake token (resumes on its next step). The cluster's
-  /// active-core list and awake count track exactly this predicate.
+  /// pending wake token (resumes on its next step). The cluster's awake
+  /// count tracks exactly this predicate (a waiting core counts as awake).
   bool runnable() const {
     return state_ == CoreState::kRunning ||
            (state_ == CoreState::kWfi && wake_tokens_ > 0);
@@ -94,7 +117,7 @@ class SnitchCore {
       regs_[r] = v;
     }
   }
-  bool lsu_idle() const { return outstanding_ == 0; }
+  bool lsu_idle() const { return lsu_busy_ == 0; }
   std::string error_message() const { return error_; }
 
   /// External fault injection (invalid address, bus error, ...).
@@ -110,62 +133,63 @@ class SnitchCore {
   void close_trace_span(sim::Cycle now);
 
  private:
-  struct LsuSlot {
-    bool in_use = false;
-    u8 rd = 0;       ///< destination register (0 = none: stores)
-    bool is_load = false;
-  };
-
   void execute(const isa::Instr& instr, sim::Cycle now);
-  bool hazard(const isa::Instr& instr, sim::Cycle now) const;
-  bool issue_memory_op(const isa::Instr& instr, sim::Cycle now);
+  /// A hazard on a mul/div result still in flight (pre: one is).
+  bool long_op_hazard(u32 regs, sim::Cycle now) const;
+  bool issue_memory_op(const isa::Instr& instr);
   u32 csr_read(u16 csr, sim::Cycle now) const;
   void csr_write(u16 csr, u32 value);
   void halt_error(const std::string& message);
+
+  // Hot state, read by every step, kept together at the front.
+  CoreState state_ = CoreState::kHalted;
+  Wait wait_ = Wait::kNone;
+  u32 pc_ = 0;
+  u32 loads_pending_ = 0;  ///< registers with a load in flight (bit r = x<r>)
+  u32 lsu_busy_ = 0;       ///< LSU slots holding a request (bit i = slot i)
+  sim::Cycle stall_until_ = 0;    ///< end of a taken branch/jump's flush
+  sim::Cycle long_op_until_ = 0;  ///< latest ready cycle of a mul/div result
+  TileICache* icache_ = nullptr;
+  const DecodedImage* image_ = nullptr;
+  MemIssueSink* sink_ = nullptr;
+  u64 instret_ = 0;
+  u64 stall_raw_ = 0;
+  u64 stall_flush_ = 0;
+  u32 wake_tokens_ = 0;
+
+  // Architectural state.
+  std::array<u32, 32> regs_{};
+  /// Ready cycle of each register's last mul/div result; read only while
+  /// long_op_until_ lies ahead (every other result is ready at once).
+  std::array<sim::Cycle, 32> reg_ready_{};
+  /// Destination register per LSU slot (0 = none: stores).
+  std::array<u8, 32> lsu_rd_{};
 
   // Configuration (copied scalars for hot-loop friendliness).
   u32 taken_branch_penalty_;
   u32 jump_penalty_;
   u32 div_latency_;
   u32 mul_latency_;
-  u32 lsu_slots_;
+  u32 lsu_slots_mask_;  ///< one bit per usable LSU slot
 
   u16 global_id_;
   u32 tile_id_;
 
-  MemIssueSink* sink_ = nullptr;
-  TileICache* icache_ = nullptr;
-  const DecodedImage* image_ = nullptr;
-
-  // Architectural state.
-  std::array<u32, 32> regs_{};
-  u32 pc_ = 0;
-  CoreState state_ = CoreState::kHalted;
   u32 exit_code_ = 0;
   std::string error_;
-  u32 wake_tokens_ = 0;
 
-  // Microarchitectural state.
-  std::array<sim::Cycle, 32> reg_ready_{};
-  std::array<LsuSlot, 32> lsu_{};
-  u32 outstanding_ = 0;
-  sim::Cycle stall_until_ = 0;
-  u64 instret_ = 0;
-
-  // Counters.
-  u64 stall_raw_ = 0;
+  // Colder counters.
   u64 stall_lsu_full_ = 0;
   u64 stall_port_busy_ = 0;
   u64 stall_fetch_ = 0;
   u64 stall_fence_ = 0;
-  u64 stall_flush_ = 0;
   u64 wfi_cycles_ = 0;
+  u64 mem_ops_ = 0;
+  u64 mac_ops_ = 0;
 
   obs::Trace* trace_ = nullptr;  ///< optional event trace (null = off)
   u32 track_ = 0;
   u32 ev_wfi_ = 0;
-  u64 mem_ops_ = 0;
-  u64 mac_ops_ = 0;
 };
 
 }  // namespace mp3d::arch

@@ -1,8 +1,9 @@
 // SPDX-License-Identifier: Apache-2.0
 // Pre-decoded program image. The ISS decodes each segment once at load
-// time; fetch is then a bounds check plus an array index. Self-modifying
-// code is not supported (stores to fetched segments are not reflected; the
-// MemPool runtime never does this).
+// time, including the scoreboard's hazard-register mask, so fetch is a
+// bounds check plus an array index and issue does no decoding.
+// Self-modifying code is not supported (stores to fetched segments are not
+// reflected; the MemPool runtime never does this).
 #pragma once
 
 #include <utility>
@@ -14,6 +15,12 @@
 
 namespace mp3d::arch {
 
+/// One pre-decoded instruction.
+struct DecodedInstr {
+  isa::Instr instr;
+  u32 hazard_regs = 0;  ///< isa::hazard_regs(instr)
+};
+
 class DecodedImage {
  public:
   explicit DecodedImage(const isa::Program& program) {
@@ -23,14 +30,15 @@ class DecodedImage {
       d.end = seg.end();
       d.instrs.reserve(seg.words.size());
       for (const u32 w : seg.words) {
-        d.instrs.push_back(isa::decode(w));
+        const isa::Instr instr = isa::decode(w);
+        d.instrs.push_back(DecodedInstr{instr, isa::hazard_regs(instr)});
       }
       segments_.push_back(std::move(d));
     }
   }
 
   /// Returns nullptr when pc is outside every segment.
-  const isa::Instr* lookup(u32 pc) const {
+  const DecodedInstr* lookup(u32 pc) const {
     // Common case: sequential execution within one segment.
     if (cached_ != nullptr && pc >= cached_->base && pc < cached_->end) {
       return &cached_->instrs[(pc - cached_->base) / 4];
@@ -60,7 +68,7 @@ class DecodedImage {
   struct DecodedSegment {
     u32 base = 0;
     u32 end = 0;
-    std::vector<isa::Instr> instrs;
+    std::vector<DecodedInstr> instrs;
   };
   std::vector<DecodedSegment> segments_;
   mutable const DecodedSegment* cached_ = nullptr;

@@ -1,25 +1,20 @@
 // SPDX-License-Identifier: Apache-2.0
 #include "arch/icache.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace mp3d::arch {
 
 TileICache::TileICache(u64 size_bytes, u32 line_bytes, bool perfect)
-    : line_bytes_(line_bytes),
-      num_lines_(static_cast<u32>(size_bytes / line_bytes)),
-      perfect_(perfect),
-      tags_(num_lines_, 0),
-      valid_(num_lines_, false) {
-  MP3D_CHECK(num_lines_ >= 1, "icache needs at least one line");
-}
-
-bool TileICache::present(u32 pc) const {
-  if (perfect_) {
-    return true;
-  }
-  const u32 idx = index_of(pc);
-  return valid_[idx] && tags_[idx] == line_addr(pc);
+    : line_bytes_(line_bytes), perfect_(perfect) {
+  MP3D_CHECK(is_pow2(line_bytes) && line_bytes >= 8, "icache line: pow2, >= 8 B");
+  MP3D_CHECK(is_pow2(size_bytes) && size_bytes >= line_bytes,
+             "icache size: pow2, >= one line");
+  line_shift_ = log2_exact(line_bytes);
+  index_mask_ = static_cast<u32>(size_bytes / line_bytes) - 1;
+  tags_.assign(size_bytes / line_bytes, kEmpty);
 }
 
 bool TileICache::miss_pending(u32 pc) const {
@@ -33,13 +28,11 @@ void TileICache::begin_refill(u32 pc) {
 
 void TileICache::finish_refill(u32 line) {
   pending_.erase(line);
-  const u32 idx = index_of(line);
-  tags_[idx] = line;
-  valid_[idx] = true;
+  tags_[index_of(line)] = line;
 }
 
 void TileICache::flush() {
-  valid_.assign(num_lines_, false);
+  std::fill(tags_.begin(), tags_.end(), kEmpty);
   pending_.clear();
 }
 
@@ -47,9 +40,7 @@ void TileICache::warm(u32 pc) {
   if (perfect_) {
     return;
   }
-  const u32 idx = index_of(pc);
-  tags_[idx] = line_addr(pc);
-  valid_[idx] = true;
+  tags_[index_of(pc)] = line_addr(pc);
 }
 
 void TileICache::add_counters(sim::CounterSet& counters) const {

@@ -18,10 +18,14 @@ namespace mp3d::arch {
 
 class TileICache {
  public:
+  /// Pre: `size_bytes` and `line_bytes` are powers of two, line >= 8 B.
   TileICache(u64 size_bytes, u32 line_bytes, bool perfect);
 
-  /// True if the fetch at `pc` hits (perfect caches always hit).
-  bool present(u32 pc) const;
+  /// True if the fetch at `pc` hits (perfect caches always hit). Runs on
+  /// every fetch: the slot is a shift and a mask, and validity is folded
+  /// into the tag (an empty slot holds kEmpty, which no line address
+  /// equals).
+  bool present(u32 pc) const { return perfect_ || tags_[index_of(pc)] == line_addr(pc); }
 
   /// True if the line containing `pc` has a refill in flight.
   bool miss_pending(u32 pc) const;
@@ -50,13 +54,16 @@ class TileICache {
   void add_counters(sim::CounterSet& counters) const;
 
  private:
-  u32 index_of(u32 pc) const { return (pc / line_bytes_) % num_lines_; }
+  /// Tag of an empty slot: odd, so never a line address (lines are >= 8 B).
+  static constexpr u32 kEmpty = 1;
+
+  u32 index_of(u32 pc) const { return (pc >> line_shift_) & index_mask_; }
 
   u32 line_bytes_;
-  u32 num_lines_;
+  u32 line_shift_ = 0;  ///< log2(line_bytes_)
+  u32 index_mask_ = 0;  ///< lines - 1
   bool perfect_;
-  std::vector<u32> tags_;   ///< line address per slot
-  std::vector<bool> valid_;
+  std::vector<u32> tags_;  ///< line address per slot, kEmpty when invalid
   std::unordered_set<u32> pending_;  ///< line addresses being refilled
   u64 hits_ = 0;
   u64 misses_ = 0;

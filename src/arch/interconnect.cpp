@@ -45,37 +45,41 @@ void for_each_port(const std::vector<u64>& mask, std::size_t start, F&& visit) {
 
 template <typename T>
 bool Interconnect::Direction<T>::idle() const {
-  return !any(queued) && !any(piped);
+  return !any(live);
 }
 
 template <typename T>
 void Interconnect::Direction<T>::clear() {
   for (auto& port : ports) {
-    port.queue.clear();
-    port.pipe.clear();
+    port.flits.clear();
+    port.last_inject = 0;
   }
-  std::fill(queued.begin(), queued.end(), 0);
-  std::fill(piped.begin(), piped.end(), 0);
-  flits = 0;
+  std::fill(live.begin(), live.end(), 0);
+  stepped = 0;
+  last_inject = 0;
+  pushed = 0;
   hol_blocked = 0;
 }
 
 Interconnect::Interconnect(const ClusterConfig& cfg)
-    : tiles_per_group_(cfg.tiles_per_group),
+    : group_shift_(log2_exact(cfg.tiles_per_group)),
       num_tiles_(cfg.num_tiles()),
       local_pipe_(cfg.local_net_pipe),
-      global_pipe_(cfg.global_net_pipe) {
+      global_pipe_(cfg.global_net_pipe),
+      queue_depth_(cfg.port_queue_depth) {
+  MP3D_CHECK(is_pow2(cfg.tiles_per_group), "tiles per group must be a power of two");
   const std::size_t num_ports = static_cast<std::size_t>(num_tiles_) * kNumNetworks;
   const std::size_t mask_words = (num_ports + kWordBits - 1) / kWordBits;
   const auto build = [&](auto& dir) {
     dir.ports.reserve(num_ports);
     for (u32 t = 0; t < num_tiles_; ++t) {
       for (u32 n = 0; n < kNumNetworks; ++n) {
-        dir.ports.emplace_back(cfg.port_queue_depth, pipe_latency(n));
+        // Room for a full egress queue plus a full pipeline; head-of-line
+        // blocking can grow the ring past it.
+        dir.ports.emplace_back(queue_depth_ + pipe_latency(n) + 1);
       }
     }
-    dir.queued.assign(mask_words, 0);
-    dir.piped.assign(mask_words, 0);
+    dir.live.assign(mask_words, 0);
     dir.ingress_taken.assign(mask_words, 0);
   };
   build(req_);
@@ -84,8 +88,8 @@ Interconnect::Interconnect(const ClusterConfig& cfg)
 
 u32 Interconnect::network(u32 src_tile, u32 dst_tile) const {
   MP3D_ASSERT(src_tile < num_tiles_ && dst_tile < num_tiles_);
-  const u32 src_group = src_tile / tiles_per_group_;
-  const u32 dst_group = dst_tile / tiles_per_group_;
+  const u32 src_group = src_tile >> group_shift_;
+  const u32 dst_group = dst_tile >> group_shift_;
   if (src_group == dst_group) {
     MP3D_ASSERT_MSG(src_tile != dst_tile, "local accesses do not use the interconnect");
     return 0;
@@ -96,95 +100,92 @@ u32 Interconnect::network(u32 src_tile, u32 dst_tile) const {
   return src_group ^ dst_group;
 }
 
-bool Interconnect::can_push_request(u32 src_tile, u32 net) const {
-  return !req_.ports[port_index(src_tile, net)].queue.full();
+bool Interconnect::can_push_request(u32 src_tile, u32 net, sim::Cycle now) const {
+  return queued(req_.ports[port_index(src_tile, net)], req_.first_open(now)) < queue_depth_;
 }
 
-bool Interconnect::can_push_response(u32 src_tile, u32 net) const {
-  return !resp_.ports[port_index(src_tile, net)].queue.full();
+bool Interconnect::can_push_response(u32 src_tile, u32 net, sim::Cycle now) const {
+  return queued(resp_.ports[port_index(src_tile, net)], resp_.first_open(now)) < queue_depth_;
 }
 
 template <typename T>
-bool Interconnect::push(Direction<T>& dir, u32 src_tile, u32 dst_tile, T&& payload) {
+void Interconnect::push(Direction<T>& dir, u32 src_tile, u32 dst_tile, T&& payload,
+                        sim::Cycle now) {
   const u32 net = network(src_tile, dst_tile);
   (net == 0 ? local_hops_ : global_hops_) += 1;
   const u32 p = port_index(src_tile, net);
-  if (!dir.ports[p].queue.try_push(Flit<T>{dst_tile, std::move(payload)})) {
-    return false;
-  }
-  dir.queued[p / kWordBits] |= port_bit(p);
-  return true;
+  Port<T>& port = dir.ports[p];
+  const sim::Cycle first = dir.first_open(now);
+  MP3D_ASSERT_MSG(queued(port, first) < queue_depth_, "push to a full egress queue");
+  const sim::Cycle inject = std::max(first, port.last_inject + 1);
+  const sim::Cycle ready_at = inject + pipe_latency(net);
+  // Arrival cycles ascend along a port because inject cycles do.
+  MP3D_ASSERT(port.flits.empty() || port.flits.back().ready_at <= ready_at);
+  port.flits.push_back(Flit<T>{ready_at, dst_tile, std::move(payload)});
+  port.last_inject = inject;
+  dir.last_inject = std::max(dir.last_inject, inject);
+  ++dir.pushed;
+  dir.live[p / kWordBits] |= port_bit(p);
 }
 
-void Interconnect::push_request(u32 src_tile, u32 dst_tile, BankRequest&& request) {
-  const bool ok = push(req_, src_tile, dst_tile, std::move(request));
-  MP3D_ASSERT_MSG(ok, "push_request without can_push_request check");
+void Interconnect::push_request(u32 src_tile, u32 dst_tile, BankRequest&& request,
+                                sim::Cycle now) {
+  push(req_, src_tile, dst_tile, std::move(request), now);
 }
 
-void Interconnect::push_response(u32 src_tile, u32 dst_tile, MemResponse&& response) {
-  const bool ok = push(resp_, src_tile, dst_tile, std::move(response));
-  MP3D_ASSERT_MSG(ok, "push_response without can_push_response check");
+void Interconnect::push_response(u32 src_tile, u32 dst_tile, MemResponse&& response,
+                                 sim::Cycle now) {
+  push(resp_, src_tile, dst_tile, std::move(response), now);
 }
 
 template <typename T, typename SinkT>
 void Interconnect::step_ports(Direction<T>& dir, sim::Cycle now, const SinkT& sink) {
-  // Inject: each egress port with a queued flit forwards one into its pipe.
-  for_each_port(dir.queued, 0, [&](std::size_t p) {
-    Port<T>& port = dir.ports[p];
-    port.pipe.push(now, port.queue.pop());
-    ++dir.flits;
-    dir.piped[p / kWordBits] |= port_bit(p);
-    if (port.queue.empty()) {
-      dir.queued[p / kWordBits] &= ~port_bit(p);
-    }
-  });
-  // Deliver: drain arrived flits, one per destination ingress port per
-  // cycle. The starting port rotates with the cycle count for long-run
-  // fairness.
+  dir.stepped = now;
+  if (dir.idle()) {
+    return;
+  }
+  // Deliver arrived flits, one per destination ingress port per cycle. The
+  // starting port rotates with the cycle count for long-run fairness.
   std::fill(dir.ingress_taken.begin(), dir.ingress_taken.end(), 0);
   const auto start = static_cast<std::size_t>(now % dir.ports.size());
-  for_each_port(dir.piped, start, [&](std::size_t p) {
-    Port<T>& port = dir.ports[p];
+  for_each_port(dir.live, start, [&](std::size_t p) {
+    auto& flits = dir.ports[p].flits;
     const u32 net = static_cast<u32>(p % kNumNetworks);
-    while (port.pipe.ready(now)) {
-      const u32 ingress = port_index(port.pipe.front().dst, net);
+    while (!flits.empty() && flits.front().ready_at <= now) {
+      const u32 ingress = port_index(flits.front().dst, net);
       u64& taken = dir.ingress_taken[ingress / kWordBits];
       if ((taken & port_bit(ingress)) != 0) {
         ++dir.hol_blocked;
         break;  // head-of-line blocking on the destination port
       }
       taken |= port_bit(ingress);
-      Flit<T> flit = port.pipe.pop(now);
+      Flit<T> flit = flits.pop_front();
       sink(flit.dst, std::move(flit.payload));
     }
-    if (port.pipe.empty()) {
-      dir.piped[p / kWordBits] &= ~port_bit(p);
+    if (flits.empty()) {
+      dir.live[p / kWordBits] &= ~port_bit(p);
     }
   });
 }
 
 void Interconnect::step_requests(sim::Cycle now, const RequestSink& sink) {
-  if (!req_.idle()) {
-    step_ports(req_, now, sink);
-  }
+  step_ports(req_, now, sink);
 }
 
 void Interconnect::step_responses(sim::Cycle now, const ResponseSink& sink) {
-  if (!resp_.idle()) {
-    step_ports(resp_, now, sink);
-  }
+  step_ports(resp_, now, sink);
 }
 
 sim::Cycle Interconnect::next_event_cycle(sim::Cycle now) const {
-  if (any(req_.queued) || any(resp_.queued)) {
-    return now + 1;  // a queued flit injects into its pipe next step
+  if (req_.last_inject >= req_.first_open(now) || resp_.last_inject >= resp_.first_open(now)) {
+    return now + 1;  // a queued flit injects into its pipeline next step
   }
   sim::Cycle next = sim::kNever;
-  for_each_port(req_.piped, 0, [&](std::size_t p) {
-    next = std::min(next, req_.ports[p].pipe.front_ready_at());
+  for_each_port(req_.live, 0, [&](std::size_t p) {
+    next = std::min(next, req_.ports[p].flits.front().ready_at);
   });
-  for_each_port(resp_.piped, 0, [&](std::size_t p) {
-    next = std::min(next, resp_.ports[p].pipe.front_ready_at());
+  for_each_port(resp_.live, 0, [&](std::size_t p) {
+    next = std::min(next, resp_.ports[p].flits.front().ready_at);
   });
   return next;
 }
@@ -198,9 +199,23 @@ void Interconnect::reset_run_state() {
   global_hops_ = 0;
 }
 
+template <typename T>
+u64 Interconnect::injected(const Direction<T>& dir) const {
+  u64 waiting = 0;
+  for_each_port(dir.live, 0, [&](std::size_t p) {
+    const auto& flits = dir.ports[p].flits;
+    const u32 latency = pipe_latency(static_cast<u32>(p % kNumNetworks));
+    for (std::size_t i = flits.size(); i > 0 && flits[i - 1].ready_at - latency > dir.stepped;
+         --i) {
+      ++waiting;
+    }
+  });
+  return dir.pushed - waiting;
+}
+
 void Interconnect::add_counters(sim::CounterSet& counters) const {
-  counters.set("noc.req_flits", req_.flits);
-  counters.set("noc.resp_flits", resp_.flits);
+  counters.set("noc.req_flits", injected(req_));
+  counters.set("noc.resp_flits", injected(resp_));
   counters.set("noc.req_hol_blocked", req_.hol_blocked);
   counters.set("noc.resp_hol_blocked", resp_.hol_blocked);
   counters.set("noc.local_hops", local_hops_);

@@ -20,7 +20,6 @@ struct MemRequest {
   bool sign_extend = true;
   u16 core = 0;      ///< global core id of the issuer
   u8 tag = 0;        ///< LSU slot tag
-  sim::Cycle issued_at = 0;
   sim::Cycle ready_at = 0;  ///< earliest cycle the current stage may act on it
 };
 

@@ -25,7 +25,10 @@ void ClusterConfig::validate() const {
   MP3D_CHECK(seq_bytes_per_tile % (static_cast<u64>(banks_per_tile) * 4) == 0,
              "sequential region must evenly split across a tile's banks");
   MP3D_CHECK(is_pow2(icache_line) && icache_line >= 8, "icache line: pow2, >= 8 B");
-  MP3D_CHECK(icache_size % icache_line == 0, "icache size % line == 0");
+  // The cache indexes its lines by mask, and the physical flow sizes the
+  // I$ macro's address pins by log2 of its depth.
+  MP3D_CHECK(is_pow2(icache_size) && icache_size >= icache_line,
+             "icache size: pow2, >= one line");
   MP3D_CHECK(gmem_bytes_per_cycle >= 1, "off-chip bandwidth must be positive");
   // 100 % would invert the starvation bug (bulk demand would shut scalar
   // traffic out completely); cap the guarantee so the scalar class always

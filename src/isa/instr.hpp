@@ -57,7 +57,7 @@ struct Instr {
 };
 
 // Classification helpers used by the core's issue logic. They are inline:
-// the core's hazard check runs several of them for every stepped cycle.
+// the memory path runs several of them for every issued access.
 inline bool is_load(Op op) {
   switch (op) {
     case Op::kLb:
@@ -234,6 +234,24 @@ inline bool writes_rs1(const Instr& instr) {
 /// p.mac/p.msu read rd as a third source (accumulator).
 inline bool reads_rd(const Instr& instr) {
   return (instr.op == Op::kPMac || instr.op == Op::kPMsu) && instr.rd != 0;
+}
+
+/// The registers the core's scoreboard checks before `instr` issues, one
+/// bit per register: its sources, its destination (write after write), the
+/// p.mac accumulator and a post-incremented base. x0 is never pending, so
+/// its bit is left clear.
+inline u32 hazard_regs(const Instr& instr) {
+  u32 regs = 0;
+  if (reads_rs1(instr) || writes_rs1(instr)) {
+    regs |= 1U << instr.rs1;
+  }
+  if (reads_rs2(instr)) {
+    regs |= 1U << instr.rs2;
+  }
+  if (writes_rd(instr) || reads_rd(instr)) {
+    regs |= 1U << instr.rd;
+  }
+  return regs & ~1U;
 }
 
 /// Well-known CSR numbers.

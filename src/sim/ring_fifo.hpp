@@ -6,9 +6,10 @@
 // when it fills up: it doubles, moving the live items to the front, and
 // never shrinks, so a FIFO that has reached its working depth runs
 // allocation-free from then on. This is the storage behind the per-flit
-// queues of the memory path (NoC egress queues and delay pipes, SPM bank
-// queues), where a std::deque allocated and freed a heap node every few
-// elements.
+// queues of the memory path: each NoC port's ring of arrival-stamped
+// flits (its egress queue and pipeline in one FIFO) and each SPM bank's
+// request queue, where a std::deque allocated and freed a heap node every
+// few elements.
 #pragma once
 
 #include <bit>
@@ -43,6 +44,11 @@ class RingFifo {
   const T& back() const {
     MP3D_ASSERT(!empty());
     return slots_[(tail_ - 1) & mask_];
+  }
+  /// The `i`-th item counted from the front (pre: i < size()).
+  const T& operator[](std::size_t i) const {
+    MP3D_ASSERT(i < size());
+    return slots_[(head_ + i) & mask_];
   }
 
   void push_back(T item) {

@@ -41,14 +41,14 @@ TEST(InterconnectUnit, EgressQueueBackPressure) {
   cfg.port_queue_depth = 2;
   Interconnect noc(cfg);
   BankRequest req;
-  ASSERT_TRUE(noc.can_push_request(0, 0));
-  noc.push_request(0, 1, BankRequest{req});
-  noc.push_request(0, 1, BankRequest{req});
-  EXPECT_FALSE(noc.can_push_request(0, 0));  // depth 2 reached
+  ASSERT_TRUE(noc.can_push_request(0, 0, 1));
+  noc.push_request(0, 1, BankRequest{req}, 1);
+  noc.push_request(0, 1, BankRequest{req}, 1);
+  EXPECT_FALSE(noc.can_push_request(0, 0, 1));  // depth 2 reached
   // One injection per cycle frees one slot.
   u32 delivered = 0;
   noc.step_requests(1, [&](u32, BankRequest&&) { ++delivered; });
-  EXPECT_TRUE(noc.can_push_request(0, 0));
+  EXPECT_TRUE(noc.can_push_request(0, 0, 1));
 }
 
 TEST(InterconnectUnit, OneFlitPerCyclePerPort) {
@@ -57,7 +57,7 @@ TEST(InterconnectUnit, OneFlitPerCyclePerPort) {
   Interconnect noc(cfg);
   BankRequest req;
   for (int i = 0; i < 6; ++i) {
-    noc.push_request(0, 1, BankRequest{req});
+    noc.push_request(0, 1, BankRequest{req}, 1);
   }
   // With a 1-cycle pipe, deliveries trail injections by one cycle and are
   // capped at 1/cycle by both egress and ingress ports.
@@ -87,8 +87,8 @@ TEST(InterconnectUnit, RotatingStartArbitratesContendedIngress) {
     from_tile1.req.core = 4;
     BankRequest from_tile2;
     from_tile2.req.core = 8;
-    noc.push_request(1, 0, std::move(from_tile1));
-    noc.push_request(2, 0, std::move(from_tile2));
+    noc.push_request(1, 0, std::move(from_tile1), arrive - 1);
+    noc.push_request(2, 0, std::move(from_tile2), arrive - 1);
     std::vector<u16> seen;
     const auto sink = [&](u32 dst_tile, BankRequest&& request) {
       EXPECT_EQ(dst_tile, 0U);

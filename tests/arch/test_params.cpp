@@ -115,6 +115,20 @@ TEST(ClusterConfig, RejectsBadTiming) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
+TEST(ClusterConfig, RejectsNonPowerOfTwoIcache) {
+  // The cache indexes its lines by mask, and the physical flow derives the
+  // I$ macro's address pins from log2 of its depth: 3 KiB would floor to
+  // 8 pins instead of 9.
+  ClusterConfig cfg = ClusterConfig::mempool();
+  cfg.icache_size = KiB(3);
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
+
+  cfg = ClusterConfig::mempool();
+  cfg.icache_size = KiB(4);
+  EXPECT_NO_THROW(cfg.validate());
+}
+
 TEST(ClusterConfig, ClusterRejectsInvalidConfigBeforeBuildingAnything) {
   // A Cluster validates its config before deriving the address map or the
   // bank array from it; both divide by these counts, so a zero must throw

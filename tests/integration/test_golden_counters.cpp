@@ -15,6 +15,7 @@
 #include "kernels/kernel.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/simple_kernels.hpp"
+#include "obs/telemetry.hpp"
 
 namespace mp3d {
 namespace {
@@ -147,6 +148,45 @@ TEST(GoldenCounters, AxpyStagedDmaBw8) {
       {"noc.resp_hol_blocked", 24252},
   };
   expect_golden(result, 26'001, golden);
+}
+
+// Every core is charged exactly one outcome per cycle, and every fetch
+// that hits retires or stalls on an operand, a full LSU, a busy port or a
+// fence. The golden tables above pin only end-of-run totals; these
+// identities must also hold inside every telemetry window, so a stall
+// charged late (at the cycle it ends instead of each cycle it lasts) fails
+// here.
+TEST(GoldenCounters, Matmul4MiBConservesCoreCyclesInEveryWindow) {
+  constexpr u32 kWindow = 256;
+  arch::ClusterConfig cfg = arch::ClusterConfig::mempool(MiB(4));
+  cfg.gmem_bytes_per_cycle = 16;
+  cfg.telemetry.sample_window = kWindow;
+  kernels::MatmulParams params;
+  params.m = 64;
+  params.t = 32;
+  arch::Cluster cluster(cfg);
+  const arch::RunResult result = kernels::run_kernel(
+      cluster, kernels::build_matmul(cfg, params), 10'000'000, /*warm_icache=*/true);
+  ASSERT_EQ(result.cycles, 19'592U);
+  ASSERT_NE(cluster.telemetry(), nullptr);
+  const obs::Timeline* timeline = cluster.telemetry()->timeline();
+  ASSERT_NE(timeline, nullptr);
+  const auto& windows = timeline->windows();
+  ASSERT_EQ(windows.size(), 77U);
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    SCOPED_TRACE("window " + std::to_string(i));
+    const auto d = [&](const char* name) { return timeline->delta(i, name); };
+    const u64 fetch_outcomes = d("core.instret") + d("core.stall_raw") +
+                               d("core.stall_lsu_full") + d("core.stall_port_busy") +
+                               d("core.stall_fence");
+    EXPECT_EQ(d("icache.hits"), fetch_outcomes);
+    // Cycle 0 is the reset state; the first stepped cycle is 1.
+    const u64 stepped = windows[i].cycle_hi - windows[i].cycle_lo + 1 -
+                        (windows[i].cycle_lo == 0 ? 1 : 0);
+    const u64 core_cycles = fetch_outcomes + d("core.stall_fetch") +
+                            d("core.stall_flush") + d("core.wfi_cycles");
+    EXPECT_EQ(core_cycles, u64{cfg.num_cores()} * stepped);
+  }
 }
 
 }  // namespace

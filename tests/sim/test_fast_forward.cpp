@@ -20,7 +20,6 @@
 #include "kernels/simple_kernels.hpp"
 #include "obs/telemetry.hpp"
 #include "qos/adaptive_share.hpp"
-#include "sim/delay_pipe.hpp"
 #include "sys/system.hpp"
 #include "testing.hpp"
 
@@ -33,20 +32,6 @@ using mp3d::testing::run_asm;
 // ---------------------------------------------------------------------------
 // Per-source next-event unit tests
 // ---------------------------------------------------------------------------
-
-TEST(FastForwardSources, DelayPipeFrontReadyAt) {
-  sim::DelayPipe<int> pipe(5);
-  pipe.push(/*now=*/7, 100);
-  pipe.push(/*now=*/8, 200);
-  EXPECT_EQ(pipe.front_ready_at(), 12U);
-  // Entries are FIFO: the front's ready cycle is the pipe's next event even
-  // after more pushes, and it persists past its cycle until popped (models
-  // delivery held up by endpoint back-pressure).
-  pipe.push(/*now=*/20, 300);
-  EXPECT_EQ(pipe.front_ready_at(), 12U);
-  EXPECT_EQ(pipe.pop(12), 100);
-  EXPECT_EQ(pipe.front_ready_at(), 13U);
-}
 
 TEST(FastForwardSources, GmemIdleReportsNever) {
   arch::GlobalMemory g(0x80000000, MiB(1), 16, 4);
@@ -164,7 +149,7 @@ TEST(FastForwardSources, NocNextEventCoversQueuesAndPipes) {
   EXPECT_EQ(noc.next_event_cycle(50), sim::kNever);  // empty
 
   arch::BankRequest req;
-  noc.push_request(0, 1, arch::BankRequest{req});
+  noc.push_request(0, 1, arch::BankRequest{req}, /*now=*/51);
   EXPECT_EQ(noc.next_event_cycle(50), 51U);  // egress queue injects next step
 
   // Injecting moves the flit into the delay pipe; with a 1-cycle local pipe
