@@ -29,7 +29,7 @@ Region AddrMap::classify(u32 addr) const {
   if (addr >= spm_base_ && addr < spm_base_ + spm_capacity_) {
     return (addr - spm_base_) < seq_total_ ? Region::kSpmSeq : Region::kSpmInterleaved;
   }
-  if (addr >= ctrl_base_ && addr < ctrl_base_ + 0x1000) {
+  if (addr >= ctrl_base_ && addr < ctrl_base_ + kCtrlWindowBytes) {
     return Region::kCtrl;
   }
   if (addr >= gmem_base_ && static_cast<u64>(addr) - gmem_base_ < gmem_size_) {

@@ -7,7 +7,7 @@
 
 namespace mp3d::arch {
 
-std::optional<MemResponse> SpmBank::serve(sim::Cycle now) {
+std::optional<MemResponse> SpmBank::serve(sim::Cycle now, std::vector<u32>& spm) {
   if (!has_ready(now)) {
     return std::nullopt;
   }
@@ -31,28 +31,27 @@ std::optional<MemResponse> SpmBank::serve(sim::Cycle now) {
   resp.core = request.req.core;
   resp.tag = request.req.tag;
   resp.is_store = isa::is_store(request.req.op);
-  resp.rdata = execute(request);
+  MP3D_ASSERT(request.word < spm.size());
+  resp.rdata = execute(request, spm[request.word]);
   resp.ready_at = now;
   return resp;
 }
 
-u32 SpmBank::execute(const BankRequest& request) {
+u32 SpmBank::execute(const BankRequest& request, u32& word) {
   using isa::Op;
   const MemRequest& req = request.req;
-  MP3D_ASSERT(request.row < storage_.size());
-  u32& word = storage_[request.row];
   const u32 shift = (req.addr & 3U) * 8;
 
-  auto invalidate_other_reservations = [&](u32 row, u16 writer) {
+  auto invalidate_other_reservations = [&](u32 index, u16 writer) {
     reservations_.erase(
         std::remove_if(reservations_.begin(), reservations_.end(),
-                       [&](const auto& r) { return r.first == row && r.second != writer; }),
+                       [&](const auto& r) { return r.first == index && r.second != writer; }),
         reservations_.end());
   };
-  auto drop_reservation = [&](u32 row, u16 core) {
+  auto drop_reservation = [&](u32 index, u16 core) {
     reservations_.erase(
         std::remove_if(reservations_.begin(), reservations_.end(),
-                       [&](const auto& r) { return r.first == row && r.second == core; }),
+                       [&](const auto& r) { return r.first == index && r.second == core; }),
         reservations_.end());
   };
 
@@ -82,36 +81,36 @@ u32 SpmBank::execute(const BankRequest& request) {
     case Op::kSb: {
       const u32 mask = 0xFFU << shift;
       word = (word & ~mask) | ((req.wdata & 0xFFU) << shift);
-      invalidate_other_reservations(request.row, req.core);
+      invalidate_other_reservations(request.word, req.core);
       return 0;
     }
     case Op::kSh: {
       const u32 mask = 0xFFFFU << shift;
       word = (word & ~mask) | ((req.wdata & 0xFFFFU) << shift);
-      invalidate_other_reservations(request.row, req.core);
+      invalidate_other_reservations(request.word, req.core);
       return 0;
     }
     case Op::kSw:
     case Op::kPSwPost:
       word = req.wdata;
-      invalidate_other_reservations(request.row, req.core);
+      invalidate_other_reservations(request.word, req.core);
       return 0;
     case Op::kLrW: {
-      drop_reservation(request.row, req.core);
-      reservations_.emplace_back(request.row, req.core);
+      drop_reservation(request.word, req.core);
+      reservations_.emplace_back(request.word, req.core);
       return word;
     }
     case Op::kScW: {
       const bool reserved =
           std::any_of(reservations_.begin(), reservations_.end(), [&](const auto& r) {
-            return r.first == request.row && r.second == req.core;
+            return r.first == request.word && r.second == req.core;
           });
-      drop_reservation(request.row, req.core);
+      drop_reservation(request.word, req.core);
       if (!reserved) {
         return 1;  // failure
       }
       word = req.wdata;
-      invalidate_other_reservations(request.row, req.core);
+      invalidate_other_reservations(request.word, req.core);
       return 0;  // success
     }
     default: {
@@ -132,7 +131,7 @@ u32 SpmBank::execute(const BankRequest& request) {
         case Op::kAmoMaxuW: word = std::max(old, req.wdata); break;
         default: MP3D_UNREACHABLE("unsupported bank op");
       }
-      invalidate_other_reservations(request.row, req.core);
+      invalidate_other_reservations(request.word, req.core);
       return old;
     }
   }

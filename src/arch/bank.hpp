@@ -1,7 +1,12 @@
 // SPDX-License-Identifier: Apache-2.0
 // One SPM SRAM bank: single-ported, one access per cycle, FIFO service of
 // queued requests. The bank is the serialization point for atomics (AMOs
-// execute here) and holds per-row LR/SC reservations.
+// execute here) and holds LR/SC reservations on its words.
+//
+// The bank holds timing state only: its request queue, its reservations
+// and its counters. The SPM contents are one address-ordered word array
+// owned by the Cluster (host backdoor and DMA port index it directly), and
+// serve() executes the request on the word it addresses there.
 #pragma once
 
 #include <optional>
@@ -14,24 +19,16 @@
 namespace mp3d::arch {
 
 /// A request routed to a bank. The address is decoded once, at issue: the
-/// request carries its cluster-wide bank index and the row within that
-/// bank.
+/// request carries its cluster-wide bank index and the index of the word
+/// it addresses in the SPM array.
 struct BankRequest {
   MemRequest req;
   u32 bank = 0;  ///< global bank index (tile * banks_per_tile + bank in tile)
-  u32 row = 0;
+  u32 word = 0;  ///< (addr - spm_base) / 4
 };
 
 class SpmBank {
  public:
-  explicit SpmBank(u32 words) : storage_(words, 0) {}
-
-  // ---- functional backdoor ------------------------------------------------
-  u32 read_row(u32 row) const { return storage_[row]; }
-  void write_row(u32 row, u32 value) { storage_[row] = value; }
-  u32 words() const { return static_cast<u32>(storage_.size()); }
-
-  // ---- timed interface ------------------------------------------------------
   void push(BankRequest request) { queue_.push_back(std::move(request)); }
 
   bool has_ready(sim::Cycle now) const {
@@ -43,12 +40,12 @@ class SpmBank {
     return has_ready(now) ? &queue_.front() : nullptr;
   }
   bool busy() const { return !queue_.empty(); }
-  std::size_t queue_depth() const { return queue_.size(); }
 
-  /// Serve at most one request; returns the response (stores ack too).
-  /// Also accumulates conflict statistics: cycles a request waited beyond
-  /// its zero-load arrival time.
-  std::optional<MemResponse> serve(sim::Cycle now);
+  /// Serve at most one request, executing it on its word of `spm` (the
+  /// cluster's SPM array); returns the response (stores ack too). Also
+  /// accumulates conflict statistics: cycles a request waited beyond its
+  /// zero-load arrival time.
+  std::optional<MemResponse> serve(sim::Cycle now, std::vector<u32>& spm);
 
   u64 accesses() const { return accesses_; }
   /// Array-read / array-write activations (the SRAM events energy models
@@ -60,8 +57,8 @@ class SpmBank {
   u64 conflict_wait_cycles() const { return conflict_wait_cycles_; }
   u64 conflicts() const { return conflicts_; }
 
-  /// Drop queued requests and reservations and zero the statistics;
-  /// storage is untouched. Called between program loads on one cluster.
+  /// Drop queued requests and reservations and zero the statistics. Called
+  /// between program loads on one cluster.
   void reset_run_state() {
     queue_.clear();
     reservations_.clear();
@@ -73,12 +70,11 @@ class SpmBank {
   }
 
  private:
-  u32 execute(const BankRequest& request);
+  u32 execute(const BankRequest& request, u32& word);
 
-  std::vector<u32> storage_;
   sim::RingFifo<BankRequest> queue_;
-  // LR/SC reservations: (row, core) pairs; invalidated by any intervening
-  // write from another core.
+  // LR/SC reservations: (word index, core) pairs; invalidated by any
+  // intervening write from another core.
   std::vector<std::pair<u32, u16>> reservations_;
   u64 accesses_ = 0;
   u64 reads_ = 0;

@@ -80,10 +80,8 @@ Cluster::Cluster(ClusterConfig cfg)
   dma_wake_armed_.assign(cfg_.num_cores(), 0);
   dma_wait_target_.assign(cfg_.num_cores(), 0);
   const u32 tiles = cfg_.num_tiles();
-  banks_.reserve(static_cast<std::size_t>(tiles) * cfg_.banks_per_tile);
-  for (u32 b = 0; b < cfg_.num_banks(); ++b) {
-    banks_.emplace_back(cfg_.bank_words());
-  }
+  spm_.assign(cfg_.spm_capacity / 4, 0);
+  banks_.resize(cfg_.num_banks());
   bank_active_flag_.assign(cfg_.num_banks(), 0);
   icaches_.reserve(tiles);
   for (u32 t = 0; t < tiles; ++t) {
@@ -158,10 +156,6 @@ void Cluster::init_telemetry() {
 }
 
 Cluster::~Cluster() = default;
-
-SpmBank& Cluster::bank(u32 tile, u32 bank_in_tile) {
-  return banks_[static_cast<std::size_t>(tile) * cfg_.banks_per_tile + bank_in_tile];
-}
 
 void Cluster::load_program(const isa::Program& program) {
   image_ = std::make_unique<DecodedImage>(program);
@@ -271,15 +265,13 @@ void Cluster::warm_icaches() {
 }
 
 u32 Cluster::spm_read_word(u32 addr) const {
-  const BankTarget t = map_.spm_target(addr);
-  return banks_[static_cast<std::size_t>(t.tile) * cfg_.banks_per_tile + t.bank]
-      .read_row(t.row);
+  MP3D_ASSERT(map_.is_spm(addr));
+  return spm_[(addr - cfg_.spm_base) >> 2];
 }
 
 void Cluster::spm_write_word(u32 addr, u32 value) {
-  const BankTarget t = map_.spm_target(addr);
-  banks_[static_cast<std::size_t>(t.tile) * cfg_.banks_per_tile + t.bank].write_row(
-      t.row, value);
+  MP3D_ASSERT(map_.is_spm(addr));
+  spm_[(addr - cfg_.spm_base) >> 2] = value;
 }
 
 u32 Cluster::read_word(u32 addr) const {
@@ -340,7 +332,7 @@ IssueResult Cluster::issue_mem(const MemRequest& request) {
       BankRequest breq;
       breq.req = request;
       breq.bank = t.tile * cfg_.banks_per_tile + t.bank;
-      breq.row = t.row;
+      breq.word = (request.addr - cfg_.spm_base) >> 2;
       if (t.tile == src_tile) {
         breq.req.ready_at = cycle_ + 1;  // local crossbar: bank sees it next cycle
         const u32 gb = breq.bank;
@@ -446,7 +438,7 @@ void Cluster::serve_banks() {
         can_respond = noc_->can_push_response(bank_tile, net, cycle_);
       }
       if (can_respond) {
-        std::optional<MemResponse> resp = bank.serve(cycle_);
+        std::optional<MemResponse> resp = bank.serve(cycle_, spm_);
         MP3D_ASSERT(resp.has_value());
         ++activity_;
         if (dst_core_tile == bank_tile) {
@@ -884,10 +876,11 @@ void Cluster::note_core_halted(u16 core, bool was_awake) {
 }
 
 sim::Cycle Cluster::next_wake(sim::Cycle bound) const {
-  // Consulted on every all-asleep cycle, including the un-jumpable ones
-  // (DMA grant windows keep the gmem queue busy for hundreds of cycles
-  // while every core sleeps), so the sources are consulted cheapest-first
-  // and the attempt bails as soon as the next cycle is pinned.
+  // Consulted on every all-asleep cycle, so the sources are consulted
+  // cheapest-first and the attempt bails as soon as the next cycle is
+  // pinned. DMA streaming does not pin it: skip_to steps the gmem channel
+  // and the engines through the span, and the DMA bound below keeps every
+  // retire (and so every completion wake) past it.
   const sim::Cycle floor = cycle_ + 1;
   if (!active_banks_.empty()) {
     return floor;  // queued bank work is served every cycle
@@ -897,7 +890,7 @@ sim::Cycle Cluster::next_wake(sim::Cycle bound) const {
   }
   sim::Cycle target = std::min(bound, gmem_->next_completion_cycle(cycle_));
   if (target <= floor) {
-    return floor;  // gmem granting/stalled: pins nearly every failed attempt
+    return floor;  // scalar requests queued at the channel
   }
   target = std::min(target, dma_->next_ready_cycle(cycle_));
   if (target <= floor) {
@@ -918,14 +911,37 @@ sim::Cycle Cluster::horizon() const {
   return next;
 }
 
-void Cluster::skip_to(sim::Cycle target) {
+sim::Cycle Cluster::skip_to(sim::Cycle target) {
+  // Every non-halted core is a token-less sleeper here (awake_cores_ == 0).
+  const u64 sleepers = cfg_.num_cores() - halted_cores_;
+  sim::Cycle last_active = 0;
+  // Streamed cycles: while the DMA engines have bytes to claim or the
+  // channel arbiter has per-cycle state to settle, run the gmem and DMA
+  // phases of step() as they are. The other phases are idle by the wake
+  // oracle: no scalar work is queued, no completion, refill or NoC flit
+  // lands, no bank or ctrl work is due, and no descriptor retires before
+  // `target`, so no core wakes.
+  while (cycle_ + 1 < target && (dma_->backlog_bytes() > 0 || !gmem_->bulk_quiet())) {
+    ++cycle_;
+    wfi_idle_cycles_ += sleepers;
+    gmem_responses_.clear();
+    gmem_refills_.clear();
+    gmem_->step(cycle_, gmem_responses_, gmem_refills_, dma_->backlog_bytes());
+    MP3D_ASSERT(gmem_responses_.empty() && gmem_refills_.empty());
+    if (const u32 moved = dma_->step(cycle_, *gmem_, *this); moved > 0) {
+      activity_ += moved;
+      last_active = cycle_;
+    }
+    MP3D_ASSERT(awake_cores_ == 0);
+    ++ff_skipped_cycles_;
+  }
+  // The rest of the span is quiet: charge it as if each cycle had ticked.
   const u64 span = target - cycle_ - 1;
-  // Charge the skipped cycles as if each had ticked: every non-halted core
-  // is a token-less sleeper here (awake_cores_ == 0).
-  wfi_idle_cycles_ += span * (cfg_.num_cores() - halted_cores_);
+  wfi_idle_cycles_ += span * sleepers;
   dma_->skip_cycles(span);  // keep the engine-service rotation bit-exact
   cycle_ += span;
   ff_skipped_cycles_ += span;
+  return last_active;
 }
 
 std::string Cluster::deadlock_diagnostic() const {

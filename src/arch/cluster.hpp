@@ -157,7 +157,6 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   // ---- component access (tests, calibration) --------------------------------
   SnitchCore& core(u32 global_id) { return cores_[global_id]; }
   const SnitchCore& core(u32 global_id) const { return cores_[global_id]; }
-  SpmBank& bank(u32 tile, u32 bank_in_tile);
   TileICache& icache(u32 tile) { return icaches_[tile]; }
   GlobalMemory& gmem() { return *gmem_; }
   Interconnect& interconnect() { return *noc_; }
@@ -201,9 +200,10 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   /// included, maintained O(1) on sleep/wake/halt transitions.
   u32 awake_cores() const { return awake_cores_; }
   u32 halted_cores() const { return halted_cores_; }
-  /// Cycles skipped by fast-forward jumps since load_program (host-side
-  /// diagnostic; deliberately NOT a simulation counter, which must stay
-  /// bit-identical whether or not fast-forward is enabled).
+  /// Cycles skipped by fast-forward jumps since load_program, streamed DMA
+  /// cycles included (host-side diagnostic; deliberately NOT a simulation
+  /// counter, which must stay bit-identical whether or not fast-forward is
+  /// enabled).
   u64 fast_forwarded_cycles() const { return ff_skipped_cycles_; }
 
   /// Rewind the loaded program to its initial state: reset every core to
@@ -223,23 +223,33 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   /// Monotone progress witness of the deadlock watchdog.
   u64 activity() const { return activity_; }
   /// Fast-forward is enabled and every core is token-less asleep (none
-  /// halted-out): a jump may be attempted.
+  /// halted-out): a jump may be attempted. Only the memory system can then
+  /// do work, and the cores phase has nothing to step.
   bool may_skip() const {
     return fast_forward_ && awake_cores_ == 0 && halted_cores_ < cfg_.num_cores();
   }
-  /// The wake oracle: the earliest cycle (capped at `bound`) at which a
-  /// memory-system source (gmem, DMA, NoC, bank or ctrl work) does
-  /// observable work; kNever when everything is drained. A result
-  /// <= now() + 1 means the next cycle is pinned. Pure: charging a jump is
-  /// skip_to()'s job.
+  /// The wake oracle: a lower bound (capped at `bound`) on the first cycle
+  /// at which something beyond DMA streaming happens — a scalar gmem
+  /// request queued or completing, an icache refill, a DMA retire, a NoC
+  /// flit, bank or ctrl work — or kNever when everything is drained. A
+  /// result <= now() + 1 means the next cycle is pinned. Bulk DMA
+  /// streaming alone never pins it: skip_to steps through it. Pure:
+  /// charging a jump is skip_to()'s job.
   sim::Cycle next_wake(sim::Cycle bound) const;
   /// The next qos window, telemetry sample or profiler stride boundary
   /// (kNever when all are off): a jump must land on it exactly.
   sim::Cycle horizon() const;
-  /// Jump the clock to one cycle before `target` (pre: may_skip() and
-  /// `target` > now() + 1 no later than next_wake() and horizon()),
-  /// charging the skipped cycles exactly as if each had ticked.
-  void skip_to(sim::Cycle target);
+  /// Jump the clock to exactly one cycle before `target` (pre: may_skip()
+  /// and `target` > now() + 1 no later than next_wake() and horizon()),
+  /// with every observable as if each skipped cycle had ticked. While DMA
+  /// bytes remain to be granted or the channel arbiter has per-cycle state
+  /// to settle, the jump steps the gmem channel and the DMA engines cycle
+  /// by cycle with their own step code (these streamed cycles count in
+  /// fast_forwarded_cycles()); the quiet rest of the span is charged in
+  /// one go. Returns the last skipped cycle that advanced activity(), or 0
+  /// if none did, so the run loop's watchdog sees the ticked run's
+  /// last-progress cycle.
+  sim::Cycle skip_to(sim::Cycle target);
   /// Assemble the RunResult, close trace spans, sample the final partial
   /// telemetry window and deposit the run with the obs collector. Called
   /// exactly once per run, at the cycle the run ends.
@@ -259,7 +269,7 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   u32 core_group(u16 core) const;
   /// Validate and launch the staged descriptor; false = core was faulted.
   bool dma_start(const MemRequest& request);
-  // Functional word access to the SPM banks (host backdoor + DMA port).
+  // Functional word access to the SPM array (host backdoor + DMA port).
   u32 spm_read_word(u32 addr) const;
   void spm_write_word(u32 addr, u32 value);
   void deliver_response_to_core(const MemResponse& response);
@@ -283,6 +293,10 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   // never resized, so element addresses stay stable for the attach()
   // pointers handed out in load_program.
   std::vector<SnitchCore> cores_;
+  /// SPM contents, address-ordered: word i holds address spm_base + 4 i.
+  /// The banks execute requests on it; the host backdoor and the DMA port
+  /// index it directly.
+  std::vector<u32> spm_;
   std::vector<SpmBank> banks_;
   std::vector<TileICache> icaches_;
   std::unique_ptr<Interconnect> noc_;

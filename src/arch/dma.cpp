@@ -39,10 +39,13 @@ void DmaRetireTracker::reset() {
   parked_.clear();
 }
 
-DmaEngine::DmaEngine(const DmaConfig& cfg, u32 gmem_latency)
+DmaEngine::DmaEngine(const DmaConfig& cfg, u32 channel_bytes_per_cycle, u32 gmem_latency)
     : max_outstanding_(cfg.max_outstanding),
       port_bytes_per_cycle_(cfg.bytes_per_cycle),
-      gmem_latency_(gmem_latency) {}
+      max_grant_per_cycle_(std::min(cfg.bytes_per_cycle, channel_bytes_per_cycle)),
+      gmem_latency_(gmem_latency) {
+  MP3D_ASSERT(max_grant_per_cycle_ > 0);
+}
 
 u32 DmaEngine::pending() const {
   return static_cast<u32>(queue_.size() + (active_ ? 1 : 0) + completing_.size());
@@ -67,20 +70,6 @@ void DmaEngine::set_trace(obs::Trace* trace, u32 track) {
     ev_staged_ = trace_->intern("dma_staged");
     ev_xfer_ = trace_->intern("dma_xfer");
     ev_retired_ = trace_->intern("dma_retired");
-  }
-}
-
-void DmaEngine::move_word(const DmaDescriptor& d, u32 word_index, GlobalMemory& gmem,
-                          DmaSpmPort& spm) {
-  const u32 linear = word_index * 4;
-  const u32 row = linear / d.bytes_per_row;
-  const u32 off = linear % d.bytes_per_row;
-  if (d.to_spm) {
-    const u32 value = gmem.read_word(d.src + row * d.gmem_stride + off);
-    spm.dma_write_spm(d.dst + linear, value);
-  } else {
-    const u32 value = spm.dma_read_spm(d.src + linear);
-    gmem.write_word(d.dst + row * d.gmem_stride + off, value);
   }
 }
 
@@ -111,7 +100,10 @@ u32 DmaEngine::step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm,
       queue_.pop_front();
       active_ = true;
       granted_bytes_ = 0;
-      moved_words_ = 0;
+      moved_bytes_ = 0;
+      gmem_row_ = current_.to_spm ? current_.src : current_.dst;
+      row_off_ = 0;
+      spm_addr_ = current_.to_spm ? current_.dst : current_.src;
       if (trace_ != nullptr) {
         trace_->begin(track_, ev_xfer_, now, current_.ticket);
       }
@@ -123,9 +115,21 @@ u32 DmaEngine::step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm,
     granted_total += got;
     port_budget -= got;
     backlog_bytes_ -= got;
-    while (static_cast<u64>(moved_words_ + 1) * 4 <= granted_bytes_) {
-      move_word(current_, moved_words_, gmem, spm);
-      ++moved_words_;
+    // Whole granted words move functionally; the cursor walks the gmem
+    // side row by row and the SPM side linearly.
+    for (; moved_bytes_ + 4 <= granted_bytes_; moved_bytes_ += 4) {
+      const u32 gmem_addr = gmem_row_ + row_off_;
+      if (current_.to_spm) {
+        spm.dma_write_spm(spm_addr_, gmem.read_word(gmem_addr));
+      } else {
+        gmem.write_word(gmem_addr, spm.dma_read_spm(spm_addr_));
+      }
+      spm_addr_ += 4;
+      row_off_ += 4;
+      if (row_off_ == current_.bytes_per_row) {
+        row_off_ = 0;
+        gmem_row_ += current_.gmem_stride;
+      }
     }
     if (granted_bytes_ == current_.total_bytes()) {
       completing_.push_back(Completion{now + gmem_latency_, current_.waker, current_.ticket});
@@ -147,10 +151,14 @@ DmaSubsystem::DmaSubsystem(const ClusterConfig& cfg)
     : num_groups_(cfg.num_groups),
       engines_per_group_(cfg.dma.engines_per_group),
       cfg_(cfg.dma),
+      gmem_bytes_per_cycle_(cfg.gmem_bytes_per_cycle),
       gmem_latency_(cfg.gmem_latency) {
   engines_.reserve(static_cast<std::size_t>(num_groups_) * engines_per_group_);
-  for (u32 i = 0; i < num_groups_ * engines_per_group_; ++i) {
-    engines_.emplace_back(cfg_, gmem_latency_);
+  for (u32 g = 0; g < num_groups_; ++g) {
+    for (u32 e = 0; e < engines_per_group_; ++e) {
+      engines_.emplace_back(cfg_, gmem_bytes_per_cycle_, gmem_latency_);
+      engine_group_.push_back(g);
+    }
   }
   trackers_.resize(num_groups_);
   dispatch_rr_.assign(num_groups_, 0);
@@ -172,6 +180,7 @@ void DmaSubsystem::push(u32 group, DmaDescriptor descriptor, sim::Cycle now) {
     DmaEngine& engine = engines_[group * engines_per_group_ + e];
     if (engine.can_accept()) {
       engine.push(descriptor, now);
+      backlog_bytes_ += descriptor.total_bytes();
       dispatch_rr_[group] = (e + 1) % engines_per_group_;
       return;
     }
@@ -206,11 +215,16 @@ u32 DmaSubsystem::step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm) {
   // channel budget when several groups stream at once.
   const u32 n = static_cast<u32>(engines_.size());
   u32 moved = 0;
+  u32 e = step_rr_;
   for (u32 i = 0; i < n; ++i) {
-    const u32 e = (step_rr_ + i) % n;
-    moved += engines_[e].step(now, gmem, spm, trackers_[e / engines_per_group_]);
+    DmaEngine& engine = engines_[e];
+    if (!engine.inert(now, gmem.budget_left())) {
+      moved += engine.step(now, gmem, spm, trackers_[engine_group_[e]]);
+    }
+    e = e + 1 == n ? 0 : e + 1;
   }
-  step_rr_ = n == 0 ? 0 : (step_rr_ + 1) % n;
+  step_rr_ = step_rr_ + 1 >= n ? 0 : step_rr_ + 1;
+  backlog_bytes_ -= moved;
   if (moved > 0) {
     ++busy_cycles_;  // subsystem-level: never exceeds elapsed cycles
   }
@@ -225,14 +239,6 @@ sim::Cycle DmaSubsystem::next_ready_cycle(sim::Cycle now) const {
   return next;
 }
 
-u64 DmaSubsystem::backlog_bytes() const {
-  u64 total = 0;
-  for (const DmaEngine& e : engines_) {
-    total += e.backlog_bytes();
-  }
-  return total;
-}
-
 bool DmaSubsystem::idle() const {
   return std::all_of(engines_.begin(), engines_.end(),
                      [](const DmaEngine& e) { return e.idle(); });
@@ -241,13 +247,14 @@ bool DmaSubsystem::idle() const {
 void DmaSubsystem::reset() {
   engines_.clear();
   for (u32 i = 0; i < num_groups_ * engines_per_group_; ++i) {
-    engines_.emplace_back(cfg_, gmem_latency_);
+    engines_.emplace_back(cfg_, gmem_bytes_per_cycle_, gmem_latency_);
   }
   for (DmaRetireTracker& tracker : trackers_) {
     tracker.reset();
   }
   std::fill(dispatch_rr_.begin(), dispatch_rr_.end(), 0);
   step_rr_ = 0;
+  backlog_bytes_ = 0;
   busy_cycles_ = 0;
   queue_full_stall_cycles_ = 0;
   apply_trace();  // reset() recreated the engines; re-attach their tracks

@@ -27,6 +27,7 @@
 // for); the runtime's barrier fences, covering the cross-core case.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <vector>
 
@@ -101,7 +102,9 @@ class DmaRetireTracker {
 /// One DMA engine: a bounded descriptor queue served in FIFO order.
 class DmaEngine {
  public:
-  DmaEngine(const DmaConfig& cfg, u32 gmem_latency);
+  /// `channel_bytes_per_cycle` is the gmem channel's width: with the port
+  /// width it bounds how fast this engine can be granted bytes.
+  DmaEngine(const DmaConfig& cfg, u32 channel_bytes_per_cycle, u32 gmem_latency);
 
   bool can_accept() const { return pending() < max_outstanding_; }
   /// Queue a descriptor; `now` only timestamps the trace's "staged"
@@ -121,13 +124,6 @@ class DmaEngine {
   /// completion-latency window). This is what software polls as kDmaStatus.
   u32 pending() const;
 
-  /// Channel bytes this engine still wants: the active descriptor's
-  /// ungranted remainder plus every queued descriptor. Descriptors in the
-  /// completion-latency window claim nothing and do not count. Maintained
-  /// incrementally (push adds, grants subtract) — Cluster::step reads it
-  /// every cycle for the channel arbiter's demand signal.
-  u64 backlog_bytes() const { return backlog_bytes_; }
-
   /// Advance one cycle; returns bytes granted (progress for deadlock
   /// detection). Must run after GlobalMemory::step so the cycle's scalar
   /// traffic has first claim on the byte budget. Retiring descriptors are
@@ -135,31 +131,47 @@ class DmaEngine {
   u32 step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm,
            DmaRetireTracker& tracker);
 
+  /// step(now) would change nothing: no completion is due, and the engine
+  /// either has no backlog or is mid-transfer while the cycle's channel
+  /// budget (`budget_left`) is spent. An inactive engine with a queued
+  /// descriptor is never inert: its step activates the descriptor (and
+  /// opens its trace span) even when no byte is granted.
+  bool inert(sim::Cycle now, u64 budget_left) const {
+    if (!completing_.empty() && completing_.front().done_at <= now) {
+      return false;
+    }
+    return backlog_bytes_ == 0 || (active_ && budget_left == 0);
+  }
+
   bool idle() const { return pending() == 0; }
   u64 bytes_moved() const { return bytes_moved_; }
   u64 descriptors_completed() const { return descriptors_completed_; }
 
-  /// Next cycle this engine does observable work, for the cluster's
-  /// idle-cycle fast-forward. An engine with channel backlog claims bytes
-  /// every cycle, so the answer is `now + 1`; otherwise the only pending
-  /// event is the oldest completion-latency expiry (`done_at` is monotone),
-  /// or kNever when fully idle.
+  /// A lower bound on the cycle this engine next retires a descriptor
+  /// (and so can fire a completion wake), for the cluster's wake oracle;
+  /// kNever when fully idle. It is the earlier of the oldest completion's
+  /// `done_at` and, while bytes remain ungranted, the soonest the front
+  /// descriptor could retire: its ungranted bytes need at least
+  /// ceil(bytes / min(channel, port width)) more cycles of grants,
+  /// starting at `now + 1`, and the completion window then adds
+  /// max(gmem latency, 1) (a completion pushed in cycle c is checked from
+  /// c + 1 on). No later descriptor can retire before the front one.
   sim::Cycle next_ready_cycle(sim::Cycle now) const {
+    sim::Cycle next = completing_.empty() ? sim::kNever : completing_.front().done_at;
     if (backlog_bytes_ > 0) {
-      return now + 1;
+      const u64 front = active_ ? current_.total_bytes() - granted_bytes_
+                                : queue_.front().total_bytes();
+      next = std::min<sim::Cycle>(
+          next, now + (front + max_grant_per_cycle_ - 1) / max_grant_per_cycle_ +
+                    std::max<u32>(gmem_latency_, 1));
     }
-    if (!completing_.empty()) {
-      return completing_.front().done_at;
-    }
-    return sim::kNever;
+    return next;
   }
 
  private:
-  void move_word(const DmaDescriptor& d, u32 word_index, GlobalMemory& gmem,
-                 DmaSpmPort& spm);
-
   u32 max_outstanding_;
   u32 port_bytes_per_cycle_;
+  u32 max_grant_per_cycle_;  ///< min(channel width, port width)
   u32 gmem_latency_;
 
   struct Completion {
@@ -172,8 +184,16 @@ class DmaEngine {
   bool active_ = false;
   DmaDescriptor current_;
   u64 granted_bytes_ = 0;  ///< channel bytes claimed for `current_`
-  u32 moved_words_ = 0;    ///< words functionally moved for `current_`
-  u64 backlog_bytes_ = 0;  ///< ungranted bytes across queue_ + current_
+  u64 moved_bytes_ = 0;    ///< bytes functionally moved for `current_`
+  // Word cursor of `current_`: the next word's gmem row start and byte
+  // offset within that row, and its SPM address (the SPM side is linear).
+  u32 gmem_row_ = 0;
+  u32 row_off_ = 0;
+  u32 spm_addr_ = 0;
+  // Channel bytes this engine still wants: the active descriptor's
+  // ungranted remainder plus every queued descriptor (descriptors in the
+  // completion-latency window claim nothing). Push adds, grants subtract.
+  u64 backlog_bytes_ = 0;
   std::deque<Completion> completing_;  ///< descriptors awaiting latency
 
   u64 bytes_moved_ = 0;
@@ -215,22 +235,25 @@ class DmaSubsystem {
   /// with ticket <= retired(group) has completed.
   u64 retired(u32 group) const { return trackers_[group].watermark(); }
 
-  /// Advance every engine one cycle; returns total bytes granted.
+  /// Advance every engine one cycle; returns total bytes granted. Engines
+  /// whose step would change nothing (DmaEngine::inert) are passed over.
   u32 step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm);
 
   /// Aggregate channel-byte backlog of every engine — the bulk-demand
-  /// signal the gmem bounded-share arbiter reserves against.
-  u64 backlog_bytes() const;
+  /// signal the gmem bounded-share arbiter reserves against. A running sum
+  /// (push adds, step subtracts): Cluster::step reads it every cycle.
+  u64 backlog_bytes() const { return backlog_bytes_; }
 
-  /// Minimum next_ready_cycle over every engine (kNever when all idle).
+  /// Minimum next_ready_cycle over every engine (kNever when all idle): a
+  /// lower bound on the next retire or completion wake.
   sim::Cycle next_ready_cycle(sim::Cycle now) const;
 
   /// Account `span` skipped cycles: the per-cycle engine-service rotation
   /// advances exactly as if step() had run `span` times (it rotates once
   /// per cycle and determines engine service order, so a fast-forward jump
-  /// must leave it bit-identical to the ticked run). Engines themselves
-  /// have no per-idle-cycle state — only valid while next_ready_cycle()
-  /// lies beyond the skipped span.
+  /// must leave it bit-identical to the ticked run). Only valid while
+  /// every engine would be inert over the span: no backlog (a backlog is
+  /// stepped, not skipped) and next_ready_cycle() beyond it.
   void skip_cycles(u64 span) {
     const u32 n = static_cast<u32>(engines_.size());
     step_rr_ = n == 0 ? 0 : static_cast<u32>((step_rr_ + span % n) % n);
@@ -248,11 +271,14 @@ class DmaSubsystem {
   u32 num_groups_;
   u32 engines_per_group_;
   DmaConfig cfg_;
+  u32 gmem_bytes_per_cycle_;
   u32 gmem_latency_;
   std::vector<DmaEngine> engines_;
+  std::vector<u32> engine_group_;  ///< group of each engine (its tracker)
   std::vector<DmaRetireTracker> trackers_;  ///< one per group
   std::vector<u32> dispatch_rr_;  ///< per-group round-robin cursor
   u32 step_rr_ = 0;               ///< rotates per-cycle engine service order
+  u64 backlog_bytes_ = 0;         ///< sum of the engines' backlogs
   u64 busy_cycles_ = 0;           ///< cycles any engine moved bytes
   u64 queue_full_stall_cycles_ = 0;
   obs::Trace* trace_ = nullptr;   ///< kept so reset() can re-attach

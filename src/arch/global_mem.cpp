@@ -20,29 +20,26 @@ GlobalMemory::GlobalMemory(u32 base, u64 size, u32 bytes_per_cycle, u32 latency,
       size_(size),
       bytes_per_cycle_(bytes_per_cycle),
       latency_(latency),
-      arbiter_(arbiter) {}
+      arbiter_(arbiter),
+      pages_((size + kPageWords * 4 - 1) / (kPageWords * 4)) {}
 
 u32& GlobalMemory::word_ref(u32 addr) {
   MP3D_ASSERT_MSG(addr >= base_ && static_cast<u64>(addr) - base_ < size_,
                   "gmem address out of range: 0x" << std::hex << addr);
   const u32 word = (addr - base_) / 4;
-  const u32 page = word / kPageWords;
-  auto& storage = pages_[page];
-  if (storage.empty()) {
-    storage.assign(kPageWords, 0);
+  std::vector<u32>& page = pages_[word / kPageWords];
+  if (page.empty()) {
+    page.assign(kPageWords, 0);
   }
-  return storage[word % kPageWords];
+  return page[word % kPageWords];
 }
 
 u32 GlobalMemory::word_at(u32 addr) const {
   MP3D_ASSERT_MSG(addr >= base_ && static_cast<u64>(addr) - base_ < size_,
                   "gmem address out of range: 0x" << std::hex << addr);
   const u32 word = (addr - base_) / 4;
-  const auto it = pages_.find(word / kPageWords);
-  if (it == pages_.end() || it->second.empty()) {
-    return 0;
-  }
-  return it->second[word % kPageWords];
+  const std::vector<u32>& page = pages_[word / kPageWords];
+  return page.empty() ? 0 : page[word % kPageWords];
 }
 
 void GlobalMemory::clobber_reservations(u32 word_addr, u16 writer) {
@@ -62,12 +59,6 @@ u32 GlobalMemory::read_word(u32 addr) const { return word_at(addr & ~3U); }
 void GlobalMemory::write_word(u32 addr, u32 value) {
   clobber_reservations(addr & ~3U, kFunctionalWriter);
   word_ref(addr & ~3U) = value;
-}
-
-void GlobalMemory::write_block(u32 addr, const std::vector<u32>& words) {
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    write_word(addr + static_cast<u32>(i) * 4, words[i]);
-  }
 }
 
 void GlobalMemory::enqueue(const MemRequest& request, sim::Cycle /*now*/) {

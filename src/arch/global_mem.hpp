@@ -3,7 +3,8 @@
 //
 // The paper idealizes off-chip latency and sweeps only the bandwidth
 // (4..64 B/cycle); we do the same: a FIFO request stream is served from a
-// per-cycle byte budget, plus a small fixed latency. Storage is sparse so a
+// per-cycle byte budget, plus a small fixed latency. Storage is a table of
+// 64 KiB pages indexed by page number, each allocated on first write, so a
 // 64 MiB window costs only what is touched.
 //
 // The per-cycle byte budget is arbitrated between two traffic classes: the
@@ -16,7 +17,6 @@
 #pragma once
 
 #include <deque>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,7 +38,6 @@ class GlobalMemory {
   // ---- functional backdoor (host access, program loading) ----------------
   u32 read_word(u32 addr) const;
   void write_word(u32 addr, u32 value);
-  void write_block(u32 addr, const std::vector<u32>& words);
 
   // ---- timed interface -----------------------------------------------------
   /// Enqueue a scalar request (always accepted; the paper's model has no
@@ -94,17 +93,17 @@ class GlobalMemory {
   /// trace is balanced.
   void close_trace_spans(sim::Cycle now);
 
-  /// Next cycle this memory does observable work, for the cluster's
-  /// idle-cycle fast-forward. While the scalar FIFO holds requests, bulk
-  /// demand or deficit credit is outstanding, or an arbiter stall span is
-  /// open, per-cycle state (budget arbitration, credit accrual/zeroing,
-  /// stall verdicts and their trace events) must evolve tick by tick, so
-  /// the answer is `now + 1`. Otherwise the only pending event is the
+  /// Earliest cycle the scalar side can complete something — a response
+  /// or an icache refill — for the cluster's wake oracle. While the scalar
+  /// FIFO holds requests, service order and stall verdicts are decided
+  /// cycle by cycle, so the answer is `now + 1`. Otherwise it is the
   /// oldest in-flight completion (`done_at` is monotone), or kNever when
-  /// fully drained.
+  /// nothing is in flight. Bulk traffic never completes anything here (the
+  /// DMA engines own their completions), so bulk demand, arbiter credit
+  /// and open stall spans do not pin the next cycle; they only need the
+  /// per-cycle step() to run, which bulk_quiet() reports.
   sim::Cycle next_completion_cycle(sim::Cycle now) const {
-    if (!queue_.empty() || pending_bulk_demand_ > 0 || bulk_credit_x100_ > 0 ||
-        in_bulk_stall_ || in_scalar_stall_) {
+    if (!queue_.empty()) {
       return now + 1;
     }
     if (!in_flight_.empty()) {
@@ -112,6 +111,19 @@ class GlobalMemory {
     }
     return sim::kNever;
   }
+
+  /// No bulk demand was reported to the last step(), no arbiter credit is
+  /// outstanding and no stall span is open: with an empty DMA backlog, a
+  /// step() would change nothing but the clock. Until then a fast-forward
+  /// jump must keep stepping this memory cycle by cycle.
+  bool bulk_quiet() const {
+    return pending_bulk_demand_ == 0 && bulk_credit_x100_ == 0 && !in_bulk_stall_ &&
+           !in_scalar_stall_;
+  }
+
+  /// Bytes of the current cycle's budget still unclaimed (after step()
+  /// and every claim_bulk() so far this cycle).
+  u64 budget_left() const { return budget_; }
 
   bool idle() const { return queue_.empty() && in_flight_.empty(); }
   u64 bytes_transferred() const { return bytes_transferred_; }
@@ -152,7 +164,9 @@ class GlobalMemory {
   u64 budget_ = 0;  ///< carried byte budget within the current cycle only
   std::deque<Item> queue_;
   std::deque<InFlight> in_flight_;
-  std::unordered_map<u32, std::vector<u32>> pages_;
+  /// Page table over the window, indexed by page number; a page stays an
+  /// empty vector until its first write.
+  std::vector<std::vector<u32>> pages_;
 
   // ---- bounded-share arbiter state ---------------------------------------
   // Credit owed to the bulk class, in hundredths of a byte so a share like

@@ -1,6 +1,7 @@
 // SPDX-License-Identifier: Apache-2.0
 #include "arch/params.hpp"
 
+#include <iterator>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -60,6 +61,30 @@ void ClusterConfig::validate() const {
   MP3D_CHECK(local_net_pipe >= 1 && global_net_pipe >= 1,
              "network pipes need at least one register stage");
   MP3D_CHECK(gmem_size >= MiB(1), "global memory window too small");
+  // Address windows: word-aligned bases, one-past-the-end addresses that
+  // are still 32-bit addresses, and no overlap (AddrMap::classify would
+  // silently resolve an overlap in favour of the SPM).
+  struct Window {
+    const char* name;
+    u64 base;
+    u64 size;
+  };
+  const Window windows[] = {{"SPM", spm_base, spm_capacity},
+                            {"ctrl", ctrl_base, kCtrlWindowBytes},
+                            {"gmem", gmem_base, gmem_size}};
+  for (const Window& w : windows) {
+    MP3D_CHECK(w.base % 4 == 0, w.name << " base must be word aligned");
+    MP3D_CHECK(w.size <= 0xFFFF'FFFFULL - w.base,
+               w.name << " window must end below 2^32");
+  }
+  for (std::size_t i = 0; i < std::size(windows); ++i) {
+    for (std::size_t j = i + 1; j < std::size(windows); ++j) {
+      const Window& a = windows[i];
+      const Window& b = windows[j];
+      MP3D_CHECK(a.base + a.size <= b.base || b.base + b.size <= a.base,
+                 a.name << " and " << b.name << " address windows overlap");
+    }
+  }
   MP3D_CHECK(port_queue_depth >= 1, "port queues need at least one entry");
   MP3D_CHECK(dma.engines_per_group >= 1 && dma.engines_per_group <= 8,
              "1..8 DMA engines per group");

@@ -103,6 +103,9 @@ struct TelemetryConfig {
   bool enabled() const { return sample_window > 0 || trace; }
 };
 
+/// Size of the control-peripheral address window at ClusterConfig::ctrl_base.
+inline constexpr u32 kCtrlWindowBytes = 0x1000;
+
 struct ClusterConfig {
   // ----- topology ---------------------------------------------------------
   u32 num_groups = 4;        ///< groups per cluster (2x2 physical arrangement)
@@ -117,7 +120,7 @@ struct ClusterConfig {
 
   // ----- address map ------------------------------------------------------
   u32 spm_base = 0x0000'0000;
-  u32 ctrl_base = 0x4000'0000;
+  u32 ctrl_base = 0x4000'0000;  ///< window of kCtrlWindowBytes
   u32 gmem_base = 0x8000'0000;
 
   // ----- interconnect timing ---------------------------------------------

@@ -18,14 +18,22 @@
 //   horizon()         boundaries that must land exactly but wake nothing
 //                     (telemetry samples, profiler strides, qos windows,
 //                     per-job cycle caps); kNever when there are none;
-//   skip_to(target)   jump the clock to target - 1, charging the skipped
-//                     cycles exactly as if each had ticked.
+//   skip_to(target)   jump the clock to exactly target - 1, leaving every
+//                     observable as if each skipped cycle had ticked. The
+//                     jump may itself do work on the way (a Cluster steps
+//                     its gmem channel and DMA engines through a bulk
+//                     streaming span), but none of the events next_wake
+//                     bounds: no core wakes inside it. Returns the last
+//                     skipped cycle that advanced activity(), or 0 if
+//                     none did.
 //
 // A jump lands one cycle before the earliest of next_wake, horizon,
 // max_cycles and the watchdog deadline, so that cycle itself runs through
 // the normal phase order and every observable matches a ticked run. The
-// watchdog consults next_wake only: a horizon is not work, so telemetry or
-// profiling never hides a hang.
+// watchdog takes its last-progress cycle from skip_to's answer, so a
+// deadlock verdict lands on the ticked run's cycle too. It consults
+// next_wake only: a horizon is not work, so telemetry or profiling never
+// hides a hang.
 #pragma once
 
 #include <algorithm>
@@ -52,7 +60,10 @@ RunEnd drive(Model& model, u64 max_cycles) {
       if (target > floor) {
         target = std::min(target, model.horizon());
         if (target > floor) {
-          model.skip_to(target);
+          if (const Cycle active_at = model.skip_to(target); active_at != 0) {
+            last_activity = model.activity();
+            last_activity_cycle = active_at;
+          }
         }
       }
     }

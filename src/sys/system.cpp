@@ -302,15 +302,20 @@ sim::Cycle System::horizon() const {
   return next;
 }
 
-void System::skip_to(sim::Cycle target) {
+sim::Cycle System::skip_to(sim::Cycle target) {
+  sim::Cycle last_active = 0;
   for (u32 k = 0; k < num_clusters(); ++k) {
     if (seats_[k].state == ClusterState::kRunning) {
-      clusters_[k]->skip_to(target - seats_[k].offset);
+      const sim::Cycle local = clusters_[k]->skip_to(target - seats_[k].offset);
+      if (local != 0) {
+        last_active = std::max(last_active, local + seats_[k].offset);
+      }
     }
   }
   const u64 span = target - cycle_ - 1;
   sdma_->skip_cycles(span);
   cycle_ += span;
+  return last_active;
 }
 
 SystemResult System::assemble_result(bool deadlock, bool hit_max) {

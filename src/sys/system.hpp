@@ -152,7 +152,7 @@ class System {
   bool may_skip() const;
   sim::Cycle next_wake(sim::Cycle bound) const;
   sim::Cycle horizon() const;
-  void skip_to(sim::Cycle target);
+  sim::Cycle skip_to(sim::Cycle target);
 
   void dispatch_jobs();
   void begin_staging_in(u32 k, const JobSpec& spec);

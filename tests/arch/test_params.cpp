@@ -148,6 +148,32 @@ TEST(ClusterConfig, ClusterRejectsInvalidConfigBeforeBuildingAnything) {
   EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
 }
 
+TEST(ClusterConfig, RejectsBadAddressWindows) {
+  // Overlapping windows: AddrMap::classify would turn the gmem (or ctrl)
+  // addresses inside the SPM window into SPM accesses without a word.
+  ClusterConfig cfg = ClusterConfig::mini();
+  cfg.gmem_base = cfg.spm_base;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+
+  cfg = ClusterConfig::mini();
+  cfg.ctrl_base = cfg.gmem_base + 0x1000;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+
+  // Windows that leave the 32-bit address space.
+  cfg = ClusterConfig::mini();
+  cfg.gmem_size = MiB(8192);
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+
+  cfg = ClusterConfig::mini();
+  cfg.spm_base = 0xFFFF'0000;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+
+  // A base that is not word aligned.
+  cfg = ClusterConfig::mini();
+  cfg.gmem_base = 0x8000'0002;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
 TEST(ClusterConfig, ToStringMentionsShape) {
   const std::string s = ClusterConfig::mempool(MiB(4)).to_string();
   EXPECT_NE(s.find("256 cores"), std::string::npos);

@@ -7,6 +7,7 @@
 // matrix of random programs x configurations comparing both paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -117,9 +118,10 @@ TEST(FastForwardSources, DmaNextReadyTracksBacklogAndCompletion) {
   d.rows = 1;
   d.to_spm = true;
   dma.push(0, d);
-  // Backlog bytes remain: the engine claims bandwidth every cycle, so the
-  // span is not skippable.
-  EXPECT_EQ(dma.next_ready_cycle(10), 11U);
+  // Backlog bytes remain: the descriptor cannot retire before its 64 B are
+  // granted at min(16 B/cycle channel, 64 B/cycle port), 4 cycles, plus
+  // the 4-cycle completion latency.
+  EXPECT_EQ(dma.next_ready_cycle(10), 18U);
 
   std::vector<arch::MemResponse> responses;
   std::vector<u32> refills;
@@ -140,6 +142,127 @@ TEST(FastForwardSources, DmaNextReadyTracksBacklogAndCompletion) {
   }
   EXPECT_TRUE(dma.idle());
   EXPECT_EQ(dma.next_ready_cycle(cycle), sim::kNever);
+}
+
+/// Random descriptor mixes over random channel, port, latency and arbiter
+/// settings: next_ready_cycle(now) must be a lower bound on the next
+/// retire — the cycle a group's pending() count drops or a completion wake
+/// fires. A recorded bound holds until the next push (new work may retire
+/// sooner, but pushing takes an awake core, which ends any jump).
+TEST(FastForwardSources, DmaNextReadyIsALowerBoundOnEveryRetire) {
+  Prng prng(0xB0B0D0D0ULL);
+  u64 retires = 0;
+  u64 tight = 0;
+  u64 early = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    arch::ClusterConfig cfg = arch::ClusterConfig::mini();
+    cfg.num_groups = std::vector<u32>{1, 2, 4}[prng.below(3)];
+    cfg.tiles_per_group = 2;
+    cfg.dma.engines_per_group = static_cast<u32>(prng.range(1, 3));
+    cfg.dma.bytes_per_cycle = 4 * static_cast<u32>(prng.range(1, 16));
+    cfg.gmem_bytes_per_cycle = static_cast<u32>(prng.range(4, 64));
+    cfg.gmem_latency = std::vector<u32>{0, 1, 4, 300}[prng.below(4)];
+    cfg.gmem_arbiter.bulk_min_pct = prng.chance(0.5) ? 30 : 0;
+    cfg.validate();
+    arch::GlobalMemory gmem(cfg.gmem_base, cfg.gmem_size, cfg.gmem_bytes_per_cycle,
+                            cfg.gmem_latency, cfg.gmem_arbiter);
+    arch::DmaSubsystem dma(cfg);
+    FakeSpm spm;
+    std::vector<arch::MemResponse> responses;
+    std::vector<u32> refills;
+    std::vector<u32> pending(cfg.num_groups, 0);
+
+    sim::Cycle promise = 0;  // no retire before this cycle
+    const auto record = [&](sim::Cycle now) {
+      promise = std::max(promise, dma.next_ready_cycle(now));
+    };
+    const u32 cycles = 300 + cfg.gmem_latency * 2;
+    for (sim::Cycle now = 1; now <= cycles; ++now) {
+      responses.clear();
+      refills.clear();
+      gmem.step(now, responses, refills, dma.backlog_bytes());
+      const std::size_t wakes = spm.wakes_.size();
+      dma.step(now, gmem, spm);
+      bool retired = spm.wakes_.size() != wakes;
+      for (u32 g = 0; g < cfg.num_groups; ++g) {
+        retired = retired || dma.pending(g) < pending[g];
+        pending[g] = dma.pending(g);
+      }
+      if (retired) {
+        ++retires;
+        early += now < promise ? 1 : 0;
+        tight += now == promise ? 1 : 0;
+      }
+      record(now);
+      // Scalar traffic competes for the channel (and the bulk reserve).
+      if (prng.chance(0.1)) {
+        arch::MemRequest req;
+        req.addr = cfg.gmem_base + 4 * static_cast<u32>(prng.below(1024));
+        req.op = isa::Op::kLw;
+        gmem.enqueue(req, now);
+      }
+      if (now < cycles / 2 && prng.chance(0.08)) {
+        const u32 group = static_cast<u32>(prng.below(cfg.num_groups));
+        if (dma.can_accept(group)) {
+          arch::DmaDescriptor d;
+          d.bytes_per_row = 4 * static_cast<u32>(prng.range(1, 48));
+          d.rows = static_cast<u32>(prng.range(1, 3));
+          d.gmem_stride = d.bytes_per_row + 4 * static_cast<u32>(prng.below(4));
+          d.to_spm = prng.chance(0.5);
+          d.src = d.to_spm ? cfg.gmem_base : 0x1000;
+          d.dst = d.to_spm ? 0x1000 : cfg.gmem_base;
+          d.waker = prng.chance(0.5) ? group : arch::kDmaNoWaker;
+          dma.push(group, d, now);
+          pending[group] = dma.pending(group);
+          promise = 0;  // new work voids the earlier bounds
+          record(now);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(early, 0U) << "of " << retires << " retires";
+  EXPECT_GT(retires, 1000U);
+  EXPECT_GT(tight, 0U);  // the bound is reached, not just respected
+}
+
+/// On one uncontended engine the bound is exact: the retire lands on the
+/// cycle next_ready_cycle() predicted when the descriptor was pushed.
+TEST(FastForwardSources, DmaNextReadyIsTightOnAnUncontendedEngine) {
+  struct Widths {
+    u32 channel;
+    u32 port;
+  };
+  for (const Widths w : {Widths{12, 8}, Widths{8, 16}}) {
+    for (const u32 latency : {0U, 1U, 4U, 300U}) {
+      for (const u32 bytes : {4U, 60U, 64U, 1000U}) {
+        arch::ClusterConfig cfg = arch::ClusterConfig::mini();
+        cfg.gmem_latency = latency;
+        cfg.gmem_bytes_per_cycle = w.channel;
+        cfg.dma.bytes_per_cycle = w.port;
+        arch::GlobalMemory gmem(cfg.gmem_base, cfg.gmem_size, cfg.gmem_bytes_per_cycle,
+                                cfg.gmem_latency);
+        arch::DmaSubsystem dma(cfg);
+        FakeSpm spm;
+        arch::DmaDescriptor d;
+        d.src = cfg.gmem_base;
+        d.dst = 0x1000;
+        d.bytes_per_row = bytes;
+        dma.push(0, d, 0);
+        const sim::Cycle predicted = dma.next_ready_cycle(0);
+        EXPECT_EQ(predicted, (bytes + 7) / 8 + std::max(latency, 1U));  // 8 B/cycle
+        std::vector<arch::MemResponse> responses;
+        std::vector<u32> refills;
+        sim::Cycle now = 0;
+        while (dma.pending(0) > 0) {
+          ++now;
+          gmem.step(now, responses, refills, dma.backlog_bytes());
+          dma.step(now, gmem, spm);
+        }
+        EXPECT_EQ(now, predicted) << "channel " << w.channel << ", port " << w.port
+                                  << ", latency " << latency << ", " << bytes << " B";
+      }
+    }
+  }
 }
 
 TEST(FastForwardSources, NocNextEventCoversQueuesAndPipes) {
@@ -287,6 +410,53 @@ _start:
   }
 }
 
+TEST(FastForwardCluster, DeadlockAfterStreamedDmaFiresAtTheSameCycle) {
+  // Core 0 launches an 8 KiB load nobody waits for, then every core sleeps
+  // for good. The transfer streams inside fast-forward jumps, and the
+  // watchdog must still count its window from the last granted byte, as
+  // in the ticked run.
+  const arch::ClusterConfig cfg = arch::ClusterConfig::tiny();
+  const std::string src = ctrl_prelude(cfg) + R"(
+.text 0x80000000
+_start:
+    csrr t0, mhartid
+    bnez t0, sleep
+    li t1, DMA_SRC
+    li t2, 0x80100000
+    sw t2, 0(t1)
+    li t1, DMA_DST
+    li t2, 0x1000
+    sw t2, 0(t1)
+    li t1, DMA_LEN
+    li t2, 8192
+    sw t2, 0(t1)
+    li t1, DMA_START
+    sw zero, 0(t1)
+sleep:
+    wfi
+    j sleep
+)";
+  const arch::RunResult on = run_with_ff(cfg, src, true, 500'000);
+  const arch::RunResult off = run_with_ff(cfg, src, false, 500'000);
+  EXPECT_TRUE(on.deadlock);
+  EXPECT_EQ(on.counters.get("dma.bytes"), 8192U);
+  expect_identical(on, off);
+
+  // The System's watchdog takes the same cycle from its clusters' jumps.
+  isa::AsmOptions options;
+  options.default_base = cfg.gmem_base;
+  kernels::Kernel streamer;
+  streamer.name = "stream_then_sleep";
+  streamer.program = isa::assemble(src, options);
+  sys::SystemConfig scfg;
+  scfg.num_clusters = 1;
+  scfg.cluster = cfg;
+  sys::System system(scfg);
+  const sys::SystemResult r = system.run_kernel(streamer, 500'000);
+  EXPECT_TRUE(r.deadlock);
+  EXPECT_EQ(r.cycles, on.cycles);
+}
+
 TEST(FastForwardCluster, MaxCyclesIsRespectedAcrossAJump) {
   // The jump target is clamped to max_cycles: a sleeping cluster must stop
   // at exactly the requested horizon, not beyond it.
@@ -428,7 +598,9 @@ TEST(FastForwardFuzz, RandomBarrierProgramsAreBitIdentical) {
 }
 
 /// DMA-staged kernel equivalence across the config matrix: engines per
-/// group, bulk share, adaptive qos, telemetry on/off. The staged AXPY
+/// group, bulk share, adaptive qos, telemetry on/off, and multi-group
+/// clusters whose engines share a narrow channel — several engines granted
+/// bytes in one cycle, streamed inside fast-forward jumps. The staged AXPY
 /// sleeps its leaders on DMA completions and everyone else on barriers —
 /// jump-heavy by construction — and carries markers so their cycles are
 /// compared too. Final memory is read back word-for-word.
@@ -437,6 +609,13 @@ struct MatrixPoint {
   u32 bulk_pct;
   bool qos;
   bool telemetry;
+  u32 groups = 1;
+  u32 tiles_per_group = 4;
+  u64 spm = KiB(64);
+  u32 port = 64;      ///< DMA engine port, B/cycle
+  u32 channel = 16;   ///< gmem channel, B/cycle
+  u32 latency = 4;    ///< gmem latency, cycles
+  u32 n = 512;        ///< AXPY elements
 };
 
 TEST(FastForwardFuzz, DmaStagedKernelMatrixIsBitIdentical) {
@@ -446,10 +625,21 @@ TEST(FastForwardFuzz, DmaStagedKernelMatrixIsBitIdentical) {
       {1, 25, true, false},
       {2, 0, false, true},
       {1, 40, true, true},
+      // Several groups' engines on one 8..16 B/cycle channel through
+      // 4 B/cycle ports.
+      {1, 0, false, false, 2, 2, KiB(256), 4, 8, 0, 2048},
+      {2, 30, false, true, 4, 2, KiB(256), 4, 16, 1, 2048},
+      {1, 0, false, false, 2, 4, KiB(256), 4, 12, 300, 2048},
+      {2, 0, false, true, 4, 2, KiB(256), 4, 8, 4, 2048},
   };
   for (const MatrixPoint& p : points) {
-    arch::ClusterConfig cfg = arch::ClusterConfig::mini();
+    arch::ClusterConfig cfg = arch::ClusterConfig::mini(p.spm);
+    cfg.num_groups = p.groups;
+    cfg.tiles_per_group = p.tiles_per_group;
     cfg.dma.engines_per_group = p.engines;
+    cfg.dma.bytes_per_cycle = p.port;
+    cfg.gmem_bytes_per_cycle = p.channel;
+    cfg.gmem_latency = p.latency;
     cfg.gmem_arbiter.bulk_min_pct = p.bulk_pct;
     if (p.qos) {
       cfg.qos.enabled = true;
@@ -463,6 +653,7 @@ TEST(FastForwardFuzz, DmaStagedKernelMatrixIsBitIdentical) {
       cfg.telemetry.trace = true;
     }
     cfg.validate();
+    SCOPED_TRACE(cfg.to_string());
 
     const auto run_one = [&](bool ff, std::string* timeline,
                              std::string* trace_json,
@@ -471,7 +662,7 @@ TEST(FastForwardFuzz, DmaStagedKernelMatrixIsBitIdentical) {
       c.fast_forward = ff;
       arch::Cluster cluster(c);
       const kernels::Kernel k = kernels::build_axpy_staged(
-          c, 512, 3, /*use_dma=*/true, /*chunk=*/0, /*seed=*/7,
+          c, p.n, 3, /*use_dma=*/true, /*chunk=*/0, /*seed=*/7,
           /*markers=*/true);
       const arch::RunResult r = kernels::run_kernel(cluster, k, 10'000'000);
       // Read back a gmem window covering the kernel's staged output.
@@ -480,6 +671,10 @@ TEST(FastForwardFuzz, DmaStagedKernelMatrixIsBitIdentical) {
         const obs::Timeline* tl = cluster.telemetry()->timeline();
         *timeline = exp::rows_to_csv(tl->to_rows("ff"));
         *trace_json = obs::to_chrome_json(*cluster.telemetry()->trace());
+      }
+      if (cluster.fast_forward_enabled()) {
+        // The point exercises the jump path, not only the ticked one.
+        EXPECT_GT(cluster.fast_forwarded_cycles(), 0U);
       }
       return r;
     };
