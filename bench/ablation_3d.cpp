@@ -168,7 +168,6 @@ void register_cluster(exp::Registry& registry) {
 exp::Suite make_suite(const exp::CliOptions&) {
   exp::Suite suite;
   suite.name = "ablation_3d";
-  suite.perf_record = "sim_ablation_3d";
   suite.title = "Ablation studies around the paper's 3D design choices";
   register_beol(suite.registry);
   register_partition(suite.registry);

@@ -51,7 +51,6 @@ Point run_variant(u32 bw, bool use_dma) {
 exp::Suite make_suite(const exp::CliOptions&) {
   exp::Suite suite;
   suite.name = "dma_bandwidth";
-  suite.perf_record = "sim_dma_bandwidth";
   suite.title = "DMA vs core-driven matmul (mini cluster, m=" + std::to_string(kM) +
                 ", t=" + std::to_string(kT) + ")";
 

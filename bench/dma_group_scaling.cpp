@@ -54,7 +54,6 @@ exp::Suite make_suite(const exp::CliOptions& opt) {
 
   exp::Suite suite;
   suite.name = smoke ? "dma_group_scaling_smoke" : "dma_group_scaling";
-  suite.perf_record = "sim_dma_group_scaling";
   suite.title = std::string("group-parallel DMA streaming bandwidth") +
                 (smoke ? " (smoke)" : "") +
                 " [B/cycle, 8 B/cycle engine port, 64 B/cycle channel]";
@@ -77,7 +76,7 @@ exp::Suite make_suite(const exp::CliOptions& opt) {
       const double bw = static_cast<double>(r.counters.get("dma.bytes")) /
                         static_cast<double>(r.cycles);
       exp::ScenarioOutput out;
-      out.sim(r.cycles, r.total_instret());
+      out.sim(r.cycles);
       out.metric("bandwidth_bytes_per_cycle", bw);
       exp::Row row;
       row.cell("engines_per_group", static_cast<u64>(engines))

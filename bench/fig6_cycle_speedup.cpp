@@ -97,7 +97,6 @@ exp::Suite make_suite(const exp::CliOptions& opt) {
 
   exp::Suite suite;
   suite.name = "fig6_cycle_speedup";
-  suite.perf_record = "sim_fig6";
   suite.title = "Figure 6 - cycle-count speedup vs 1 MiB @ 4 B/cycle (model)";
   const bool measure = opt.extra("--measure");
   for (const double bw : bandwidths) {

@@ -51,7 +51,6 @@ exp::Scenario make_capacity_scenario(u64 capacity) {
 exp::Suite make_suite(const exp::CliOptions&) {
   exp::Suite suite;
   suite.name = "fig7_performance";
-  suite.perf_record = "sim_fig7";
   suite.title = "Figure 7 - performance gain vs MemPool-2D 1 MiB (16 B/cycle)";
   for (const u64 mib : {1, 2, 4, 8}) {
     suite.registry.add(make_capacity_scenario(MiB(mib)));

@@ -29,7 +29,6 @@ namespace {
 exp::Suite make_suite(const exp::CliOptions& opt) {
   exp::Suite suite;
   suite.name = opt.smoke ? "fig8_energy_smoke" : "fig8_energy";
-  suite.perf_record = "sim_fig8";
   suite.title = "Figure 8 - energy-efficiency gain (simulation-driven)";
   exp::register_energy_scenarios(suite.registry, opt.smoke,
                                  exp::EnergyFigure::kFig8Energy);

@@ -26,7 +26,6 @@ namespace {
 exp::Suite make_suite(const exp::CliOptions& opt) {
   exp::Suite suite;
   suite.name = opt.smoke ? "fig9_edp_smoke" : "fig9_edp";
-  suite.perf_record = "sim_fig9";
   suite.title = "Figure 9 - EDP variation (simulation-driven, lower=better)";
   exp::register_energy_scenarios(suite.registry, opt.smoke,
                                  exp::EnergyFigure::kFig9Edp);

@@ -30,7 +30,6 @@ exp::Suite make_suite(const exp::CliOptions& options) {
   const bool smoke = options.smoke;
   exp::Suite suite;
   suite.name = "gmem_arbiter";
-  suite.perf_record = "sim_gmem_arbiter";
   suite.title = "Bounded-share gmem channel arbiter sweep";
   exp::register_gmem_arbiter_scenarios(suite.registry, smoke);
 

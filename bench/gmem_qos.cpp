@@ -41,7 +41,6 @@ exp::Suite make_suite(const exp::CliOptions& options) {
   exp::Suite suite;
   suite.name = "gmem_qos";
   suite.title = "Mixed-tenancy QoS sweep (static shares vs adaptive controller)";
-  suite.perf_record = "sim_qos";
   exp::register_gmem_qos_scenarios(suite.registry, smoke);
 
   suite.report = [](const exp::SweepReport& report) {

@@ -103,7 +103,6 @@ exp::Suite make_suite(const exp::CliOptions& opt) {
 
   exp::Suite suite;
   suite.name = smoke ? "kernel_energy_smoke" : "kernel_energy";
-  suite.perf_record = "sim_kernel_energy";
   suite.title = std::string("simulation-derived kernel energy/EDP") +
                 (smoke ? " (smoke)" : "") + " [1 MiB cluster, 8 B/cycle gmem]";
 
@@ -135,7 +134,7 @@ exp::Suite make_suite(const exp::CliOptions& opt) {
       const power::EnergyReport r_3d = power::account(result.counters, em_3d, op_3d);
 
       exp::ScenarioOutput out;
-      out.sim(result.cycles, result.total_instret());
+      out.sim(result.cycles);
       out.metric("cycles", static_cast<double>(result.cycles))
           .metric("total_nj_2d", r_2d.total_nj())
           .metric("total_nj_3d", r_3d.total_nj())

@@ -2,14 +2,9 @@
 // Simulator-throughput benchmark and host-profiling harness: how fast does
 // the simulator itself run, and where does Cluster::step's wall clock go?
 //
-// Workload mix (one scenario each, min-of-N reps with the best rep as the
-// workload's wall clock):
-//   - speed/gmem_soak:    standalone bandwidth-limited GlobalMemory soak
+// Workload mix (one scenario each):
 //   - speed/matmul_dma:   DMA-staged matmul on the mini cluster, host
 //                         profiling on (the component-breakdown source)
-//   - speed/qos_adaptive: the same kernel under the adaptive-share
-//                         controller
-//   - speed/telemetry_on: the same kernel with windowed sampling + tracing
 //   - speed/prof_overhead: profiling-off vs profiling-on wall clock
 //   - speed/prof_identical: profiling-on counters bit-identical to off
 //   - speed/wfi_dma_staged: wfi-heavy DMA-staged kernel under a slow
@@ -17,15 +12,13 @@
 //   - speed/wfi_soak:     all-asleep DMA ping-pong soak, fast-forward
 //                         off vs on (the idle-cycle fast-forward showcase)
 //
-// Every scenario credits its simulated cycles, so the suite's perf record
-// (BENCH_sim_speed.json) carries per-workload host Mcycles/s plus the
-// prof.* component breakdown; CI's perf job compares that record against
-// the checked-in baseline and fails on a >10 % throughput regression.
+// Host speed itself is gated end to end by bench/e2e (bench/perf_ab.py).
 //
-// Gates: every workload reports sim work; the profiler's phase breakdown
-// covers >= 90 % of measured step time; profiling-on overhead stays under
-// 10 % (wall-clock gates skip under --smoke and sanitizers); profiling
-// never perturbs simulation counters.
+// Gates: the profiler's phase breakdown covers >= 90 % of measured step
+// time; profiling-on overhead stays under 10 % (wall-clock gates skip
+// under --smoke and sanitizers); profiling never perturbs simulation
+// counters; fast-forward is bit-identical and >= 3x faster on the wfi
+// workloads.
 #include <chrono>
 #include <cstdlib>
 #include <mutex>
@@ -33,7 +26,6 @@
 
 #include "arch/cluster.hpp"
 #include "bench_util.hpp"
-#include "exp/scenarios_gmem.hpp"
 #include "exp/suite.hpp"
 #include "isa/assembler.hpp"
 #include "kernels/matmul.hpp"
@@ -53,30 +45,19 @@ double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-// Full runs take the best of 5 reps per workload: the gated perf record
-// must time true simulator speed, not scheduler noise on a shared CI box.
+// Full runs time the best of 5 reps per side: the wall-clock gates must
+// compare true simulator speed, not scheduler noise on a shared CI box.
 int reps_for(bool smoke) { return smoke ? 1 : 5; }
 
-/// The profile exported by finalize(): the matmul_dma workload's last-rep
+/// The profile exported by finalize(): the matmul_dma workload's
 /// breakdown (scenarios may run on worker threads, hence the lock).
 std::mutex g_profile_mutex;
 prof::ProfileReport g_profile;
 bool g_have_profile = false;
 
-arch::ClusterConfig speed_config(bool qos, bool telemetry) {
+arch::ClusterConfig speed_config() {
   arch::ClusterConfig cfg = arch::ClusterConfig::mini();
   cfg.profiling.stride = kProfStride;
-  if (qos) {
-    cfg.qos.enabled = true;
-    cfg.qos.min_pct = 0;
-    cfg.qos.max_pct = 40;
-    cfg.qos.step_pct = 10;
-    cfg.qos.window = 64;
-  }
-  if (telemetry) {
-    cfg.telemetry.sample_window = 1024;
-    cfg.telemetry.trace = true;
-  }
   cfg.validate();
   return cfg;
 }
@@ -99,70 +80,32 @@ void record_breakdown(exp::ScenarioOutput& out, const prof::ProfileReport& rep) 
   out.metric("prof.sampled_cycles", static_cast<double>(rep.sampled_cycles));
 }
 
-/// Run a cluster workload `reps` times; credit one rep's simulated work
-/// and report the best rep's wall clock plus the last rep's profile.
-exp::ScenarioOutput run_cluster_workload(const arch::ClusterConfig& cfg,
-                                         bool smoke, bool keep_profile) {
-  const kernels::Kernel kernel = speed_kernel(cfg, smoke);
+/// Run the profiled matmul once and export its phase breakdown.
+exp::ScenarioOutput run_matmul_dma(bool smoke) {
+  const arch::ClusterConfig cfg = speed_config();
   arch::Cluster cluster(cfg);
-  double best_ms = 1e300;
-  arch::RunResult result;
-  for (int i = 0; i < reps_for(smoke); ++i) {
-    const auto start = Clock::now();
-    result = kernels::run_kernel(cluster, kernel, 100'000'000);
-    best_ms = std::min(best_ms, ms_since(start));
-  }
+  const arch::RunResult result =
+      kernels::run_kernel(cluster, speed_kernel(cfg, smoke), 100'000'000);
   exp::ScenarioOutput out;
-  out.sim(result.cycles, result.total_instret());
-  out.perf_wall_ms = best_ms;
+  out.sim(result.cycles);
   out.metric("cycles", static_cast<double>(result.cycles));
-  if (const prof::StepProfiler* profiler = cluster.profiler();
-      profiler != nullptr) {
-    const prof::ProfileReport rep = profiler->report();
-    record_breakdown(out, rep);
-    if (keep_profile) {
-      const std::lock_guard<std::mutex> lock(g_profile_mutex);
-      g_profile = rep;
-      g_have_profile = true;
-    }
+  const prof::ProfileReport rep = cluster.profiler()->report();
+  record_breakdown(out, rep);
+  {
+    const std::lock_guard<std::mutex> lock(g_profile_mutex);
+    g_profile = rep;
+    g_have_profile = true;
   }
   exp::Row row;
-  row.cell("workload", cfg.qos.enabled ? std::string("qos_adaptive")
-           : cfg.telemetry.enabled()   ? std::string("telemetry_on")
-                                       : std::string("matmul_dma"))
-      .cell("cycles", result.cycles);
-  out.row(std::move(row));
-  return out;
-}
-
-exp::ScenarioOutput run_gmem_soak_workload(bool smoke) {
-  exp::GmemSoakParams p;
-  p.bytes_per_cycle = 4;
-  p.bulk_min_pct = 50;
-  p.scalar_load_pct = exp::kSoakSaturatedLoadPct;
-  p.cycles = smoke ? 50'000 : 2'000'000;
-  double best_ms = 1e300;
-  exp::GmemSoakResult r;
-  for (int i = 0; i < reps_for(smoke); ++i) {
-    const auto start = Clock::now();
-    r = exp::run_gmem_soak(p);
-    best_ms = std::min(best_ms, ms_since(start));
-  }
-  exp::ScenarioOutput out;
-  out.sim(p.cycles);
-  out.perf_wall_ms = best_ms;
-  out.metric("cycles", static_cast<double>(p.cycles))
-      .metric("scalar_completed", static_cast<double>(r.scalar_completed));
-  exp::Row row;
-  row.cell("workload", std::string("gmem_soak")).cell("cycles", p.cycles);
+  row.cell("workload", std::string("matmul_dma")).cell("cycles", result.cycles);
   out.row(std::move(row));
   return out;
 }
 
 exp::ScenarioOutput run_prof_overhead(bool smoke) {
-  arch::ClusterConfig off = speed_config(false, false);
+  arch::ClusterConfig off = speed_config();
   off.profiling.stride = 0;
-  const arch::ClusterConfig on = speed_config(false, false);
+  const arch::ClusterConfig on = speed_config();
   const kernels::Kernel kernel = speed_kernel(off, smoke);
   // Interleave off/on reps so transient host load hits both sides alike;
   // min-of-N then converges to each side's true wall clock.
@@ -170,19 +113,15 @@ exp::ScenarioOutput run_prof_overhead(bool smoke) {
   arch::Cluster cluster_on(on);
   double wall_off = 1e300;
   double wall_on = 1e300;
-  u64 cycles_off = 0;
-  u64 cycles_on = 0;
+  exp::ScenarioOutput out;
   for (int i = 0; i < reps_for(smoke); ++i) {
     auto start = Clock::now();
-    cycles_off = kernels::run_kernel(cluster_off, kernel, 100'000'000).cycles;
+    out.sim(kernels::run_kernel(cluster_off, kernel, 100'000'000).cycles);
     wall_off = std::min(wall_off, ms_since(start));
     start = Clock::now();
-    cycles_on = kernels::run_kernel(cluster_on, kernel, 100'000'000).cycles;
+    out.sim(kernels::run_kernel(cluster_on, kernel, 100'000'000).cycles);
     wall_on = std::min(wall_on, ms_since(start));
   }
-  exp::ScenarioOutput out;
-  out.sim(cycles_off + cycles_on);
-  out.perf_wall_ms = wall_off + wall_on;
   out.metric("wall_off_ms", wall_off)
       .metric("wall_on_ms", wall_on)
       .metric("overhead", wall_off > 0.0 ? wall_on / wall_off - 1.0 : 0.0);
@@ -190,28 +129,18 @@ exp::ScenarioOutput run_prof_overhead(bool smoke) {
 }
 
 exp::ScenarioOutput run_prof_identical(bool smoke) {
-  arch::ClusterConfig off_cfg = speed_config(false, false);
+  arch::ClusterConfig off_cfg = speed_config();
   off_cfg.profiling.stride = 0;
-  const arch::ClusterConfig on_cfg = speed_config(false, false);
+  const arch::ClusterConfig on_cfg = speed_config();
   const kernels::Kernel kernel = speed_kernel(off_cfg, smoke);
-  double wall_ms = 0.0;
   const auto run_one = [&](const arch::ClusterConfig& cfg) {
     arch::Cluster cluster(cfg);
-    double best = 1e300;
-    arch::RunResult result;
-    for (int i = 0; i < reps_for(smoke); ++i) {
-      const auto start = Clock::now();
-      result = kernels::run_kernel(cluster, kernel, 100'000'000);
-      best = std::min(best, ms_since(start));
-    }
-    wall_ms += best;
-    return result;
+    return kernels::run_kernel(cluster, kernel, 100'000'000);
   };
   const arch::RunResult off = run_one(off_cfg);
   const arch::RunResult on = run_one(on_cfg);
   exp::ScenarioOutput out;
-  out.sim(off.cycles + on.cycles, off.total_instret() + on.total_instret());
-  out.perf_wall_ms = wall_ms;
+  out.sim(off.cycles + on.cycles);
   out.metric("identical",
              (off.cycles == on.cycles && off.counters == on.counters) ? 1.0 : 0.0)
       .metric("cycles", static_cast<double>(off.cycles));
@@ -232,15 +161,14 @@ bool ff_env_forced() { return std::getenv("MP3D_FAST_FORWARD") != nullptr; }
 struct FfContrast {
   double wall_off_ms = 1e300;
   double wall_on_ms = 1e300;
-  u64 cycles = 0;
-  u64 instret = 0;
+  u64 cycles = 0;      ///< one off run plus one on run
+  u64 sim_cycles = 0;  ///< every rep's off and on runs
   bool identical = false;
 };
 
 exp::ScenarioOutput ff_contrast_output(const FfContrast& c) {
   exp::ScenarioOutput out;
-  out.sim(2 * c.cycles, 2 * c.instret);
-  out.perf_wall_ms = c.wall_off_ms + c.wall_on_ms;
+  out.sim(c.sim_cycles);
   out.metric("wall_off_ms", c.wall_off_ms)
       .metric("wall_on_ms", c.wall_on_ms)
       .metric("speedup", c.wall_on_ms > 0.0 ? c.wall_off_ms / c.wall_on_ms : 0.0)
@@ -280,9 +208,9 @@ exp::ScenarioOutput run_wfi_dma_staged(bool smoke) {
     on = kernels::run_kernel(cluster_on, kernel, 100'000'000,
                              /*warm_icache=*/true);
     c.wall_on_ms = std::min(c.wall_on_ms, ms_since(start));
+    c.sim_cycles += off.cycles + on.cycles;
   }
   c.cycles = off.cycles + on.cycles;
-  c.instret = off.total_instret() + on.total_instret();
   c.identical = off.cycles == on.cycles && off.counters == on.counters;
   return ff_contrast_output(c);
 }
@@ -372,12 +300,12 @@ park:
     start = Clock::now();
     on = run_one(cluster_on);
     c.wall_on_ms = std::min(c.wall_on_ms, ms_since(start));
+    c.sim_cycles += off.cycles + on.cycles;
   }
   if (!off.eoc || !on.eoc) {
     throw std::runtime_error("wfi_soak did not reach EOC");
   }
   c.cycles = off.cycles + on.cycles;
-  c.instret = off.total_instret() + on.total_instret();
   c.identical = off.cycles == on.cycles && off.counters == on.counters;
   return ff_contrast_output(c);
 }
@@ -386,73 +314,37 @@ exp::Suite make_suite(const exp::CliOptions& options) {
   const bool smoke = options.smoke;
   exp::Suite suite;
   suite.name = "sim_speed";
-  suite.perf_record = "sim_speed";
   suite.title = "Simulator throughput and host-profiling harness";
 
   exp::Scenario s1;
-  s1.name = "speed/gmem_soak";
-  s1.description = "standalone gmem soak throughput (no cluster)";
-  s1.run = [smoke] { return run_gmem_soak_workload(smoke); };
+  s1.name = "speed/matmul_dma";
+  s1.description = "DMA-staged matmul, host profiling on (breakdown source)";
+  s1.run = [smoke] { return run_matmul_dma(smoke); };
   suite.registry.add(std::move(s1));
 
   exp::Scenario s2;
-  s2.name = "speed/matmul_dma";
-  s2.description = "DMA-staged matmul, host profiling on (breakdown source)";
-  s2.run = [smoke] {
-    return run_cluster_workload(speed_config(false, false), smoke,
-                                /*keep_profile=*/true);
-  };
+  s2.name = "speed/prof_overhead";
+  s2.description = "profiling-off vs profiling-on wall clock (min-of-N)";
+  s2.run = [smoke] { return run_prof_overhead(smoke); };
   suite.registry.add(std::move(s2));
 
   exp::Scenario s3;
-  s3.name = "speed/qos_adaptive";
-  s3.description = "the same kernel under the adaptive share controller";
-  s3.run = [smoke] {
-    return run_cluster_workload(speed_config(true, false), smoke, false);
-  };
+  s3.name = "speed/prof_identical";
+  s3.description = "profiling never perturbs simulation counters";
+  s3.run = [smoke] { return run_prof_identical(smoke); };
   suite.registry.add(std::move(s3));
 
   exp::Scenario s4;
-  s4.name = "speed/telemetry_on";
-  s4.description = "the same kernel with windowed sampling + event tracing";
-  s4.run = [smoke] {
-    return run_cluster_workload(speed_config(false, true), smoke, false);
-  };
+  s4.name = "speed/wfi_dma_staged";
+  s4.description = "wfi-heavy DMA-staged kernel, fast-forward off vs on";
+  s4.run = [smoke] { return run_wfi_dma_staged(smoke); };
   suite.registry.add(std::move(s4));
 
   exp::Scenario s5;
-  s5.name = "speed/prof_overhead";
-  s5.description = "profiling-off vs profiling-on wall clock (min-of-N)";
-  s5.run = [smoke] { return run_prof_overhead(smoke); };
+  s5.name = "speed/wfi_soak";
+  s5.description = "all-asleep DMA ping-pong soak, fast-forward off vs on";
+  s5.run = [smoke] { return run_wfi_soak(smoke); };
   suite.registry.add(std::move(s5));
-
-  exp::Scenario s6;
-  s6.name = "speed/prof_identical";
-  s6.description = "profiling never perturbs simulation counters";
-  s6.run = [smoke] { return run_prof_identical(smoke); };
-  suite.registry.add(std::move(s6));
-
-  exp::Scenario s7;
-  s7.name = "speed/wfi_dma_staged";
-  s7.description = "wfi-heavy DMA-staged kernel, fast-forward off vs on";
-  s7.run = [smoke] { return run_wfi_dma_staged(smoke); };
-  suite.registry.add(std::move(s7));
-
-  exp::Scenario s8;
-  s8.name = "speed/wfi_soak";
-  s8.description = "all-asleep DMA ping-pong soak, fast-forward off vs on";
-  s8.run = [smoke] { return run_wfi_soak(smoke); };
-  suite.registry.add(std::move(s8));
-
-  suite.gate("every workload reports simulated work",
-             [](const exp::SweepReport& report) {
-               for (const exp::ScenarioResult& r : report.results) {
-                 if (r.ok() && r.output.sim_cycles == 0) {
-                   return r.name + " credited no simulated cycles";
-                 }
-               }
-               return std::string();
-             });
 
   suite.gate("profiling never perturbs the simulation (bit-identical counters)",
              [](const exp::SweepReport& report) {

@@ -32,7 +32,6 @@ exp::Suite make_suite(const exp::CliOptions& options) {
   exp::Suite suite;
   suite.name = "system_scaling";
   suite.title = "Multi-cluster System scaling (weak scaling + batch speedup)";
-  suite.perf_record = "system_scaling";
   exp::register_system_scenarios(suite.registry, smoke);
 
   // Efficiency / speedup are ratios against the c1 point of each family,

@@ -19,7 +19,6 @@ std::string point_name(const exp::SweepPoint& p) {
 exp::Suite make_suite(const exp::CliOptions&) {
   exp::Suite suite;
   suite.name = "table1_tile";
-  suite.perf_record = "sim_table1";
   suite.title = "Table I - MemPool tile implementation results (model vs paper)";
 
   exp::SweepGrid grid;

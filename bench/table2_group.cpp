@@ -16,7 +16,6 @@ namespace {
 exp::Suite make_suite(const exp::CliOptions&) {
   exp::Suite suite;
   suite.name = "table2_group";
-  suite.perf_record = "sim_table2";
   suite.title = "Table II - MemPool group implementation results (model / paper)";
 
   exp::SweepGrid grid;

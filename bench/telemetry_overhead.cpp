@@ -77,7 +77,7 @@ exp::ScenarioOutput run_identical_kernel(bool smoke) {
   const arch::RunResult off = run(arch::TelemetryConfig{});
   const arch::RunResult on = run(telemetry_on());
   exp::ScenarioOutput out;
-  out.sim(off.cycles + on.cycles, off.total_instret() + on.total_instret());
+  out.sim(off.cycles + on.cycles);
   out.metric("identical",
              (off.cycles == on.cycles && off.counters == on.counters) ? 1.0 : 0.0)
       .metric("cycles", static_cast<double>(off.cycles));
@@ -117,7 +117,6 @@ exp::Suite make_suite(const exp::CliOptions& options) {
   const bool smoke = options.smoke;
   exp::Suite suite;
   suite.name = "telemetry_overhead";
-  suite.perf_record = "sim_telemetry";
   suite.title = "Telemetry perturbation and overhead guard";
 
   exp::Scenario s1;

@@ -48,7 +48,6 @@ class AddrMap {
 
   /// Rows per bank reserved for the sequential region.
   u32 seq_rows_per_bank() const { return seq_rows_per_bank_; }
-  u32 rows_per_bank() const { return rows_per_bank_; }
 
   u32 gmem_base() const { return gmem_base_; }
   u64 gmem_size() const { return gmem_size_; }

@@ -161,10 +161,6 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   GlobalMemory& gmem() { return *gmem_; }
   Interconnect& interconnect() { return *noc_; }
   DmaSubsystem& dma() { return *dma_; }
-  /// The adaptive gmem-share controller, or nullptr when
-  /// ClusterConfig::qos is disabled.
-  qos::AdaptiveShareController* qos_controller() { return qos_.get(); }
-  const qos::AdaptiveShareController* qos_controller() const { return qos_.get(); }
 
   /// Pre-warm all instruction caches with every code segment (the paper
   /// measures compute phases with a hot I$).
@@ -196,10 +192,6 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   /// Effective fast-forward setting (ClusterConfig::fast_forward, overridden
   /// by the MP3D_FAST_FORWARD environment variable at construction).
   bool fast_forward_enabled() const { return fast_forward_; }
-  /// Runnable (non-halted, not token-less-sleeping) cores, parked ones
-  /// included, maintained O(1) on sleep/wake/halt transitions.
-  u32 awake_cores() const { return awake_cores_; }
-  u32 halted_cores() const { return halted_cores_; }
   /// Cycles skipped by fast-forward jumps since load_program, streamed DMA
   /// cycles included (host-side diagnostic; deliberately NOT a simulation
   /// counter, which must stay bit-identical whether or not fast-forward is

@@ -112,11 +112,6 @@ class SnitchCore {
   u64 instret() const { return instret_; }
   u32 pc() const { return pc_; }
   u32 reg(u32 r) const { return regs_[r]; }
-  void set_reg(u32 r, u32 v) {
-    if (r != 0) {
-      regs_[r] = v;
-    }
-  }
   bool lsu_idle() const { return lsu_busy_ == 0; }
   std::string error_message() const { return error_; }
 

@@ -142,7 +142,6 @@ struct ClusterConfig {
   bool perfect_icache = false;
   u64 icache_size = KiB(2);   ///< per tile, shared by its cores
   u32 icache_line = 32;       ///< bytes
-  u32 icache_refill_latency = 20;  ///< cycles on top of bandwidth effects
 
   // ----- global (off-chip) memory -----------------------------------------
   u32 gmem_bytes_per_cycle = 16;  ///< paper sweeps 4..64 B/cycle
@@ -174,7 +173,6 @@ struct ClusterConfig {
   u32 num_banks() const { return num_tiles() * banks_per_tile; }
   u64 bank_bytes() const { return spm_capacity / num_banks(); }
   u32 bank_words() const { return static_cast<u32>(bank_bytes() / 4); }
-  u64 spm_bytes_per_tile() const { return spm_capacity / num_tiles(); }
   u64 seq_region_bytes() const { return seq_bytes_per_tile * num_tiles(); }
   /// Bytes of the interleaved SPM region (after the sequential region).
   u64 interleaved_bytes() const { return spm_capacity - seq_region_bytes(); }

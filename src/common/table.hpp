@@ -21,8 +21,6 @@ class Table {
   std::string to_string() const;
   void print(std::ostream& os) const;
 
-  std::size_t num_rows() const { return rows_.size(); }
-
  private:
   struct Row {
     std::vector<std::string> cells;

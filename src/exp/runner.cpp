@@ -76,11 +76,10 @@ u64 SweepReport::total_sim_cycles() const {
 }
 
 double ScenarioResult::mcycles_per_sec() const {
-  const double wall = perf_wall_ms();
-  if (output.sim_cycles == 0 || !(wall > 0.0)) {
+  if (output.sim_cycles == 0 || !(wall_ms > 0.0)) {
     return 0.0;
   }
-  return static_cast<double>(output.sim_cycles) / (wall * 1e3);
+  return static_cast<double>(output.sim_cycles) / (wall_ms * 1e3);
 }
 
 u32 default_jobs() {

@@ -21,11 +21,6 @@ struct ScenarioResult {
   double wall_ms = 0;  ///< this scenario's own wall clock
 
   bool ok() const { return error.empty(); }
-  /// Wall clock for throughput accounting: the scenario's own min-of-N
-  /// override when set, the runner-measured wall otherwise.
-  double perf_wall_ms() const {
-    return output.perf_wall_ms > 0.0 ? output.perf_wall_ms : wall_ms;
-  }
   /// Simulated Mcycles per host second (0 when no sim work was credited).
   double mcycles_per_sec() const;
 };

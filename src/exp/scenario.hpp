@@ -22,20 +22,15 @@ namespace mp3d::exp {
 /// What one scenario produces: result rows (CSV/report cells, already
 /// formatted) plus named numeric metrics for gates and derived columns.
 ///
-/// sim_cycles / sim_instret credit the scenario with the simulated work it
-/// performed; the suite divides them by host wall clock into Mcycles/s /
-/// Minstr/s for the JSON report, summary line and BENCH perf record. Both
-/// are deterministic (they never feed the CSV rows, which must stay
-/// byte-identical across hosts and --jobs values).
+/// sim_cycles credits the scenario with the simulated work it performed;
+/// the suite divides it by the scenario's measured wall clock into
+/// Mcycles/s for the JSON report and summary line. It is deterministic (it
+/// never feeds the CSV rows, which must stay byte-identical across hosts
+/// and --jobs values).
 struct ScenarioOutput {
   std::vector<Row> rows;
   std::vector<std::pair<std::string, double>> metrics;
-  u64 sim_cycles = 0;    ///< simulated cycles this scenario advanced
-  u64 sim_instret = 0;   ///< simulated instructions retired
-  /// Wall-clock override for throughput accounting (ms). Scenarios that
-  /// repeat their measured region internally (min-of-N) report the best
-  /// rep here; 0 = use the runner-measured ScenarioResult::wall_ms.
-  double perf_wall_ms = 0.0;
+  u64 sim_cycles = 0;  ///< simulated cycles this scenario advanced
 
   ScenarioOutput& row(Row r) {
     rows.push_back(std::move(r));
@@ -46,9 +41,8 @@ struct ScenarioOutput {
     return *this;
   }
   /// Credit simulated work (cumulative across calls).
-  ScenarioOutput& sim(u64 cycles, u64 instret = 0) {
+  ScenarioOutput& sim(u64 cycles) {
     sim_cycles += cycles;
-    sim_instret += instret;
     return *this;
   }
 };

@@ -83,7 +83,7 @@ Scenario make_energy_capacity_scenario(u64 capacity, bool smoke, EnergyFigure fi
         static_cast<double>(mp.m) * static_cast<double>(mp.m) * mp.m;
 
     ScenarioOutput out;
-    out.sim(result.cycles, result.total_instret());
+    out.sim(result.cycles);
     out.metric("capacity_mib", static_cast<double>(capacity / MiB(1)))
         .metric("t", t)
         .metric("m", mp.m)

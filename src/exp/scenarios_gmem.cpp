@@ -206,7 +206,7 @@ ScenarioOutput run_kernel_scenario(const std::string& kernel, u64 share, u64 bw,
   const arch::RunResult r = kernels::run_kernel(cluster, k, 100'000'000);
 
   ScenarioOutput out;
-  out.sim(r.cycles, r.total_instret());
+  out.sim(r.cycles);
   out.metric("share", static_cast<double>(share))
       .metric("bw", static_cast<double>(bw))
       .metric("cycles", static_cast<double>(r.cycles))

@@ -112,13 +112,9 @@ ScenarioOutput scaling_output(u32 clusters, sys::SchedPolicy policy,
 
   bool jobs_ok = on.ok;
   u64 cluster_cycles = 0;
-  u64 instret = 0;
   for (const sys::JobRecord& job : on.jobs) {
     jobs_ok = jobs_ok && job.ok();
     cluster_cycles += job.result.cycles;
-    for (const u64 per_core : job.result.instret) {
-      instret += per_core;
-    }
   }
   const power::OperatingPoint op = power::make_operating_point(
       system_config(clusters, policy, true).cluster, phys::Flow::k2D);
@@ -138,7 +134,7 @@ ScenarioOutput scaling_output(u32 clusters, sys::SchedPolicy policy,
       .metric("icn_nj", energy.icn_nj)
       .metric("total_nj", energy.total_nj());
   // The off-run simulated the same cycles core-by-core; credit both.
-  out.sim(2 * cluster_cycles, 2 * instret);
+  out.sim(2 * cluster_cycles);
 
   Row row;
   row.cell("clusters", static_cast<u64>(clusters))
@@ -221,14 +217,10 @@ Scenario make_compat(bool smoke) {
         bare_result.eoc == through.eoc &&
         bare_result.counters == through.counters && bare_mem == sys_mem;
 
-    u64 instret = 0;
-    for (const u64 per_core : bare_result.instret) {
-      instret += per_core;
-    }
     ScenarioOutput out;
     out.metric("identical", identical ? 1.0 : 0.0)
         .metric("cycles", static_cast<double>(bare_result.cycles));
-    out.sim(bare_result.cycles + through.cycles, 2 * instret);
+    out.sim(bare_result.cycles + through.cycles);
     Row row;
     row.cell("clusters", static_cast<u64>(1))
         .cell("jobs", static_cast<u64>(1))

@@ -14,7 +14,6 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "obs/collector.hpp"
-#include "prof/record.hpp"
 
 namespace mp3d::exp {
 
@@ -424,52 +423,6 @@ int suite_main(int argc, char** argv,
   }
   if (options.telemetry()) {
     obs::set_global_request({});  // drop the request and collected buffers
-  }
-  if (!suite.perf_record.empty() && options.filters.empty()) {
-    // Perf trajectory record: only unfiltered sweeps are comparable runs.
-    // Failed scenarios are excluded throughout — a crash that skips the
-    // expensive half of a sweep must not read as a speedup.
-    const double secs = report.wall_ms / 1000.0;
-    prof::PerfRecord rec;
-    rec.bench = suite.perf_record;
-    rec.suite = suite.name;
-    rec.scenarios = report.successes();
-    rec.jobs = report.jobs;
-    rec.smoke = options.smoke;
-    rec.wall_ms = report.wall_ms;
-    rec.scenarios_per_sec =
-        secs > 0.0 ? static_cast<double>(report.successes()) / secs : 0.0;
-    rec.sim_cycles = report.total_sim_cycles();
-    rec.mcycles_per_sec =
-        secs > 0.0 ? static_cast<double>(rec.sim_cycles) / (secs * 1e6) : 0.0;
-    for (const ScenarioResult& r : report.results) {
-      if (!r.ok()) {
-        continue;
-      }
-      prof::WorkloadRecord w;
-      w.name = r.name;
-      w.wall_ms = r.perf_wall_ms();
-      w.sim_cycles = r.output.sim_cycles;
-      w.sim_instret = r.output.sim_instret;
-      w.mcycles_per_sec = r.mcycles_per_sec();
-      if (w.sim_instret > 0 && w.wall_ms > 0.0) {
-        w.minstr_per_sec = static_cast<double>(w.sim_instret) / (w.wall_ms * 1e3);
-      }
-      for (const auto& [key, val] : r.output.metrics) {
-        if (key.rfind("prof.", 0) == 0) {
-          w.breakdown.emplace_back(key, val);
-        }
-      }
-      rec.workloads.push_back(std::move(w));
-    }
-    const std::string path = dir + "/BENCH_" + suite.perf_record + ".json";
-    const std::string err = write_text_file(path, rec.to_json());
-    if (err.empty()) {
-      std::printf("[perf record written to %s]\n", path.c_str());
-    } else {
-      std::fprintf(stderr, "error: %s\n", err.c_str());
-      io_ok = false;
-    }
   }
 
   if (const u64 sim_cycles = report.total_sim_cycles(); sim_cycles > 0) {

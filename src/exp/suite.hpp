@@ -69,13 +69,6 @@ struct Suite {
 
   std::vector<std::pair<std::string, std::function<std::string(const SweepReport&)>>>
       gates;
-
-  /// When nonempty, unfiltered runs also write `BENCH_<perf_record>.json`
-  /// (a prof::PerfRecord: wall clock, scenarios/sec, sim Mcycles/s and one
-  /// workload entry per successful scenario) next to the data files, so
-  /// CI's artifact trail records the sweep's simulation throughput over
-  /// time and `perf_compare` can gate regressions against a baseline.
-  std::string perf_record;
 };
 
 /// Parse argv. Returns "" on success or an error message; `extra_flags`

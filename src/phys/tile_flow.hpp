@@ -50,11 +50,6 @@ struct TileImpl {
   /// which the group flow adds).
   u32 f2f_signals = 0;
 
-  /// Total silicon area (both dies for 3D).
-  double combined_area_mm2() const {
-    return flow == Flow::k3D ? 2.0 * footprint_mm2 : footprint_mm2;
-  }
-
   std::string to_string() const;
 };
 

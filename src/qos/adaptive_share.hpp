@@ -72,9 +72,6 @@ class AdaptiveShareController {
   u64 raises() const { return raises_; }
   u64 decays() const { return decays_; }
   u64 windows() const { return windows_; }
-  /// Share integrated over completed windows, in %-cycles / 100 (divide by
-  /// elapsed cycles for the time-weighted average share).
-  u64 share_cycles() const { return share_cycles_; }
 
   /// qos.share_x100 (current share x100), qos.adjustments / raises /
   /// decays / windows, qos.share_avg_x100 (time-weighted average x100).
