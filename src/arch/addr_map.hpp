@@ -18,6 +18,7 @@
 
 #include "arch/mem_types.hpp"
 #include "arch/params.hpp"
+#include "common/assert.hpp"
 
 namespace mp3d::arch {
 
@@ -26,7 +27,18 @@ class AddrMap {
   /// Pre: `cfg` passed ClusterConfig::validate().
   explicit AddrMap(const ClusterConfig& cfg);
 
-  Region classify(u32 addr) const;
+  Region classify(u32 addr) const {
+    if (addr >= spm_base_ && addr < spm_base_ + spm_capacity_) {
+      return (addr - spm_base_) < seq_total_ ? Region::kSpmSeq : Region::kSpmInterleaved;
+    }
+    if (addr >= ctrl_base_ && addr < ctrl_base_ + kCtrlWindowBytes) {
+      return Region::kCtrl;
+    }
+    if (addr >= gmem_base_ && static_cast<u64>(addr) - gmem_base_ < gmem_size_) {
+      return Region::kGmem;
+    }
+    return Region::kInvalid;
+  }
 
   bool is_spm(u32 addr) const {
     const Region r = classify(addr);
@@ -34,7 +46,27 @@ class AddrMap {
   }
 
   /// Decompose an SPM byte address into bank coordinates (word granular).
-  BankTarget spm_target(u32 addr) const;
+  BankTarget spm_target(u32 addr) const {
+    const u32 off = addr - spm_base_;
+    BankTarget t;
+    if (off < seq_total_) {
+      const u32 tile = static_cast<u32>(off / seq_per_tile_);
+      const u32 within = static_cast<u32>(off % seq_per_tile_);
+      const u32 word = within / 4;
+      t.tile = tile;
+      t.bank = word & (banks_per_tile_ - 1);
+      t.row = word >> bank_shift_;
+      MP3D_ASSERT(t.row < seq_rows_per_bank_);
+      return t;
+    }
+    const u32 word = static_cast<u32>((off - seq_total_) / 4);
+    const u32 global_bank = word & (num_banks_ - 1);
+    t.tile = global_bank >> bank_shift_;
+    t.bank = global_bank & (banks_per_tile_ - 1);
+    t.row = seq_rows_per_bank_ + (word >> num_banks_shift_);
+    MP3D_ASSERT(t.row < rows_per_bank_);
+    return t;
+  }
 
   /// Inverse mapping: byte address of interleaved word `index` (0-based
   /// across the whole interleaved region).

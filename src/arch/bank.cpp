@@ -7,40 +7,31 @@
 
 namespace mp3d::arch {
 
-std::optional<MemResponse> SpmBank::serve(sim::Cycle now, std::vector<u32>& spm) {
-  if (!has_ready(now)) {
-    return std::nullopt;
-  }
-  const BankRequest request = queue_.pop_front();
+void SpmBank::serve(sim::Cycle now, BankRequest& request, std::vector<u32>& spm) {
+  MP3D_ASSERT(has_ready(now));
+  const sim::Cycle arrived = queue_.pop_front().ready_at;
   ++accesses_;
   // Array activation accounting: loads read, stores write, AMOs and lr/sc
   // do both (the bank reads the old word and writes the new one).
-  if (isa::is_amo(request.req.op)) {
+  if (isa::is_amo(request.op)) {
     ++reads_;
     ++writes_;
-  } else if (isa::is_store(request.req.op)) {
+  } else if (isa::is_store(request.op)) {
     ++writes_;
   } else {
     ++reads_;
   }
-  if (now > request.req.ready_at) {
+  if (now > arrived) {
     ++conflicts_;
-    conflict_wait_cycles_ += now - request.req.ready_at;
+    conflict_wait_cycles_ += now - arrived;
   }
-  MemResponse resp;
-  resp.core = request.req.core;
-  resp.tag = request.req.tag;
-  resp.is_store = isa::is_store(request.req.op);
   MP3D_ASSERT(request.word < spm.size());
-  resp.rdata = execute(request, spm[request.word]);
-  resp.ready_at = now;
-  return resp;
+  request.rdata = execute(request, spm[request.word]);
 }
 
-u32 SpmBank::execute(const BankRequest& request, u32& word) {
+u32 SpmBank::execute(const BankRequest& req, u32& word) {
   using isa::Op;
-  const MemRequest& req = request.req;
-  const u32 shift = (req.addr & 3U) * 8;
+  const u32 shift = req.lane * 8U;
 
   auto invalidate_other_reservations = [&](u32 index, u16 writer) {
     reservations_.erase(
@@ -66,7 +57,7 @@ u32 SpmBank::execute(const BankRequest& request, u32& word) {
     }
     case Op::kLh:
     case Op::kLhu: {
-      MP3D_ASSERT((req.addr & 1U) == 0);
+      MP3D_ASSERT((req.lane & 1U) == 0);
       u32 v = (word >> shift) & 0xFFFFU;
       if (req.op == Op::kLh) {
         v = static_cast<u32>(static_cast<i32>(v << 16) >> 16);
@@ -76,41 +67,41 @@ u32 SpmBank::execute(const BankRequest& request, u32& word) {
     case Op::kLw:
     case Op::kPLwPost:
     case Op::kPLwRPost:
-      MP3D_ASSERT((req.addr & 3U) == 0);
+      MP3D_ASSERT(req.lane == 0);
       return word;
     case Op::kSb: {
       const u32 mask = 0xFFU << shift;
       word = (word & ~mask) | ((req.wdata & 0xFFU) << shift);
-      invalidate_other_reservations(request.word, req.core);
+      invalidate_other_reservations(req.word, req.core);
       return 0;
     }
     case Op::kSh: {
       const u32 mask = 0xFFFFU << shift;
       word = (word & ~mask) | ((req.wdata & 0xFFFFU) << shift);
-      invalidate_other_reservations(request.word, req.core);
+      invalidate_other_reservations(req.word, req.core);
       return 0;
     }
     case Op::kSw:
     case Op::kPSwPost:
       word = req.wdata;
-      invalidate_other_reservations(request.word, req.core);
+      invalidate_other_reservations(req.word, req.core);
       return 0;
     case Op::kLrW: {
-      drop_reservation(request.word, req.core);
-      reservations_.emplace_back(request.word, req.core);
+      drop_reservation(req.word, req.core);
+      reservations_.emplace_back(req.word, req.core);
       return word;
     }
     case Op::kScW: {
       const bool reserved =
           std::any_of(reservations_.begin(), reservations_.end(), [&](const auto& r) {
-            return r.first == request.word && r.second == req.core;
+            return r.first == req.word && r.second == req.core;
           });
-      drop_reservation(request.word, req.core);
+      drop_reservation(req.word, req.core);
       if (!reserved) {
         return 1;  // failure
       }
       word = req.wdata;
-      invalidate_other_reservations(request.word, req.core);
+      invalidate_other_reservations(req.word, req.core);
       return 0;  // success
     }
     default: {
@@ -131,7 +122,7 @@ u32 SpmBank::execute(const BankRequest& request, u32& word) {
         case Op::kAmoMaxuW: word = std::max(old, req.wdata); break;
         default: MP3D_UNREACHABLE("unsupported bank op");
       }
-      invalidate_other_reservations(request.word, req.core);
+      invalidate_other_reservations(req.word, req.core);
       return old;
     }
   }

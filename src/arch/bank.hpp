@@ -9,7 +9,6 @@
 // serve() executes the request on the word it addresses there.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "arch/mem_types.hpp"
@@ -18,34 +17,41 @@
 
 namespace mp3d::arch {
 
-/// A request routed to a bank. The address is decoded once, at issue: the
-/// request carries its cluster-wide bank index and the index of the word
-/// it addresses in the SPM array.
+/// The transaction record of one core LSU slot whose request targets the
+/// SPM. The Cluster keeps one per slot, indexed by the slot's handle
+/// (`core << shift | tag`), and writes it once, at issue, with the decoded
+/// route. The bank queues and both NoC directions carry only the handle,
+/// and the bank leaves the response word in `rdata`.
 struct BankRequest {
-  MemRequest req;
-  u32 bank = 0;  ///< global bank index (tile * banks_per_tile + bank in tile)
-  u32 word = 0;  ///< (addr - spm_base) / 4
+  u32 word = 0;   ///< SPM word index: (addr - spm_base) / 4
+  u32 wdata = 0;  ///< store / AMO operand
+  u32 rdata = 0;  ///< response word, written when the bank serves it
+  u32 bank = 0;   ///< global bank index (tile * banks_per_tile + bank in tile)
+  u16 core = 0;   ///< issuing core
+  u16 tile = 0;   ///< issuing core's tile, where the response goes
+  isa::Op op = isa::Op::kInvalid;
+  u8 lane = 0;  ///< byte offset within the word (addr & 3)
+  u8 net = 0;   ///< network between the core's and the bank's tile (remote only)
 };
 
 class SpmBank {
  public:
-  void push(BankRequest request) { queue_.push_back(std::move(request)); }
+  /// Queue the request with handle `handle`; it reaches the bank at `ready_at`.
+  void push(sim::Cycle ready_at, u32 handle) { queue_.push_back(Entry{ready_at, handle}); }
 
   bool has_ready(sim::Cycle now) const {
-    return !queue_.empty() && queue_.front().req.ready_at <= now;
+    return !queue_.empty() && queue_.front().ready_at <= now;
   }
-
-  /// Front request if one is ready to be served this cycle (routing peek).
-  const BankRequest* peek(sim::Cycle now) const {
-    return has_ready(now) ? &queue_.front() : nullptr;
-  }
+  /// Handle of the front request (pre: has_ready).
+  u32 front() const { return queue_.front().handle; }
   bool busy() const { return !queue_.empty(); }
 
-  /// Serve at most one request, executing it on its word of `spm` (the
-  /// cluster's SPM array); returns the response (stores ack too). Also
-  /// accumulates conflict statistics: cycles a request waited beyond its
-  /// zero-load arrival time.
-  std::optional<MemResponse> serve(sim::Cycle now, std::vector<u32>& spm);
+  /// Serve the front request (pre: has_ready(now)), whose record is
+  /// `request`: execute it on its word of `spm` (the cluster's SPM array)
+  /// and leave the response word in `request.rdata` (stores answer too).
+  /// Also accumulates conflict statistics: cycles a request waited beyond
+  /// its zero-load arrival time.
+  void serve(sim::Cycle now, BankRequest& request, std::vector<u32>& spm);
 
   u64 accesses() const { return accesses_; }
   /// Array-read / array-write activations (the SRAM events energy models
@@ -70,9 +76,15 @@ class SpmBank {
   }
 
  private:
-  u32 execute(const BankRequest& request, u32& word);
+  /// A queued request: the cycle it reaches the bank and its handle.
+  struct Entry {
+    sim::Cycle ready_at;
+    u32 handle;
+  };
 
-  sim::RingFifo<BankRequest> queue_;
+  u32 execute(const BankRequest& req, u32& word);
+
+  sim::RingFifo<Entry> queue_;
   // LR/SC reservations: (word index, core) pairs; invalidated by any
   // intervening write from another core.
   std::vector<std::pair<u32, u16>> reservations_;

@@ -67,7 +67,8 @@ ClusterConfig validated(ClusterConfig cfg) {
 Cluster::Cluster(ClusterConfig cfg)
     : cfg_(validated(std::move(cfg))),
       map_(cfg_),
-      bank_tile_shift_(log2_exact(cfg_.banks_per_tile)) {
+      bank_tile_shift_(log2_exact(cfg_.banks_per_tile)),
+      lsu_shift_(static_cast<u32>(std::bit_width(cfg_.lsu_max_outstanding - 1))) {
   noc_ = std::make_unique<Interconnect>(cfg_);
   gmem_ = std::make_unique<GlobalMemory>(cfg_.gmem_base, cfg_.gmem_size,
                                          cfg_.gmem_bytes_per_cycle, cfg_.gmem_latency,
@@ -82,6 +83,7 @@ Cluster::Cluster(ClusterConfig cfg)
   const u32 tiles = cfg_.num_tiles();
   spm_.assign(cfg_.spm_capacity / 4, 0);
   banks_.resize(cfg_.num_banks());
+  txns_.resize(std::size_t{cfg_.num_cores()} << lsu_shift_);
   bank_active_flag_.assign(cfg_.num_banks(), 0);
   icaches_.reserve(tiles);
   for (u32 t = 0; t < tiles; ++t) {
@@ -329,23 +331,29 @@ IssueResult Cluster::issue_mem(const MemRequest& request) {
     case Region::kSpmSeq:
     case Region::kSpmInterleaved: {
       const BankTarget t = map_.spm_target(request.addr);
-      BankRequest breq;
-      breq.req = request;
-      breq.bank = t.tile * cfg_.banks_per_tile + t.bank;
-      breq.word = (request.addr - cfg_.spm_base) >> 2;
-      if (t.tile == src_tile) {
-        breq.req.ready_at = cycle_ + 1;  // local crossbar: bank sees it next cycle
-        const u32 gb = breq.bank;
-        banks_[gb].push(std::move(breq));
-        activate_bank(gb);
-        ++activity_;
-        return IssueResult::kAccepted;
-      }
-      const u32 net = noc_->network(src_tile, t.tile);
-      if (!noc_->can_push_request(src_tile, net, cycle_)) {
+      const bool local = t.tile == src_tile;
+      const u32 net = local ? 0 : noc_->network(src_tile, t.tile);
+      if (!local && !noc_->can_push_request(src_tile, net, cycle_)) {
         return IssueResult::kPortBusy;
       }
-      noc_->push_request(src_tile, t.tile, std::move(breq), cycle_);
+      // The slot is free, so its record is too: write the decoded route.
+      const u32 handle = u32{request.core} << lsu_shift_ | request.tag;
+      BankRequest& txn = txns_[handle];
+      txn.word = (request.addr - cfg_.spm_base) >> 2;
+      txn.wdata = request.wdata;
+      txn.bank = t.tile * cfg_.banks_per_tile + t.bank;
+      txn.core = request.core;
+      txn.tile = static_cast<u16>(src_tile);
+      txn.op = request.op;
+      txn.lane = static_cast<u8>(request.addr & 3U);
+      txn.net = static_cast<u8>(net);
+      if (local) {
+        // Local crossbar: the bank sees it next cycle.
+        banks_[txn.bank].push(cycle_ + 1, handle);
+        activate_bank(txn.bank);
+      } else {
+        noc_->push_request(src_tile, t.tile, net, handle, cycle_);
+      }
       ++activity_;
       return IssueResult::kAccepted;
     }
@@ -414,11 +422,16 @@ void Cluster::unpark(u32 core) {
   }
 }
 
-void Cluster::deliver_remote_request(u32 dst_tile, BankRequest&& request) {
-  const u32 gb = request.bank;  // decoded once, in issue_mem
+void Cluster::deliver_spm_response(u32 handle) {
+  const auto core = static_cast<u16>(handle >> lsu_shift_);
+  const auto tag = static_cast<u8>(handle & ((1U << lsu_shift_) - 1));
+  deliver_response_to_core(MemResponse{txns_[handle].rdata, core, tag});
+}
+
+void Cluster::deliver_remote_request(u32 dst_tile, u32 handle) {
+  const u32 gb = txns_[handle].bank;  // decoded once, in issue_mem
   MP3D_ASSERT(gb >> bank_tile_shift_ == dst_tile);
-  request.req.ready_at = cycle_;
-  banks_[gb].push(std::move(request));
+  banks_[gb].push(cycle_, handle);
   activate_bank(gb);
   ++activity_;
 }
@@ -428,23 +441,19 @@ void Cluster::serve_banks() {
   for (std::size_t i = 0; i < active_banks_.size(); ++i) {
     const u32 gb = active_banks_[i];
     SpmBank& bank = banks_[gb];
-    const u32 bank_tile = gb >> bank_tile_shift_;
-    if (const BankRequest* front = bank.peek(cycle_); front != nullptr) {
-      const u32 dst_core_tile = cores_[front->req.core].tile_id();
-      bool can_respond = true;
-      u32 net = 0;
-      if (dst_core_tile != bank_tile) {
-        net = noc_->network(bank_tile, dst_core_tile);
-        can_respond = noc_->can_push_response(bank_tile, net, cycle_);
-      }
-      if (can_respond) {
-        std::optional<MemResponse> resp = bank.serve(cycle_, spm_);
-        MP3D_ASSERT(resp.has_value());
+    if (bank.has_ready(cycle_)) {
+      const u32 handle = bank.front();
+      BankRequest& txn = txns_[handle];
+      const u32 bank_tile = gb >> bank_tile_shift_;
+      // The response goes back on the request's network (it is symmetric).
+      const bool local = txn.tile == bank_tile;
+      if (local || noc_->can_push_response(bank_tile, txn.net, cycle_)) {
+        bank.serve(cycle_, txn, spm_);
         ++activity_;
-        if (dst_core_tile == bank_tile) {
-          deliver_response_to_core(*resp);
+        if (local) {
+          deliver_spm_response(handle);
         } else {
-          noc_->push_response(bank_tile, dst_core_tile, std::move(*resp), cycle_);
+          noc_->push_response(bank_tile, txn.tile, txn.net, handle, cycle_);
         }
       }
     }
@@ -544,11 +553,7 @@ bool Cluster::dma_start(const MemRequest& request) {
 
 void Cluster::ctrl_access(const MemRequest& request) {
   const u32 offset = request.addr - cfg_.ctrl_base;
-  MemResponse resp;
-  resp.core = request.core;
-  resp.tag = request.tag;
-  resp.is_store = isa::is_store(request.op);
-  resp.ready_at = cycle_;
+  MemResponse resp{0, request.core, request.tag};
   const bool is_write = isa::is_store(request.op);
   switch (offset) {
     case ctrl::kEoc:
@@ -789,8 +794,8 @@ void Cluster::step() {
   timer.mark(prof::Phase::kQos);
 
   // 2. Request network.
-  noc_->step_requests(cycle_, [this](u32 dst_tile, BankRequest&& breq) {
-    deliver_remote_request(dst_tile, std::move(breq));
+  noc_->step_requests(cycle_, [this](u32 dst_tile, u32 handle) {
+    deliver_remote_request(dst_tile, handle);
   });
   timer.mark(prof::Phase::kNoc);
 
@@ -801,9 +806,8 @@ void Cluster::step() {
   timer.mark(prof::Phase::kCtrl);
 
   // 4. Response network.
-  noc_->step_responses(cycle_, [this](u32 /*dst_tile*/, MemResponse&& resp) {
-    deliver_response_to_core(resp);
-  });
+  noc_->step_responses(cycle_,
+                       [this](u32 /*dst_tile*/, u32 handle) { deliver_spm_response(handle); });
   timer.mark(prof::Phase::kNoc);
 
   // 5. Cores. Only the active set is stepped. Token-less sleepers and
@@ -820,7 +824,7 @@ void Cluster::step() {
     for (u64 bits = active_[w]; bits != 0; bits &= bits - 1) {
       const auto bit = static_cast<u32>(std::countr_zero(bits));
       SnitchCore& core = cores_[w * 64 + bit];
-      core.step(cycle_);
+      activity_ += core.step(cycle_) ? 1 : 0;  // a retired instruction is progress
       if (const Wait wait = core.wait(); wait != Wait::kNone) {
         ++parked_[wait_index(wait)];
         active_[w] &= ~(u64{1} << bit);

@@ -126,7 +126,7 @@ struct RunResult {
   bool ok() const { return eoc && !deadlock && exit_code == 0; }
 };
 
-class Cluster final : public MemIssueSink, public DmaSpmPort {
+class Cluster final : public DmaSpmPort {
  public:
   explicit Cluster(ClusterConfig cfg);
   ~Cluster() override;
@@ -182,12 +182,23 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   /// source).
   void collect_counters(sim::CounterSet& counters) const;
 
-  // ---- MemIssueSink ----------------------------------------------------------
-  IssueResult issue_mem(const MemRequest& request) override;
-  void request_icache_refill(u32 tile, u32 pc) override;
-  void note_core_asleep(u16 core) override;
-  void note_core_awake(u16 core) override;
-  void note_core_halted(u16 core, bool was_awake) override;
+  // ---- core-facing interface (SnitchCore calls these) -------------------------
+  /// Route a core's memory request; may refuse it (port busy). An SPM
+  /// request writes the issuing slot's transaction record once, here.
+  IssueResult issue_mem(const MemRequest& request);
+  /// Begin an instruction-cache refill for tile `tile` covering `pc`.
+  void request_icache_refill(u32 tile, u32 pc);
+
+  // Occupancy transitions, so the cluster keeps an O(1) awake-core count
+  // and an active-core set instead of scanning every cycle. "Awake" means
+  // runnable: kRunning, or kWfi holding a wake token (it resumes on its
+  // next step).
+  /// Core entered token-less wfi (left the runnable set).
+  void note_core_asleep(u16 core);
+  /// A wake token reached a token-less sleeping core (runnable again).
+  void note_core_awake(u16 core);
+  /// Core halted (ecall) or faulted; `was_awake` = runnable just before.
+  void note_core_halted(u16 core, bool was_awake);
 
   /// Effective fast-forward setting (ClusterConfig::fast_forward, overridden
   /// by the MP3D_FAST_FORWARD environment variable at construction).
@@ -212,7 +223,9 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   bool eoc_signaled() const { return eoc_; }
   bool all_cores_halted() const { return halted_cores_ == cfg_.num_cores(); }
   bool done() const { return eoc_ || all_cores_halted(); }
-  /// Monotone progress witness of the deadlock watchdog.
+  /// Monotone progress witness of the deadlock watchdog: memory, DMA and
+  /// ctrl events plus retired instructions (a core retrying a busy port
+  /// retires nothing, so it cannot hide a hang).
   u64 activity() const { return activity_; }
   /// Fast-forward is enabled and every core is token-less asleep (none
   /// halted-out): a jump may be attempted. Only the memory system can then
@@ -265,7 +278,9 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   u32 spm_read_word(u32 addr) const;
   void spm_write_word(u32 addr, u32 value);
   void deliver_response_to_core(const MemResponse& response);
-  void deliver_remote_request(u32 dst_tile, BankRequest&& request);
+  /// Deliver the response of SPM transaction `handle` to its core.
+  void deliver_spm_response(u32 handle);
+  void deliver_remote_request(u32 dst_tile, u32 handle);
   /// Return a parked core to the stepped set (a halted one only stops
   /// being charged). No-op for a core that is not parked.
   void unpark(u32 core);
@@ -290,6 +305,12 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   /// index it directly.
   std::vector<u32> spm_;
   std::vector<SpmBank> banks_;
+  /// SPM transaction records, one per core LSU slot, indexed by the slot's
+  /// handle `core << lsu_shift_ | tag`. issue_mem writes a record with the
+  /// decoded route; the bank queues and the NoC carry only its handle, and
+  /// the response is rebuilt from the handle and the record's `rdata`.
+  std::vector<BankRequest> txns_;
+  u32 lsu_shift_;  ///< log2 of the records per core (LSU depth rounded up)
   std::vector<TileICache> icaches_;
   std::unique_ptr<Interconnect> noc_;
   std::unique_ptr<GlobalMemory> gmem_;
@@ -361,7 +382,7 @@ class Cluster final : public MemIssueSink, public DmaSpmPort {
   u64 activity_ = 0;
 
   // ---- occupancy + idle-cycle fast-forward ---------------------------------
-  // O(1) occupancy counts, updated by the MemIssueSink transition hooks
+  // O(1) occupancy counts, updated by the cores' transition hooks
   // (note_core_asleep/awake/halted) instead of scanning every core. A
   // parked core counts as awake.
   u32 awake_cores_ = 0;

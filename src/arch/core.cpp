@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "arch/cluster.hpp"
 #include "common/assert.hpp"
 #include "isa/disasm.hpp"
 #include "obs/trace.hpp"
@@ -24,8 +25,8 @@ SnitchCore::SnitchCore(const ClusterConfig& cfg, u16 global_id, u32 tile_id)
       global_id_(global_id),
       tile_id_(tile_id) {}
 
-void SnitchCore::attach(MemIssueSink* sink, TileICache* icache, const DecodedImage* image) {
-  sink_ = sink;
+void SnitchCore::attach(Cluster* cluster, TileICache* icache, const DecodedImage* image) {
+  cluster_ = cluster;
   icache_ = icache;
   image_ = image;
 }
@@ -57,21 +58,9 @@ void SnitchCore::reset(u32 pc, u32 sp) {
   mac_ops_ = 0;
 }
 
-void SnitchCore::deliver(const MemResponse& resp) {
-  MP3D_ASSERT(resp.tag < lsu_rd_.size());
-  const u32 slot = 1U << resp.tag;
-  MP3D_ASSERT_MSG((lsu_busy_ & slot) != 0, "response for free LSU slot on core " << global_id_);
-  // Only loads and AMOs name a destination (stores leave the slot's rd 0).
-  if (const u8 rd = lsu_rd_[resp.tag]; rd != 0) {
-    regs_[rd] = resp.rdata;
-    loads_pending_ &= ~(1U << rd);
-  }
-  lsu_busy_ &= ~slot;
-}
-
 void SnitchCore::wake(sim::Cycle /*now*/) {
-  if (sink_ != nullptr && state_ == CoreState::kWfi && wake_tokens_ == 0) {
-    sink_->note_core_awake(global_id_);
+  if (cluster_ != nullptr && state_ == CoreState::kWfi && wake_tokens_ == 0) {
+    cluster_->note_core_awake(global_id_);
   }
   wake_tokens_ = std::min(wake_tokens_ + 1, 1U);
 }
@@ -85,14 +74,14 @@ bool SnitchCore::long_op_hazard(u32 regs, sim::Cycle now) const {
   return false;
 }
 
-void SnitchCore::step(sim::Cycle now) {
+bool SnitchCore::step(sim::Cycle now) {
   if (state_ != CoreState::kRunning) {
     if (halted()) {
-      return;
+      return false;
     }
     if (wake_tokens_ == 0) {
       ++wfi_cycles_;
-      return;
+      return false;
     }
     --wake_tokens_;
     state_ = CoreState::kRunning;
@@ -102,26 +91,26 @@ void SnitchCore::step(sim::Cycle now) {
   }
   if (now < stall_until_) {
     ++stall_flush_;
-    return;
+    return false;
   }
   // ---- fetch ----------------------------------------------------------------
   if (!icache_->present(pc_)) {
     if (!icache_->miss_pending(pc_)) {
       icache_->count_miss();
-      sink_->request_icache_refill(tile_id_, pc_);
+      cluster_->request_icache_refill(tile_id_, pc_);
     }
     ++stall_fetch_;
-    return;
+    return false;
   }
   icache_->count_hit();
   const DecodedInstr* decoded = image_->lookup(pc_);
   if (decoded == nullptr) {
     halt_error("fetch outside program image at pc=0x" + std::to_string(pc_));
-    return;
+    return false;
   }
   if (!decoded->instr.valid()) {
     halt_error("illegal instruction at pc=0x" + std::to_string(pc_));
-    return;
+    return false;
   }
   // ---- hazards ----------------------------------------------------------------
   // One AND against the loads in flight; the per-register ready cycles
@@ -129,16 +118,24 @@ void SnitchCore::step(sim::Cycle now) {
   if ((decoded->hazard_regs & loads_pending_) != 0) {
     ++stall_raw_;
     wait_ = Wait::kRaw;
-    return;
+    return false;
   }
   if (now < long_op_until_ && long_op_hazard(decoded->hazard_regs, now)) {
     ++stall_raw_;
-    return;
+    return false;
   }
-  execute(decoded->instr, now);
+  if (decoded->is_mem) {
+    if (!issue_memory_op(*decoded)) {
+      return false;  // stall recorded; retry next cycle
+    }
+    pc_ += 4;
+    ++instret_;
+    return true;
+  }
+  return execute(decoded->instr, now);
 }
 
-bool SnitchCore::issue_memory_op(const Instr& in) {
+bool SnitchCore::issue_memory_op(const DecodedInstr& d) {
   const u32 free_slots = ~lsu_busy_ & lsu_slots_mask_;
   if (free_slots == 0) {
     ++stall_lsu_full_;
@@ -146,71 +143,36 @@ bool SnitchCore::issue_memory_op(const Instr& in) {
     return false;
   }
   const auto tag = static_cast<u8>(std::countr_zero(free_slots));
-
+  const Instr& in = d.instr;
   MemRequest req;
+  req.addr = regs_[in.rs1] + d.addr_offset;
+  req.wdata = d.has_wdata ? regs_[in.rs2] : 0;
   req.op = in.op;
   req.core = global_id_;
   req.tag = tag;
-  req.sign_extend = in.op == Op::kLb || in.op == Op::kLh;
-  switch (in.op) {
-    case Op::kLb:
-    case Op::kLbu:
-    case Op::kSb:
-      req.size = MemSize::kByte;
-      break;
-    case Op::kLh:
-    case Op::kLhu:
-    case Op::kSh:
-      req.size = MemSize::kHalf;
-      break;
-    default:
-      req.size = MemSize::kWord;
-      break;
-  }
-
-  u32 addr = 0;
-  switch (in.op) {
-    case Op::kPLwPost:
-    case Op::kPLwRPost:
-    case Op::kPSwPost:
-      addr = regs_[in.rs1];  // post-increment: access old address
-      break;
-    case Op::kLrW:
-    case Op::kScW:
-    default:
-      addr = regs_[in.rs1] + (isa::is_amo(in.op) ? 0 : static_cast<u32>(in.imm));
-      break;
-  }
-  req.addr = addr;
-  if (isa::is_store(in.op) || isa::is_amo(in.op)) {
-    req.wdata = regs_[in.rs2];
-  }
-
-  const IssueResult result = sink_->issue_mem(req);
-  if (result == IssueResult::kPortBusy) {
+  if (cluster_->issue_mem(req) == IssueResult::kPortBusy) {
     ++stall_port_busy_;
     return false;
   }
 
   // Accepted: commit side effects.
-  const u8 rd = isa::writes_rd(in) ? in.rd : 0;
-  lsu_rd_[tag] = rd;
+  lsu_rd_[tag] = d.mem_rd;
   lsu_busy_ |= 1U << tag;
   ++mem_ops_;
-  if (rd != 0) {
-    loads_pending_ |= 1U << rd;
+  if (d.mem_rd != 0) {
+    loads_pending_ |= 1U << d.mem_rd;
   }
   // Post-increment address update happens in the AGU at issue; the base is
   // ready at once, even when it is also the load's destination.
-  if (isa::writes_rs1(in)) {
-    const u32 incr = in.op == Op::kPLwRPost ? regs_[in.rs2] : static_cast<u32>(in.imm);
-    regs_[in.rs1] = regs_[in.rs1] + incr;
+  if (d.post_increment != PostIncrement::kNone) {
+    regs_[in.rs1] += d.post_increment == PostIncrement::kReg ? regs_[in.rs2]
+                                                             : static_cast<u32>(in.imm);
     loads_pending_ &= ~(1U << in.rs1);
   }
   return true;
 }
 
-void SnitchCore::execute(const Instr& in, sim::Cycle now) {
+bool SnitchCore::execute(const Instr& in, sim::Cycle now) {
   const u32 a = regs_[in.rs1];
   const u32 b = regs_[in.rs2];
   const i32 as = static_cast<i32>(a);
@@ -336,27 +298,27 @@ void SnitchCore::execute(const Instr& in, sim::Cycle now) {
       if (lsu_busy_ != 0) {
         ++stall_fence_;
         wait_ = Wait::kFence;
-        return;  // keep pc, retry
+        return false;  // keep pc, retry
       }
       break;
     case Op::kEcall:
       state_ = CoreState::kHalted;
       exit_code_ = regs_[10];
       ++instret_;
-      if (sink_ != nullptr) {
-        sink_->note_core_halted(global_id_, /*was_awake=*/true);
+      if (cluster_ != nullptr) {
+        cluster_->note_core_halted(global_id_, /*was_awake=*/true);
       }
-      return;
+      return true;
     case Op::kEbreak:
       halt_error("ebreak executed at pc=0x" + std::to_string(pc_));
-      return;
+      return false;
     case Op::kWfi:
       if (wake_tokens_ > 0) {
         --wake_tokens_;
       } else {
         state_ = CoreState::kWfi;
-        if (sink_ != nullptr) {
-          sink_->note_core_asleep(global_id_);
+        if (cluster_ != nullptr) {
+          cluster_->note_core_asleep(global_id_);
         }
         if (trace_ != nullptr) {
           trace_->begin(track_, ev_wfi_, now);
@@ -391,16 +353,8 @@ void SnitchCore::execute(const Instr& in, sim::Cycle now) {
       break;
     }
     default:
-      if (isa::is_mem(in.op)) {
-        if (!issue_memory_op(in)) {
-          return;  // stall recorded; retry next cycle
-        }
-        pc_ = next_pc;
-        ++instret_;
-        return;
-      }
       halt_error(std::string("unimplemented op ") + isa::op_name(in.op));
-      return;
+      return false;
   }
 
   if (wrote && in.rd != 0) {
@@ -412,6 +366,7 @@ void SnitchCore::execute(const Instr& in, sim::Cycle now) {
   }
   pc_ = next_pc;
   ++instret_;
+  return true;
 }
 
 u32 SnitchCore::csr_read(u16 csr, sim::Cycle now) const {
@@ -433,8 +388,8 @@ void SnitchCore::halt_error(const std::string& message) {
   state_ = CoreState::kError;
   error_ = message;
   exit_code_ = 0xDEAD;
-  if (sink_ != nullptr && !was_halted) {
-    sink_->note_core_halted(global_id_, was_awake);
+  if (cluster_ != nullptr && !was_halted) {
+    cluster_->note_core_halted(global_id_, was_awake);
   }
 }
 

@@ -24,6 +24,7 @@
 #include "arch/icache.hpp"
 #include "arch/mem_types.hpp"
 #include "arch/params.hpp"
+#include "common/assert.hpp"
 #include "sim/counters.hpp"
 #include "sim/types.hpp"
 
@@ -33,30 +34,7 @@ class Trace;
 
 namespace mp3d::arch {
 
-/// Memory-system hook the core issues requests into (implemented by Cluster).
-class MemIssueSink {
- public:
-  virtual ~MemIssueSink() = default;
-  /// `row`-decomposition and routing happen inside; may refuse (port busy).
-  virtual IssueResult issue_mem(const MemRequest& request) = 0;
-  /// Begin an instruction-cache refill for tile `tile` covering `pc`.
-  virtual void request_icache_refill(u32 tile, u32 pc) = 0;
-
-  // Occupancy transitions, so the cluster can keep an O(1) awake-core count
-  // and an active-core set instead of scanning every cycle. "Awake" means
-  // runnable: kRunning, or kWfi holding a wake token (it resumes on its
-  // next step). Transitions are rare (sleep/wake/halt), so the virtual call
-  // is off the per-cycle hot path. Default no-ops keep test stubs simple.
-  /// Core entered token-less wfi (left the runnable set).
-  virtual void note_core_asleep(u16 core) { (void)core; }
-  /// A wake token reached a token-less sleeping core (runnable again).
-  virtual void note_core_awake(u16 core) { (void)core; }
-  /// Core halted (ecall) or faulted; `was_awake` = runnable just before.
-  virtual void note_core_halted(u16 core, bool was_awake) {
-    (void)core;
-    (void)was_awake;
-  }
-};
+class Cluster;
 
 enum class CoreState : u8 { kRunning, kWfi, kHalted, kError };
 
@@ -77,13 +55,29 @@ class SnitchCore {
  public:
   SnitchCore(const ClusterConfig& cfg, u16 global_id, u32 tile_id);
 
-  void attach(MemIssueSink* sink, TileICache* icache, const DecodedImage* image);
+  /// Connect the core to its cluster (the memory system it issues into and
+  /// the occupancy count its sleep, wake and halt transitions update), its
+  /// tile's instruction cache and the decoded program image.
+  void attach(Cluster* cluster, TileICache* icache, const DecodedImage* image);
 
   /// Reset architectural state and start at `pc` with stack pointer `sp`.
   void reset(u32 pc, u32 sp);
 
-  void step(sim::Cycle now);
-  void deliver(const MemResponse& resp);
+  /// Advance one cycle; returns whether an instruction retired.
+  bool step(sim::Cycle now);
+  /// Retire the LSU slot `resp.tag`, writing back its load or AMO result.
+  void deliver(const MemResponse& resp) {
+    MP3D_ASSERT(resp.tag < lsu_rd_.size());
+    const u32 slot = 1U << resp.tag;
+    MP3D_ASSERT_MSG((lsu_busy_ & slot) != 0,
+                    "response for free LSU slot on core " << global_id_);
+    // Only loads and AMOs name a destination (stores leave the slot's rd 0).
+    if (const u8 rd = lsu_rd_[resp.tag]; rd != 0) {
+      regs_[rd] = resp.rdata;
+      loads_pending_ &= ~(1U << rd);
+    }
+    lsu_busy_ &= ~slot;
+  }
   /// Post a wake-up token (consumed by wfi; saturating at 1).
   void wake(sim::Cycle now);
 
@@ -128,10 +122,11 @@ class SnitchCore {
   void close_trace_span(sim::Cycle now);
 
  private:
-  void execute(const isa::Instr& instr, sim::Cycle now);
+  /// Execute a non-memory instruction; returns whether it retired.
+  bool execute(const isa::Instr& instr, sim::Cycle now);
   /// A hazard on a mul/div result still in flight (pre: one is).
   bool long_op_hazard(u32 regs, sim::Cycle now) const;
-  bool issue_memory_op(const isa::Instr& instr);
+  bool issue_memory_op(const DecodedInstr& decoded);
   u32 csr_read(u16 csr, sim::Cycle now) const;
   void csr_write(u16 csr, u32 value);
   void halt_error(const std::string& message);
@@ -146,7 +141,7 @@ class SnitchCore {
   sim::Cycle long_op_until_ = 0;  ///< latest ready cycle of a mul/div result
   TileICache* icache_ = nullptr;
   const DecodedImage* image_ = nullptr;
-  MemIssueSink* sink_ = nullptr;
+  Cluster* cluster_ = nullptr;
   u64 instret_ = 0;
   u64 stall_raw_ = 0;
   u64 stall_flush_ = 0;
@@ -154,11 +149,11 @@ class SnitchCore {
 
   // Architectural state.
   std::array<u32, 32> regs_{};
+  /// Destination register per LSU slot (0 = none: stores).
+  std::array<u8, 32> lsu_rd_{};
   /// Ready cycle of each register's last mul/div result; read only while
   /// long_op_until_ lies ahead (every other result is ready at once).
   std::array<sim::Cycle, 32> reg_ready_{};
-  /// Destination register per LSU slot (0 = none: stores).
-  std::array<u8, 32> lsu_rd_{};
 
   // Configuration (copied scalars for hot-loop friendliness).
   u32 taken_branch_penalty_;

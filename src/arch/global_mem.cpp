@@ -263,13 +263,7 @@ void GlobalMemory::step(sim::Cycle now, std::vector<MemResponse>& responses,
       refills.push_back(item.token);
       continue;
     }
-    MemResponse resp;
-    resp.core = item.req.core;
-    resp.tag = item.req.tag;
-    resp.is_store = isa::is_store(item.req.op);
-    resp.rdata = amo_or_access(item.req);
-    resp.ready_at = now;
-    responses.push_back(resp);
+    responses.push_back(MemResponse{amo_or_access(item.req), item.req.core, item.req.tag});
   }
 }
 

@@ -9,15 +9,10 @@
 
 namespace mp3d::arch {
 
-/// Width of a scalar access.
-enum class MemSize : u8 { kByte = 0, kHalf = 1, kWord = 2 };
-
 struct MemRequest {
   u32 addr = 0;
   u32 wdata = 0;
   isa::Op op = isa::Op::kInvalid;  ///< load/store/amo flavor
-  MemSize size = MemSize::kWord;
-  bool sign_extend = true;
   u16 core = 0;      ///< global core id of the issuer
   u8 tag = 0;        ///< LSU slot tag
   sim::Cycle ready_at = 0;  ///< earliest cycle the current stage may act on it
@@ -27,8 +22,6 @@ struct MemResponse {
   u32 rdata = 0;
   u16 core = 0;
   u8 tag = 0;
-  bool is_store = false;
-  sim::Cycle ready_at = 0;
 };
 
 /// Result of handing a request to the memory system in the current cycle.

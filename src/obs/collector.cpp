@@ -59,7 +59,8 @@ void collect_run(const Telemetry& telemetry) {
   std::string label = t_label.empty() ? "run" : t_label;
   const u32 nth = ++g_label_counts[label];
   if (nth > 1) {
-    label += "#" + std::to_string(nth);
+    label += '#';
+    label += std::to_string(nth);
   }
   if (telemetry.timeline() != nullptr) {
     std::vector<exp::Row> rows = telemetry.timeline()->to_rows(label);

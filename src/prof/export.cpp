@@ -49,7 +49,9 @@ std::string to_speedscope(const ProfileReport& report, const std::string& name) 
     frames += json_escape(std::string("Cluster::step ") +
                                phase_name(static_cast<Phase>(p)));
     frames += "\"}";
-    samples += "[" + std::to_string(index) + "]";
+    samples += '[';
+    samples += std::to_string(index);
+    samples += ']';
     weights += std::to_string(report.phase_ns[p]);
     end += report.phase_ns[p];
     ++index;

@@ -162,7 +162,8 @@ arch::RunResult System::labelled_finish(u32 k, bool eoc, bool deadlock,
     return clusters_[k]->finish(eoc, deadlock, hit_max);
   }
   const std::string saved = obs::collect_label();
-  const std::string mine = "c" + std::to_string(k);
+  std::string mine = "c";
+  mine += std::to_string(k);
   obs::set_collect_label(saved.empty() ? mine : saved + "." + mine);
   arch::RunResult result = clusters_[k]->finish(eoc, deadlock, hit_max);
   obs::set_collect_label(saved);
@@ -341,7 +342,9 @@ SystemResult System::assemble_result(bool deadlock, bool hit_max) {
       if (!job.dispatched) {
         continue;
       }
-      const std::string prefix = "c" + std::to_string(job.cluster) + ".";
+      std::string prefix = "c";
+      prefix += std::to_string(job.cluster);
+      prefix += '.';
       for (const auto& [name, value] : job.result.counters.all()) {
         result.counters.bump(prefix + name, value);
       }

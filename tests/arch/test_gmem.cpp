@@ -104,7 +104,6 @@ TEST(GlobalMemoryUnit, SubWordStoreOccupiesFullWordSlot) {
     req.addr = 0x80000000 + static_cast<u32>(i);
     req.op = isa::Op::kSb;
     req.wdata = 0xAA;
-    req.size = MemSize::kByte;
     g.enqueue(req, 0);
   }
   g.step(1, responses, refills);

@@ -3,6 +3,10 @@
 // blocking, fairness, and memory consistency under random traffic.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <vector>
+
 #include "common/prng.hpp"
 #include "testing.hpp"
 
@@ -40,14 +44,13 @@ TEST(InterconnectUnit, EgressQueueBackPressure) {
   ClusterConfig cfg = ClusterConfig::mini();
   cfg.port_queue_depth = 2;
   Interconnect noc(cfg);
-  BankRequest req;
   ASSERT_TRUE(noc.can_push_request(0, 0, 1));
-  noc.push_request(0, 1, BankRequest{req}, 1);
-  noc.push_request(0, 1, BankRequest{req}, 1);
+  noc.push_request(0, 1, /*net=*/0, /*handle=*/0, 1);
+  noc.push_request(0, 1, /*net=*/0, /*handle=*/1, 1);
   EXPECT_FALSE(noc.can_push_request(0, 0, 1));  // depth 2 reached
   // One injection per cycle frees one slot.
   u32 delivered = 0;
-  noc.step_requests(1, [&](u32, BankRequest&&) { ++delivered; });
+  noc.step_requests(1, [&](u32, u32) { ++delivered; });
   EXPECT_TRUE(noc.can_push_request(0, 0, 1));
 }
 
@@ -55,16 +58,15 @@ TEST(InterconnectUnit, OneFlitPerCyclePerPort) {
   ClusterConfig cfg = ClusterConfig::mini();
   cfg.port_queue_depth = 8;
   Interconnect noc(cfg);
-  BankRequest req;
-  for (int i = 0; i < 6; ++i) {
-    noc.push_request(0, 1, BankRequest{req}, 1);
+  for (u32 i = 0; i < 6; ++i) {
+    noc.push_request(0, 1, /*net=*/0, /*handle=*/i, 1);
   }
   // With a 1-cycle pipe, deliveries trail injections by one cycle and are
   // capped at 1/cycle by both egress and ingress ports.
   u32 total = 0;
   for (sim::Cycle c = 1; c <= 10; ++c) {
     u32 now = 0;
-    noc.step_requests(c, [&](u32, BankRequest&&) { ++now; });
+    noc.step_requests(c, [&](u32, u32) { ++now; });
     EXPECT_LE(now, 1U);
     total += now;
   }
@@ -83,23 +85,20 @@ TEST(InterconnectUnit, RotatingStartArbitratesContendedIngress) {
   for (sim::Cycle arrive = 16; arrive < 32; ++arrive) {
     SCOPED_TRACE("arrival cycle " + std::to_string(arrive));
     Interconnect noc(cfg);
-    BankRequest from_tile1;
-    from_tile1.req.core = 4;
-    BankRequest from_tile2;
-    from_tile2.req.core = 8;
-    noc.push_request(1, 0, std::move(from_tile1), arrive - 1);
-    noc.push_request(2, 0, std::move(from_tile2), arrive - 1);
-    std::vector<u16> seen;
-    const auto sink = [&](u32 dst_tile, BankRequest&& request) {
+    // Each flit's handle names its egress port.
+    noc.push_request(1, 0, /*net=*/0, /*handle=*/4, arrive - 1);
+    noc.push_request(2, 0, /*net=*/0, /*handle=*/8, arrive - 1);
+    std::vector<u32> seen;
+    const auto sink = [&](u32 dst_tile, u32 handle) {
       EXPECT_EQ(dst_tile, 0U);
-      seen.push_back(request.req.core);
+      seen.push_back(handle);
     };
     noc.step_requests(arrive - 1, sink);  // both inject; the pipe takes a cycle
     EXPECT_TRUE(seen.empty());
 
     noc.step_requests(arrive, sink);
     const u64 start = arrive % 16;
-    const u16 winner = start > 4 && start <= 8 ? 8 : 4;
+    const u32 winner = start > 4 && start <= 8 ? 8 : 4;
     ASSERT_EQ(seen.size(), 1U) << "one ingress port delivers one flit per cycle";
     EXPECT_EQ(seen[0], winner);
     sim::CounterSet counters;
@@ -117,6 +116,53 @@ TEST(InterconnectUnit, RotatingStartArbitratesContendedIngress) {
     EXPECT_EQ(counters.get("noc.req_hol_blocked"), 1U);
     EXPECT_EQ(counters.get("noc.req_flits"), 2U);
   }
+}
+
+TEST(InterconnectUnit, HolBlockedRingsOutgrowTheirSlotsInPushOrder) {
+  // Tiles 1, 2 and 3 of the mini cluster each push one flit a cycle to
+  // tile 0 for 48 cycles. Tile 0's single ingress port takes one flit a
+  // cycle, so the arrived flits pile up behind head-of-line blocking until
+  // the rings outgrow their initial slots. Growing must keep every port's
+  // flits in push order and deliver each at the cycle it was delivered
+  // before the rings shared one slab: the winner sequence, first and last
+  // delivery cycles and counters below were recorded from the per-port
+  // ring design.
+  const ClusterConfig cfg = ClusterConfig::mini();
+  Interconnect noc(cfg);
+  const u32 initial_slots = noc.request_ring_slots();
+  std::array<u32, 4> pushed{};
+  std::array<u32, 4> delivered{};
+  std::string winners;
+  std::vector<sim::Cycle> cycles;
+  for (sim::Cycle now = 1; now < 1000; ++now) {
+    noc.step_requests(now, [&](u32 dst_tile, u32 handle) {
+      EXPECT_EQ(dst_tile, 0U);
+      const u32 tile = handle >> 16;
+      EXPECT_EQ(handle & 0xFFFFU, delivered[tile]++) << "tile " << tile << " out of push order";
+      winners += static_cast<char>('0' + tile);
+      cycles.push_back(now);
+    });
+    if (now <= 48) {
+      for (u32 tile = 1; tile <= 3; ++tile) {
+        ASSERT_TRUE(noc.can_push_request(tile, 0, now));
+        noc.push_request(tile, 0, /*net=*/0, tile << 16 | pushed[tile]++, now);
+      }
+    } else if (noc.idle()) {
+      break;
+    }
+  }
+  EXPECT_GT(noc.request_ring_slots(), initial_slots);
+  EXPECT_EQ(winners,
+            "112222333311111111222233331111111122223333111111112222333311111111"
+            "222233331111111122223333111111222222333322222222222233332222223333"
+            "333333333333");
+  ASSERT_EQ(cycles.size(), 144U);
+  EXPECT_EQ(cycles.front(), 3U);
+  EXPECT_EQ(cycles.back(), 146U);  // one delivery every cycle in between
+  sim::CounterSet counters;
+  noc.add_counters(counters);
+  EXPECT_EQ(counters.get("noc.req_flits"), 144U);
+  EXPECT_EQ(counters.get("noc.req_hol_blocked"), 363U);
 }
 
 TEST(InterconnectStress, RandomDisjointTrafficIsConsistent) {

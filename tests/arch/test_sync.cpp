@@ -2,6 +2,7 @@
 // Synchronization primitives: wfi/wake-up tokens and full barriers.
 #include <gtest/gtest.h>
 
+#include "sim/driver.hpp"
 #include "testing.hpp"
 
 namespace mp3d::arch {
@@ -173,6 +174,35 @@ _start:
   const RunResult r = run_asm(cluster, src, 500'000);
   EXPECT_TRUE(r.deadlock);
   EXPECT_FALSE(r.eoc);
+}
+
+TEST(Sync, LongRegisterOnlyLoopIsNotADeadlock) {
+  // Core 0 spins through 30,000 iterations of a loop that touches no
+  // memory (about 90,000 cycles, far past the watchdog window) while the
+  // others sleep. Retired instructions are progress, so the run must end
+  // at its EOC, not with a deadlock verdict.
+  Cluster cluster(ClusterConfig::tiny());
+  const std::string src = ctrl_prelude(cluster.config()) + R"(
+.text 0x80000000
+_start:
+    csrr t0, mhartid
+    bnez t0, park
+    li t1, 30000
+spin:
+    addi t1, t1, -1
+    bnez t1, spin
+    li a0, 7
+    li t0, EOC
+    sw a0, 0(t0)
+park:
+    wfi
+    j park
+)";
+  const RunResult r = run_asm(cluster, src, 500'000);
+  ASSERT_TRUE(r.eoc) << (r.deadlock ? "deadlock" : "timeout");
+  EXPECT_FALSE(r.deadlock);
+  EXPECT_EQ(r.exit_code, 7U);
+  EXPECT_GT(r.cycles, 2 * sim::kDeadlockWindow);
 }
 
 }  // namespace

@@ -65,8 +65,11 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MatmulCorrectness,
                                            std::make_tuple(64U, 32U),
                                            std::make_tuple(48U, 16U)),
                          [](const auto& info) {
-                           return "m" + std::to_string(std::get<0>(info.param)) + "_t" +
-                                  std::to_string(std::get<1>(info.param));
+                           std::string name = "m";
+                           name += std::to_string(std::get<0>(info.param));
+                           name += "_t";
+                           name += std::to_string(std::get<1>(info.param));
+                           return name;
                          });
 
 TEST(MatmulCorrectness, TinyClusterSingleTile) {

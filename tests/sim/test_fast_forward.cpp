@@ -271,18 +271,17 @@ TEST(FastForwardSources, NocNextEventCoversQueuesAndPipes) {
   arch::Interconnect noc(cfg);
   EXPECT_EQ(noc.next_event_cycle(50), sim::kNever);  // empty
 
-  arch::BankRequest req;
-  noc.push_request(0, 1, arch::BankRequest{req}, /*now=*/51);
+  noc.push_request(0, 1, /*net=*/0, /*handle=*/0, /*now=*/51);
   EXPECT_EQ(noc.next_event_cycle(50), 51U);  // egress queue injects next step
 
   // Injecting moves the flit into the delay pipe; with a 1-cycle local pipe
   // it is deliverable in the next step.
   u32 delivered = 0;
-  noc.step_requests(51, [&](u32, arch::BankRequest&&) { ++delivered; });
+  noc.step_requests(51, [&](u32, u32) { ++delivered; });
   EXPECT_EQ(delivered, 0U);
   const sim::Cycle next = noc.next_event_cycle(51);
   EXPECT_EQ(next, 51 + cfg.local_net_pipe);
-  noc.step_requests(next, [&](u32, arch::BankRequest&&) { ++delivered; });
+  noc.step_requests(next, [&](u32, u32) { ++delivered; });
   EXPECT_EQ(delivered, 1U);
   EXPECT_EQ(noc.next_event_cycle(next), sim::kNever);
 }
