@@ -16,7 +16,9 @@ rounds. Exits 1 when a metric of the change is worse than the parent's by
 more than its bound, or when the change fails more reps than the parent.
 A metric whose rounds spread wider than its bound on either side reads
 "unresolved" and does not fail, unless every round of one side beats every
-round of the other.
+round of the other. After the table it prints each workload's digest from
+both sides' first round and whether they match; that check is informational
+and never changes the verdict.
 """
 
 import argparse
@@ -104,6 +106,27 @@ def fmt(value):
     return "–" if value is None else f"{value:.6g}"
 
 
+def digests(out_dir, workloads):
+    """Each workload's digest from `<out_dir>/<workload>.json`, or None where
+    the file is missing or names none."""
+    found = {}
+    for w in workloads:
+        try:
+            with open(os.path.join(out_dir, f"{w}.json")) as f:
+                found[w] = json.load(f)["digest"]
+        except (OSError, ValueError, KeyError):
+            found[w] = None
+    return found
+
+
+def identity(base, head):
+    """Whether two digests show the same simulation: "same", "differs", or
+    "–" when either side has none."""
+    if base is None or head is None:
+        return "–"
+    return "same" if base == head else "differs"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="the parent's mp3d_bench")
@@ -112,6 +135,7 @@ def main():
     with open(os.path.join(REPO, "BENCHMARK.json")) as f:
         benchmark = json.load(f)
 
+    workloads = [w["name"] for w in benchmark["workloads"]]
     results = {"base": [], "head": []}
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(ROUNDS):
@@ -121,6 +145,8 @@ def main():
                 out_dir = os.path.join(tmp, f"{side}{r}")
                 results[side].append(run_once(
                     getattr(args, side), benchmark["run_seconds"], out_dir))
+        ids = {side: digests(os.path.join(tmp, f"{side}0"), workloads)
+               for side in results}
 
     rows = compare(results["base"], results["head"], benchmark["end_to_end"])
     print(f"### Host-perf gate: parent vs change (median of {ROUNDS} rounds "
@@ -130,6 +156,12 @@ def main():
     for key, b, h, bound, verdict in rows:
         ratio = f"×{h / b:.3f}" if b and h is not None else "–"
         print(f"| {key} | {fmt(b)} | {fmt(h)} | {ratio} | {bound} | {verdict} |")
+    print("\n### Simulation identity (round 1 digests; informational)\n")
+    print("| workload | parent | change | |")
+    print("|---|---|---|---|")
+    for w in workloads:
+        b, h = ids["base"][w], ids["head"][w]
+        print(f"| {w} | {b or 'no digest'} | {h or 'no digest'} | {identity(b, h)} |")
     failed = {side: sum(r["failed"] for r in res) for side, res in results.items()}
     print(f"\nfailed reps: parent {failed['base']}, change {failed['head']}")
 

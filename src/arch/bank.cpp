@@ -7,7 +7,7 @@
 
 namespace mp3d::arch {
 
-void SpmBank::serve(sim::Cycle now, BankRequest& request, std::vector<u32>& spm) {
+void SpmBank::serve(sim::Cycle now, BankRequest& request, std::span<u32> spm) {
   MP3D_ASSERT(has_ready(now));
   const sim::Cycle arrived = queue_.pop_front().ready_at;
   ++accesses_;

@@ -9,6 +9,7 @@
 // serve() executes the request on the word it addresses there.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "arch/mem_types.hpp"
@@ -51,7 +52,7 @@ class SpmBank {
   /// and leave the response word in `request.rdata` (stores answer too).
   /// Also accumulates conflict statistics: cycles a request waited beyond
   /// its zero-load arrival time.
-  void serve(sim::Cycle now, BankRequest& request, std::vector<u32>& spm);
+  void serve(sim::Cycle now, BankRequest& request, std::span<u32> spm);
 
   u64 accesses() const { return accesses_; }
   /// Array-read / array-write activations (the SRAM events energy models

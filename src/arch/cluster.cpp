@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <new>
 #include <numeric>
 #include <sstream>
 
@@ -81,7 +82,12 @@ Cluster::Cluster(ClusterConfig cfg)
   dma_wake_armed_.assign(cfg_.num_cores(), 0);
   dma_wait_target_.assign(cfg_.num_cores(), 0);
   const u32 tiles = cfg_.num_tiles();
-  spm_.assign(cfg_.spm_capacity / 4, 0);
+  const std::size_t words = cfg_.spm_capacity / 4;
+  spm_words_.reset(static_cast<u32*>(std::calloc(words, sizeof(u32))));
+  if (spm_words_ == nullptr) {
+    throw std::bad_alloc();
+  }
+  spm_ = std::span<u32>(spm_words_.get(), words);
   banks_.resize(cfg_.num_banks());
   txns_.resize(std::size_t{cfg_.num_cores()} << lsu_shift_);
   bank_active_flag_.assign(cfg_.num_banks(), 0);

@@ -16,9 +16,11 @@
 #pragma once
 
 #include <array>
+#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -302,8 +304,11 @@ class Cluster final : public DmaSpmPort {
   std::vector<SnitchCore> cores_;
   /// SPM contents, address-ordered: word i holds address spm_base + 4 i.
   /// The banks execute requests on it; the host backdoor and the DMA port
-  /// index it directly.
-  std::vector<u32> spm_;
+  /// index it directly. The words are calloc'd, so the OS maps each page
+  /// on first touch and the host footprint follows the SPM a run touches,
+  /// not the configured capacity.
+  std::unique_ptr<u32[], decltype(&std::free)> spm_words_{nullptr, &std::free};
+  std::span<u32> spm_;
   std::vector<SpmBank> banks_;
   /// SPM transaction records, one per core LSU slot, indexed by the slot's
   /// handle `core << lsu_shift_ | tag`. issue_mem writes a record with the

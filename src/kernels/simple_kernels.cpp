@@ -29,12 +29,34 @@ isa::Program assemble_kernel(const arch::ClusterConfig& cfg, const std::string& 
   return isa::assemble(s, opt);
 }
 
+u32 random_word(Prng& rng, i32 lo, i32 hi) {
+  return static_cast<u32>(static_cast<i32>(rng.range(lo, hi)));
+}
+
 std::vector<u32> random_words(Prng& rng, u32 n, i32 lo, i32 hi) {
   std::vector<u32> words(n);
   for (u32& w : words) {
-    w = static_cast<u32>(static_cast<i32>(rng.range(lo, hi)));
+    w = random_word(rng, lo, hi);
   }
   return words;
+}
+
+/// Write n words drawn from `rng` to consecutive words from `base`, in draw
+/// order, with no host-side copy of the input.
+void write_random_words(arch::Cluster& cluster, u32 base, Prng& rng, u32 n, i32 lo,
+                        i32 hi) {
+  for (u32 i = 0; i < n; ++i) {
+    cluster.write_word(base + i * 4, random_word(rng, lo, hi));
+  }
+}
+
+/// A copy of `rng` advanced past n draws: the stream of the input written
+/// after an n-word one.
+Prng skipped(Prng rng, u32 n, i32 lo, i32 hi) {
+  for (u32 i = 0; i < n; ++i) {
+    rng.range(lo, hi);
+  }
+  return rng;
 }
 
 }  // namespace
@@ -95,21 +117,21 @@ ax_loop:
   kernel.init = [x_base, y_base, n, seed](arch::Cluster& cluster) {
     reset_runtime_state(cluster);
     Prng rng(seed);
-    cluster.write_words(x_base, random_words(rng, n, -100, 100));
-    cluster.write_words(y_base, random_words(rng, n, -100, 100));
+    write_random_words(cluster, x_base, rng, n, -100, 100);
+    write_random_words(cluster, y_base, rng, n, -100, 100);
   };
   kernel.verify = [x_base, y_base, n, a, seed](arch::Cluster& cluster,
                                                const arch::RunResult&) -> std::string {
-    Prng rng(seed);
-    const auto x = random_words(rng, n, -100, 100);
-    const auto y = random_words(rng, n, -100, 100);
+    Prng xs(seed);
+    Prng ys = skipped(xs, n, -100, 100);
     for (u32 i = 0; i < n; ++i) {
-      const u32 expect = y[i] + static_cast<u32>(a) * x[i];
+      const u32 x = random_word(xs, -100, 100);
+      const u32 expect = random_word(ys, -100, 100) + static_cast<u32>(a) * x;
       const u32 got = cluster.read_word(y_base + i * 4);
       if (got != expect) {
         return strfmt("y[%u] = 0x%x, expected 0x%x", i, got, expect);
       }
-      if (cluster.read_word(x_base + i * 4) != x[i]) {
+      if (cluster.read_word(x_base + i * 4) != x) {
         return strfmt("x[%u] was clobbered", i);
       }
     }
@@ -164,18 +186,17 @@ dp_loop:
   kernel.init = [x_base, y_base, acc_addr, n, seed](arch::Cluster& cluster) {
     reset_runtime_state(cluster);
     Prng rng(seed);
-    cluster.write_words(x_base, random_words(rng, n, -50, 50));
-    cluster.write_words(y_base, random_words(rng, n, -50, 50));
+    write_random_words(cluster, x_base, rng, n, -50, 50);
+    write_random_words(cluster, y_base, rng, n, -50, 50);
     cluster.write_word(acc_addr, 0);
   };
   kernel.verify = [x_base, y_base, acc_addr, n, seed](
                       arch::Cluster& cluster, const arch::RunResult&) -> std::string {
-    Prng rng(seed);
-    const auto x = random_words(rng, n, -50, 50);
-    const auto y = random_words(rng, n, -50, 50);
+    Prng xs(seed);
+    Prng ys = skipped(xs, n, -50, 50);
     u32 expect = 0;
     for (u32 i = 0; i < n; ++i) {
-      expect += x[i] * y[i];
+      expect += random_word(xs, -50, 50) * random_word(ys, -50, 50);
     }
     const u32 got = cluster.read_word(acc_addr);
     if (got != expect) {
@@ -384,15 +405,19 @@ mc_loop:
   kernel.init = [src, n, seed](arch::Cluster& cluster) {
     reset_runtime_state(cluster);
     Prng rng(seed);
-    cluster.write_words(src, random_words(rng, n, INT16_MIN, INT16_MAX));
+    write_random_words(cluster, src, rng, n, INT16_MIN, INT16_MAX);
   };
-  kernel.verify = [src, dst, n](arch::Cluster& cluster,
-                                const arch::RunResult&) -> std::string {
+  kernel.verify = [src, dst, n, seed](arch::Cluster& cluster,
+                                      const arch::RunResult&) -> std::string {
+    Prng rng(seed);
     for (u32 i = 0; i < n; ++i) {
-      const u32 want = cluster.read_word(src + i * 4);
+      const u32 want = random_word(rng, INT16_MIN, INT16_MAX);
       const u32 got = cluster.read_word(dst + i * 4);
       if (got != want) {
         return strfmt("dst[%u] = 0x%x, expected 0x%x", i, got, want);
+      }
+      if (cluster.read_word(src + i * 4) != want) {
+        return strfmt("src[%u] was clobbered", i);
       }
     }
     return "";
@@ -651,21 +676,21 @@ ax_drain_done:
   kernel.init = [xb, yb, n, seed](arch::Cluster& cluster) {
     reset_runtime_state(cluster);
     Prng rng(seed);
-    cluster.write_words(xb, random_words(rng, n, -100, 100));
-    cluster.write_words(yb, random_words(rng, n, -100, 100));
+    write_random_words(cluster, xb, rng, n, -100, 100);
+    write_random_words(cluster, yb, rng, n, -100, 100);
   };
   kernel.verify = [xb, yb, n, a, seed](arch::Cluster& cluster,
                                        const arch::RunResult&) -> std::string {
-    Prng rng(seed);
-    const auto x = random_words(rng, n, -100, 100);
-    const auto y = random_words(rng, n, -100, 100);
+    Prng xs(seed);
+    Prng ys = skipped(xs, n, -100, 100);
     for (u32 i = 0; i < n; ++i) {
-      const u32 expect = y[i] + static_cast<u32>(a) * x[i];
+      const u32 x = random_word(xs, -100, 100);
+      const u32 expect = random_word(ys, -100, 100) + static_cast<u32>(a) * x;
       const u32 got = cluster.read_word(yb + i * 4);
       if (got != expect) {
         return strfmt("y[%u] = 0x%x, expected 0x%x", i, got, expect);
       }
-      if (cluster.read_word(xb + i * 4) != x[i]) {
+      if (cluster.read_word(xb + i * 4) != x) {
         return strfmt("x[%u] was clobbered", i);
       }
     }
@@ -791,18 +816,17 @@ dp_wait_done:
   kernel.init = [xb, yb, acc_addr, n, seed](arch::Cluster& cluster) {
     reset_runtime_state(cluster);
     Prng rng(seed);
-    cluster.write_words(xb, random_words(rng, n, -50, 50));
-    cluster.write_words(yb, random_words(rng, n, -50, 50));
+    write_random_words(cluster, xb, rng, n, -50, 50);
+    write_random_words(cluster, yb, rng, n, -50, 50);
     cluster.write_word(acc_addr, 0);
   };
   kernel.verify = [xb, yb, acc_addr, n, seed](arch::Cluster& cluster,
                                               const arch::RunResult&) -> std::string {
-    Prng rng(seed);
-    const auto x = random_words(rng, n, -50, 50);
-    const auto y = random_words(rng, n, -50, 50);
+    Prng xs(seed);
+    Prng ys = skipped(xs, n, -50, 50);
     u32 expect = 0;
     for (u32 i = 0; i < n; ++i) {
-      expect += x[i] * y[i];
+      expect += random_word(xs, -50, 50) * random_word(ys, -50, 50);
     }
     const u32 got = cluster.read_word(acc_addr);
     if (got != expect) {
@@ -1248,15 +1272,19 @@ mcd_done:
   kernel.init = [src, n, seed](arch::Cluster& cluster) {
     reset_runtime_state(cluster);
     Prng rng(seed);
-    cluster.write_words(src, random_words(rng, n, INT16_MIN, INT16_MAX));
+    write_random_words(cluster, src, rng, n, INT16_MIN, INT16_MAX);
   };
-  kernel.verify = [src, dst, n](arch::Cluster& cluster,
-                                const arch::RunResult&) -> std::string {
+  kernel.verify = [src, dst, n, seed](arch::Cluster& cluster,
+                                      const arch::RunResult&) -> std::string {
+    Prng rng(seed);
     for (u32 i = 0; i < n; ++i) {
-      const u32 want = cluster.read_word(src + i * 4);
+      const u32 want = random_word(rng, INT16_MIN, INT16_MAX);
       const u32 got = cluster.read_word(dst + i * 4);
       if (got != want) {
         return strfmt("dst[%u] = 0x%x, expected 0x%x", i, got, want);
+      }
+      if (cluster.read_word(src + i * 4) != want) {
+        return strfmt("src[%u] was clobbered", i);
       }
     }
     return "";

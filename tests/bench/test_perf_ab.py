@@ -43,29 +43,35 @@ class PerfAb(unittest.TestCase):
     def tearDown(self):
         self.tmp.cleanup()
 
-    def stub(self, name, lines):
-        """An executable that appends its arguments to `<name>.args`, prints
-        a report and then its next result line as JSON: `lines` is one line
-        for every round, or a list with one line per round."""
+    def stub(self, name, lines, digests=None):
+        """An executable that appends its arguments to `<name>.args`, writes
+        `<out>/<workload>.json` with each of `digests` {workload: digest},
+        prints a report and then its next result line as JSON: `lines` is
+        one line for every round, or a list with one line per round."""
         path = os.path.join(self.tmp.name, name)
         lines = lines if isinstance(lines, list) else [lines]
         with open(path, "w") as f:
             f.write(f"#!{sys.executable}\n"
-                    f"import sys\n"
+                    f"import json, os, sys\n"
                     f"with open({json.dumps(path + '.args')}, 'a+') as f:\n"
                     f"    f.write(' '.join(sys.argv[1:]) + '\\n')\n"
                     f"    f.seek(0)\n"
                     f"    run = len(f.readlines()) - 1\n"
+                    f"out = sys.argv[sys.argv.index('--out') + 1]\n"
+                    f"os.makedirs(out, exist_ok=True)\n"
+                    f"for w, d in {json.dumps(digests or {})}.items():\n"
+                    f"    with open(os.path.join(out, w + '.json'), 'w') as f:\n"
+                    f"        json.dump({{'workload': w, 'digest': d}}, f)\n"
                     f"lines = {json.dumps([json.dumps(line) for line in lines])}\n"
                     f"print('matmul_4mib: end to end')\n"
                     f"print(lines[run % len(lines)])\n")
         os.chmod(path, os.stat(path).st_mode | stat.S_IXUSR)
         return path
 
-    def ab(self, base, head):
+    def ab(self, base, head, base_digests=None, head_digests=None):
         proc = subprocess.run(
-            [sys.executable, PERF_AB, "--base", self.stub("base", base),
-             "--head", self.stub("head", head)],
+            [sys.executable, PERF_AB, "--base", self.stub("base", base, base_digests),
+             "--head", self.stub("head", head, head_digests)],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
         return proc.returncode, proc.stdout
 
@@ -129,6 +135,17 @@ class PerfAb(unittest.TestCase):
         code, out = self.ab(result(drop="system_mixed_4c"), result())
         self.assertEqual(code, 0, out)
         self.assertIn("| system_mixed_4c.run_s | – | 100 | – | 0.2 | no data |", out)
+
+    def test_digests_read_same_or_differs_without_failing(self):
+        base = {w: "00000000000000aa" for w in WORKLOADS}
+        head = dict(base, axpy_farmem="00000000000000bb")
+        del head["system_mixed_4c"]
+        code, out = self.ab(result(), result(), base, head)
+        self.assertEqual(code, 0, out)
+        self.assertIn("| axpy_farmem | 00000000000000aa | 00000000000000bb | differs |", out)
+        self.assertIn("| matmul_4mib | 00000000000000aa | 00000000000000aa | same |", out)
+        self.assertIn("| system_mixed_4c | 00000000000000aa | no digest | – |", out)
+        self.assertIn("verdict: pass", out)
 
 
 if __name__ == "__main__":

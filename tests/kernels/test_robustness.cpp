@@ -3,6 +3,10 @@
 // diagnosably, never hang the host or corrupt unrelated state.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "kernels/matmul.hpp"
 #include "kernels/runtime.hpp"
 #include "kernels/simple_kernels.hpp"
@@ -128,21 +132,90 @@ TEST(Robustness, KernelsAreReentrantOnOneCluster) {
   EXPECT_NO_THROW(run_kernel(cluster, build_dotp(cluster.config(), 64), 1'000'000));
 }
 
-TEST(Robustness, VerifyHookCatchesCorruption) {
-  // Corrupt one output word after the run: verify must reject.
-  arch::Cluster cluster(arch::ClusterConfig::tiny());
-  const Kernel k = build_memcpy(cluster.config(), 256);
+// ---- verify hooks regenerate their expectation from the seed ---------------
+
+constexpr u32 kVerifyN = 1024;
+
+/// A kernel on `mini()` with the words a corruption after the run must
+/// trip its verify hook on.
+struct VerifyCase {
+  std::string name;
+  std::function<Kernel(const arch::ClusterConfig&)> build;
+  u32 last_output = 0;  ///< address of the last output word
+  /// Address of the last word of the input the hook guards (AXPY: x,
+  /// memcpy: src), or 0.
+  u32 last_input = 0;
+  bool copies = false;  ///< memcpy: the output is a copy of the input
+};
+
+void PrintTo(const VerifyCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<VerifyCase> verify_cases() {
+  // The kernels allocate in this order: the first SPM buffers hold x / dst
+  // and y, the staged dot product's accumulator is its first SPM word, and
+  // the first gmem buffers hold x / src and y.
+  const arch::ClusterConfig cfg = arch::ClusterConfig::mini();
+  const u32 last = (kVerifyN - 1) * 4;
+  SpmAllocator spm(cfg);
+  const u32 spm0 = spm.alloc(u64{kVerifyN} * 4);
+  const u32 spm1 = spm.alloc(u64{kVerifyN} * 4);
+  const u32 dotp_acc = spm.alloc(4);
+  const u32 staged_acc = SpmAllocator(cfg).alloc(4);
+  GmemAllocator gmem(cfg);
+  const u32 gmem0 = gmem.alloc(u64{kVerifyN} * 4);
+  const u32 gmem1 = gmem.alloc(u64{kVerifyN} * 4);
+  using Cfg = const arch::ClusterConfig&;
+  return {
+      {"axpy", [](Cfg c) { return build_axpy(c, kVerifyN, 3); }, spm1 + last, spm0 + last},
+      {"dotp", [](Cfg c) { return build_dotp(c, kVerifyN); }, dotp_acc},
+      {"memcpy", [](Cfg c) { return build_memcpy(c, kVerifyN); }, spm0 + last,
+       gmem0 + last, true},
+      {"axpy_staged",
+       [](Cfg c) { return build_axpy_staged(c, kVerifyN, 3, /*use_dma=*/true, 256); },
+       gmem1 + last, gmem0 + last},
+      {"dotp_staged",
+       [](Cfg c) { return build_dotp_staged(c, kVerifyN, /*use_dma=*/true, 256); },
+       staged_acc},
+      {"memcpy_dma", [](Cfg c) { return build_memcpy_dma(c, kVerifyN); }, spm0 + last,
+       gmem0 + last, true},
+  };
+}
+
+class VerifyHook : public ::testing::TestWithParam<VerifyCase> {};
+
+TEST_P(VerifyHook, CatchesCorruption) {
+  // A clean run verifies; one corrupted output word or one clobbered input
+  // word must not. For memcpy, neither may a src word corrupted and then
+  // copied to dst: the hook compares dst with words regenerated from the
+  // seed, not with the simulated source.
+  const VerifyCase& c = GetParam();
+  arch::Cluster cluster(arch::ClusterConfig::mini());
+  const Kernel k = c.build(cluster.config());
   cluster.load_program(k.program);
   k.init(cluster);
-  const arch::RunResult r = cluster.run(1'000'000);
-  ASSERT_TRUE(r.eoc);
-  ASSERT_TRUE(k.verify(cluster, r).empty());
-  // Find the destination (first SPM alloc above the runtime area).
-  const u32 dst = kernels::barrier_counter0_addr(cluster.config()) +
-                  kernels::kRuntimeReservedBytes;
-  cluster.write_word(dst + 64, 0xDEADBEEF);
-  EXPECT_FALSE(k.verify(cluster, r).empty());
+  const arch::RunResult r = cluster.run(50'000'000);
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(k.verify(cluster, r), "");
+  const u32 out = cluster.read_word(c.last_output);
+  cluster.write_word(c.last_output, out ^ 0x100U);
+  EXPECT_NE(k.verify(cluster, r), "") << "last output word corrupted";
+  cluster.write_word(c.last_output, out);
+  ASSERT_EQ(k.verify(cluster, r), "");
+  if (c.last_input != 0) {
+    const u32 wrong = cluster.read_word(c.last_input) ^ 0x100U;
+    cluster.write_word(c.last_input, wrong);
+    EXPECT_NE(k.verify(cluster, r), "") << "last input word clobbered";
+    if (c.copies) {
+      cluster.write_word(c.last_output, wrong);
+      EXPECT_NE(k.verify(cluster, r), "") << "last input word corrupted and copied";
+    }
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(Kernels, VerifyHook, ::testing::ValuesIn(verify_cases()),
+                         [](const ::testing::TestParamInfo<VerifyCase>& info) {
+                           return info.param.name;
+                         });
 
 }  // namespace
 }  // namespace mp3d::kernels
