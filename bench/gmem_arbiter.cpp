@@ -2,12 +2,12 @@
 // Gmem channel-arbiter sweep: bounded-share arbitration of the off-chip
 // channel over {share bound} x {kernel} x {bandwidth 4..64 B/cycle}.
 //
-// Scenario families (src/exp/scenarios_gmem.*): synthetic soaks on a
-// standalone GlobalMemory — a scalar-saturated stream against an
-// always-hungry bulk claimant (soak_sat) and a latency probe with the
-// scalar class at 90 % of its guaranteed share (soak_fair) — plus real
-// DMA-staged kernels on a mini cluster with the knob threaded through
-// ClusterConfig.
+// Scenario families (src/exp/scenarios_gmem.*): synthetic soaks of a
+// standalone channel (src/exp/channel_soak.*) — a scalar-saturated stream
+// against one bulk tenant offered the whole channel (soak_sat) and a
+// latency probe with the scalar class at 90 % of its guaranteed share
+// (soak_fair) — plus real DMA-staged kernels on a mini cluster with the
+// knob threaded through ClusterConfig.
 //
 // Gates:
 //   - share=0 (the default every paper figure uses) reproduces the legacy
@@ -19,6 +19,7 @@
 //   - threading the knob through a real DMA kernel never regresses its
 //     runtime beyond noise, and every kernel still verifies.
 #include "bench_util.hpp"
+#include "exp/channel_soak.hpp"
 #include "exp/scenarios_gmem.hpp"
 #include "exp/suite.hpp"
 
@@ -50,7 +51,7 @@ exp::Suite make_suite(const exp::CliOptions& options) {
 
   suite.gate("default share=0 keeps the legacy absolute scalar priority",
              [smoke](const exp::SweepReport& report) {
-               for (const u64 bw : exp::gmem_arbiter_bws(smoke)) {
+               for (const u64 bw : exp::gmem_bws(smoke)) {
                  const std::string name = exp::gmem_soak_sat_name(0, bw);
                  const auto share = report.metric(name, "bulk_share");
                  const auto stalls = report.metric(name, "bulk_stall_cycles");
@@ -70,11 +71,11 @@ exp::Suite make_suite(const exp::CliOptions& options) {
 
   suite.gate("bulk sustains >= its configured minimum share under scalar saturation",
              [smoke](const exp::SweepReport& report) {
-               for (const u64 share : exp::gmem_arbiter_shares(smoke)) {
+               for (const u64 share : exp::gmem_shares(smoke)) {
                  if (share == 0) {
                    continue;
                  }
-                 for (const u64 bw : exp::gmem_arbiter_bws(smoke)) {
+                 for (const u64 bw : exp::gmem_bws(smoke)) {
                    const std::string name = exp::gmem_soak_sat_name(share, bw);
                    const auto got = report.metric(name, "bulk_share");
                    if (!got) {
@@ -92,8 +93,8 @@ exp::Suite make_suite(const exp::CliOptions& options) {
 
   suite.gate("scalar p99 queueing latency stays bounded at its guaranteed share",
              [smoke](const exp::SweepReport& report) {
-               for (const u64 share : exp::gmem_arbiter_shares(smoke)) {
-                 for (const u64 bw : exp::gmem_arbiter_bws(smoke)) {
+               for (const u64 share : exp::gmem_shares(smoke)) {
+                 for (const u64 bw : exp::gmem_bws(smoke)) {
                    const std::string name = exp::gmem_soak_fair_name(share, bw);
                    const auto p99 = report.metric(name, "scalar_p99");
                    const auto lat = report.metric(name, "gmem_latency");
@@ -114,13 +115,13 @@ exp::Suite make_suite(const exp::CliOptions& options) {
   suite.gate("a nonzero bound never regresses DMA kernel runtime beyond noise",
              [smoke](const exp::SweepReport& report) {
                for (const std::string& kernel : exp::gmem_arbiter_kernels(smoke)) {
-                 for (const u64 bw : exp::gmem_arbiter_bws(smoke)) {
+                 for (const u64 bw : exp::gmem_bws(smoke)) {
                    const auto base =
                        report.metric(exp::gmem_kernel_name(kernel, 0, bw), "cycles");
                    if (!base) {
                      return exp::gmem_kernel_name(kernel, 0, bw) + " did not run";
                    }
-                   for (const u64 share : exp::gmem_arbiter_shares(smoke)) {
+                   for (const u64 share : exp::gmem_shares(smoke)) {
                      if (share == 0) {
                        continue;
                      }

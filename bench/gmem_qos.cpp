@@ -20,6 +20,7 @@
 #include <string>
 
 #include "bench_util.hpp"
+#include "exp/channel_soak.hpp"
 #include "exp/scenarios_qos.hpp"
 #include "exp/suite.hpp"
 
@@ -65,7 +66,7 @@ exp::Suite make_suite(const exp::CliOptions& options) {
       [smoke](const exp::SweepReport& report) {
         u32 qualifying = 0;
         std::string detail;
-        for (const u64 bw : exp::gmem_qos_bws(smoke)) {
+        for (const u64 bw : exp::gmem_bws(smoke)) {
           bool dominates_all = true;
           bool strict_any = false;
           for (const u64 load : exp::gmem_qos_loads(smoke)) {
@@ -75,7 +76,7 @@ exp::Suite make_suite(const exp::CliOptions& options) {
             if (!ap99 || !abulk) {
               return aname + " did not run";
             }
-            for (const u64 share : exp::gmem_qos_shares(smoke)) {
+            for (const u64 share : exp::gmem_shares(smoke)) {
               const std::string sname =
                   exp::gmem_qos_static_name(share, load, bw);
               const auto sp99 = report.metric(sname, "scalar_p99");
@@ -113,7 +114,7 @@ exp::Suite make_suite(const exp::CliOptions& options) {
   suite.gate("the controller adapts: shares move and average above the floor",
              [smoke](const exp::SweepReport& report) {
                for (const u64 load : exp::gmem_qos_loads(smoke)) {
-                 for (const u64 bw : exp::gmem_qos_bws(smoke)) {
+                 for (const u64 bw : exp::gmem_bws(smoke)) {
                    const std::string name = exp::gmem_qos_adaptive_name(load, bw);
                    const auto adj = report.metric(name, "adjustments");
                    const auto avg = report.metric(name, "share_avg");

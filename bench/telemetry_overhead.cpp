@@ -20,6 +20,7 @@
 
 #include "arch/cluster.hpp"
 #include "bench_util.hpp"
+#include "exp/channel_soak.hpp"
 #include "exp/scenarios_gmem.hpp"
 #include "exp/suite.hpp"
 #include "kernels/simple_kernels.hpp"
@@ -35,17 +36,13 @@ arch::TelemetryConfig telemetry_on() {
   return cfg;
 }
 
-exp::GmemSoakParams soak_params(u64 cycles) {
-  exp::GmemSoakParams p;
-  p.bytes_per_cycle = 4;
-  p.bulk_min_pct = 50;
-  p.scalar_load_pct = exp::kSoakSaturatedLoadPct;
-  p.cycles = cycles;
-  return p;
+/// gmem_arbiter's soak_sat/share=50/bw=4 point, `cycles` long.
+exp::ChannelSoakParams soak_params(u64 cycles) {
+  return exp::constant_load_soak(4, 50, exp::kSoakSaturatedLoadPct, cycles);
 }
 
-bool soak_results_equal(const exp::GmemSoakResult& a,
-                        const exp::GmemSoakResult& b) {
+bool soak_results_equal(const exp::ChannelSoakResult& a,
+                        const exp::ChannelSoakResult& b) {
   return a.scalar_completed == b.scalar_completed &&
          a.scalar_bytes == b.scalar_bytes && a.bulk_bytes == b.bulk_bytes &&
          a.bulk_stall_cycles == b.bulk_stall_cycles &&
@@ -53,11 +50,11 @@ bool soak_results_equal(const exp::GmemSoakResult& a,
 }
 
 exp::ScenarioOutput run_identical_soak(bool smoke) {
-  exp::GmemSoakParams off = soak_params(smoke ? 20'000 : 100'000);
-  exp::GmemSoakParams on = off;
+  exp::ChannelSoakParams off = soak_params(smoke ? 20'000 : 100'000);
+  exp::ChannelSoakParams on = off;
   on.telemetry = telemetry_on();
-  const exp::GmemSoakResult a = exp::run_gmem_soak(off);
-  const exp::GmemSoakResult b = exp::run_gmem_soak(on);
+  const exp::ChannelSoakResult a = exp::run_channel_soak(off);
+  const exp::ChannelSoakResult b = exp::run_channel_soak(on);
   exp::ScenarioOutput out;
   out.sim(2 * off.cycles);
   out.metric("identical", soak_results_equal(a, b) ? 1.0 : 0.0)
@@ -88,11 +85,11 @@ exp::ScenarioOutput run_overhead_soak(bool smoke) {
   using Clock = std::chrono::steady_clock;
   const u64 cycles = smoke ? 50'000 : 500'000;
   const int reps = smoke ? 2 : 5;
-  const auto time_one = [&](const exp::GmemSoakParams& params) {
+  const auto time_one = [&](const exp::ChannelSoakParams& params) {
     double best = 1e300;
     for (int i = 0; i < reps; ++i) {
       const auto start = Clock::now();
-      exp::run_gmem_soak(params);
+      exp::run_channel_soak(params);
       const double ms =
           std::chrono::duration<double, std::milli>(Clock::now() - start)
               .count();
@@ -100,8 +97,8 @@ exp::ScenarioOutput run_overhead_soak(bool smoke) {
     }
     return best;
   };
-  exp::GmemSoakParams off = soak_params(cycles);
-  exp::GmemSoakParams on = off;
+  exp::ChannelSoakParams off = soak_params(cycles);
+  exp::ChannelSoakParams on = off;
   on.telemetry = telemetry_on();
   const double wall_off = time_one(off);
   const double wall_on = time_one(on);

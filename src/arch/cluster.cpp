@@ -113,13 +113,10 @@ Cluster::Cluster(ClusterConfig cfg)
 }
 
 void Cluster::init_telemetry() {
-  TelemetryConfig tcfg = cfg_.telemetry;
-  if (!tcfg.enabled() && obs::global_request_active()) {
-    // The suite CLI's --timeline/--trace flags reach scenario-constructed
-    // clusters through the obs global request; an explicit per-cluster
-    // config always wins.
-    tcfg = obs::global_request().to_config();
-  }
+  // The suite CLI's --timeline/--trace flags reach scenario-constructed
+  // clusters through the obs global request; an explicit per-cluster
+  // config always wins.
+  const TelemetryConfig tcfg = obs::effective_config(cfg_.telemetry);
   if (!tcfg.enabled()) {
     return;
   }

@@ -93,8 +93,6 @@ void ClusterConfig::validate() const {
   MP3D_CHECK(dma.bytes_per_cycle >= 4 && dma.bytes_per_cycle % 4 == 0,
              "DMA port width must be a positive multiple of 4 bytes");
   MP3D_CHECK(dma.bytes_per_cycle <= 512, "DMA port width above 512 B/cycle is not meaningful");
-  MP3D_CHECK(!telemetry.trace || telemetry.trace_capacity >= 1,
-             "event tracing needs a nonzero buffer capacity");
   MP3D_CHECK(telemetry.sample_window == 0 || telemetry.sample_window >= 16,
              "counter sampling below 16-cycle windows measures the sampler, not the run");
   MP3D_CHECK(profiling.stride <= (1u << 20),

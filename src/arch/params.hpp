@@ -97,8 +97,6 @@ struct TelemetryConfig {
   /// Record structured begin/end/instant events (DMA descriptor lifecycle,
   /// gmem arbiter decisions, core wfi spans, kernel phase markers).
   bool trace = false;
-  /// Event buffer bound; events past it are dropped and counted.
-  u64 trace_capacity = 1u << 20;
 
   bool enabled() const { return sample_window > 0 || trace; }
 };

@@ -5,11 +5,12 @@
 // {bandwidth 4..64 B/cycle}.
 //
 // Three scenario families:
-//   - soak_sat:  a synthetic scalar word stream *oversaturating* the
-//     channel against an always-hungry bulk claimant, on a standalone
-//     GlobalMemory. Measures the bulk share actually granted — 0 under
-//     the legacy absolute-priority policy (the starvation bug), >= the
-//     configured minimum under the bounded-share arbiter.
+//   - soak_sat:  a constant scalar word stream *oversaturating* the
+//     channel against one bulk tenant offered the whole channel, on the
+//     standalone channel soak (exp/channel_soak.hpp). Measures the bulk
+//     share actually granted — 0 under the legacy absolute-priority
+//     policy (the starvation bug), >= the configured minimum under the
+//     bounded-share arbiter.
 //   - soak_fair: the scalar stream offered at 90 % of its *guaranteed*
 //     share (the complement of the bulk bound). Measures scalar queueing
 //     latency, which must stay bounded: the arbiter may shift bytes to
@@ -20,55 +21,16 @@
 //     a nonzero guarantee does not regress kernel runtime.
 #pragma once
 
-#include <memory>
+#include <string>
+#include <vector>
 
-#include "arch/params.hpp"
 #include "common/units.hpp"
 #include "exp/scenario.hpp"
 
-namespace mp3d::obs {
-class Telemetry;
-}
-
 namespace mp3d::exp {
 
-/// Synthetic channel soak on a standalone GlobalMemory.
-struct GmemSoakParams {
-  u32 bytes_per_cycle = 4;
-  u32 latency = 4;
-  u32 bulk_min_pct = 0;        ///< GmemArbiterConfig::bulk_min_pct
-  u32 deficit_cap_cycles = 8;  ///< GmemArbiterConfig::deficit_cap_cycles
-  u32 scalar_load_pct = 100;   ///< offered scalar load, % of channel bytes
-  bool bulk_active = true;     ///< an always-hungry bulk claimant
-  u64 cycles = 20000;
-  /// Optional telemetry: windowed counter sampling and/or arbiter event
-  /// tracing on the standalone GlobalMemory. When disabled here, an
-  /// active obs global request (the suite's --timeline/--trace) applies.
-  arch::TelemetryConfig telemetry;
-};
-
-struct GmemSoakResult {
-  u64 scalar_completed = 0;  ///< scalar responses received
-  u64 scalar_bytes = 0;
-  u64 bulk_bytes = 0;
-  u64 bulk_stall_cycles = 0;
-  double scalar_p50 = 0.0;   ///< median enqueue-to-response latency [cycles]
-  double scalar_p99 = 0.0;
-  double bulk_share = 0.0;   ///< bulk bytes / (cycles x channel rate)
-  /// Collected telemetry (null when disabled). Windows carry the gmem
-  /// counter deltas plus per-window scalar latency p50/p99 and queue
-  /// depth gauges.
-  std::shared_ptr<obs::Telemetry> telemetry;
-};
-
-/// Run the soak: a deterministic scalar word stream at the configured
-/// offered load, stepped cycle-by-cycle against a bulk claimant with
-/// unbounded demand (when active) claiming up to the full channel width.
-GmemSoakResult run_gmem_soak(const GmemSoakParams& params);
-
 // ---- suite axes (shared by scenario registration and the bench gates) ----
-std::vector<u64> gmem_arbiter_shares(bool smoke);   ///< bulk_min_pct values
-std::vector<u64> gmem_arbiter_bws(bool smoke);      ///< channel B/cycle
+// Share and bandwidth: gmem_shares / gmem_bws (exp/channel_soak.hpp).
 std::vector<std::string> gmem_arbiter_kernels(bool smoke);
 
 /// Scalar offered load (percent of channel) used by the soak families.

@@ -1,16 +1,8 @@
 // SPDX-License-Identifier: Apache-2.0
 #include "exp/scenarios_qos.hpp"
 
-#include <algorithm>
-#include <deque>
-#include <memory>
-
-#include "arch/global_mem.hpp"
-#include "common/stats.hpp"
+#include "exp/channel_soak.hpp"
 #include "exp/sweep.hpp"
-#include "obs/collector.hpp"
-#include "obs/telemetry.hpp"
-#include "qos/adaptive_share.hpp"
 
 namespace mp3d::exp {
 
@@ -28,170 +20,6 @@ arch::AdaptiveShareConfig qos_soak_controller(u32 p99_budget) {
   cfg.raise_stall_pct = 10;
   cfg.raise_demand_pct = 50;
   return cfg;
-}
-
-QosSoakResult run_qos_soak(const QosSoakParams& params) {
-  arch::GmemArbiterConfig arb;
-  arb.bulk_min_pct = params.bulk_min_pct;
-  arb.deficit_cap_cycles = params.deficit_cap_cycles;
-  arch::GlobalMemory gmem(0x8000'0000u, MiB(1), params.bytes_per_cycle,
-                          params.latency, arb);
-  std::unique_ptr<qos::AdaptiveShareController> controller;
-  if (params.qos.enabled) {
-    controller = std::make_unique<qos::AdaptiveShareController>(params.qos, gmem);
-  }
-
-  arch::TelemetryConfig tcfg = params.telemetry;
-  if (!tcfg.enabled() && obs::global_request_active()) {
-    tcfg = obs::global_request().to_config();
-  }
-  std::shared_ptr<obs::Telemetry> telemetry;
-  obs::Timeline* timeline = nullptr;
-  if (tcfg.enabled()) {
-    telemetry = std::make_shared<obs::Telemetry>(tcfg);
-    timeline = telemetry->timeline();
-    if (obs::Trace* trace = telemetry->trace(); trace != nullptr) {
-      const u32 bulk = trace->add_track("gmem", 0, "bulk", 0);
-      const u32 scalar = trace->add_track("gmem", 0, "scalar", 1);
-      gmem.set_trace(trace, bulk, scalar);
-      if (controller != nullptr) {
-        controller->set_trace(trace, trace->add_track("gmem", 0, "qos", 2));
-      }
-    }
-  }
-  u64 next_sample = timeline != nullptr ? tcfg.sample_window : sim::kNever;
-  std::vector<u64> window_latencies;
-
-  std::vector<arch::MemResponse> responses;
-  std::vector<u32> refills;
-  std::deque<u64> issue_cycles;  ///< FIFO service order = response order
-  std::vector<u64> latencies;
-  QosSoakResult result;
-  result.bulk_tenant_bytes.assign(params.bulk_rates_pct.size(), 0);
-
-  const auto sample_window = [&](u64 cycle) {
-    sim::CounterSet totals;
-    gmem.add_counters(totals);
-    if (controller != nullptr) {
-      controller->add_counters(totals);
-    }
-    totals.set("cycles", cycle);
-    std::vector<std::pair<std::string, double>> gauges;
-    gauges.emplace_back("scalar_p50", percentile(window_latencies, 0.50));
-    gauges.emplace_back("scalar_p99", percentile(window_latencies, 0.99));
-    gauges.emplace_back("scalar_inflight",
-                        static_cast<double>(issue_cycles.size()));
-    gauges.emplace_back("bulk_share_pct",
-                        static_cast<double>(gmem.arbiter().bulk_min_pct));
-    timeline->sample(cycle, totals, std::move(gauges));
-    window_latencies.clear();
-  };
-
-  // Both tenant classes accrue offered bytes in hundredths so fractional
-  // per-cycle rates stream without rounding drift (as in run_gmem_soak).
-  u64 scalar_acc_x100 = 0;
-  std::vector<u64> bulk_backlog_x100(params.bulk_rates_pct.size(), 0);
-  std::size_t bulk_rr = 0;  ///< round-robin service pointer over tenants
-  u64 share_acc = 0;
-  u32 next_addr = 0;
-  for (u64 cycle = 1; cycle <= params.cycles; ++cycle) {
-    const bool in_burst =
-        (cycle - 1) % params.burst_period < params.burst_cycles;
-    const u32 load = in_burst ? params.burst_load_pct : params.quiet_load_pct;
-    scalar_acc_x100 += static_cast<u64>(params.bytes_per_cycle) * load;
-    while (scalar_acc_x100 >= 400) {  // one word request = 4 B = 400 x100
-      scalar_acc_x100 -= 400;
-      arch::MemRequest req;
-      req.addr = 0x8000'0000u + next_addr;
-      next_addr = (next_addr + 4) % static_cast<u32>(KiB(64));
-      req.op = isa::Op::kLw;
-      gmem.enqueue(req, cycle);
-      issue_cycles.push_back(cycle);
-    }
-    u64 bulk_demand = 0;
-    for (std::size_t i = 0; i < bulk_backlog_x100.size(); ++i) {
-      bulk_backlog_x100[i] +=
-          static_cast<u64>(params.bytes_per_cycle) * params.bulk_rates_pct[i];
-      bulk_demand += bulk_backlog_x100[i] / 100;
-    }
-
-    responses.clear();
-    refills.clear();
-    gmem.step(cycle, responses, refills, bulk_demand);
-    for (std::size_t i = 0; i < responses.size(); ++i) {
-      const u64 latency = cycle - issue_cycles.front();
-      latencies.push_back(latency);
-      if (controller != nullptr) {
-        controller->observe_scalar_latency(latency);
-      }
-      if (timeline != nullptr) {
-        window_latencies.push_back(latency);
-      }
-      issue_cycles.pop_front();
-    }
-
-    const u32 want = static_cast<u32>(
-        std::min<u64>(bulk_demand, params.bytes_per_cycle));
-    u64 granted = gmem.claim_bulk(want, cycle);
-    // Deliver the granted bytes to the tenants round-robin so no single
-    // stream monopolises the claim when backlogs saturate.
-    for (std::size_t n = 0; n < bulk_backlog_x100.size() && granted > 0; ++n) {
-      const std::size_t i = (bulk_rr + n) % bulk_backlog_x100.size();
-      const u64 take = std::min<u64>(granted, bulk_backlog_x100[i] / 100);
-      bulk_backlog_x100[i] -= take * 100;
-      result.bulk_tenant_bytes[i] += take;
-      granted -= take;
-    }
-    if (!bulk_backlog_x100.empty()) {
-      bulk_rr = (bulk_rr + 1) % bulk_backlog_x100.size();
-    }
-
-    if (controller != nullptr) {
-      controller->step(cycle);
-    }
-    share_acc += gmem.arbiter().bulk_min_pct;
-    if (cycle >= next_sample) {
-      sample_window(cycle);
-      next_sample += tcfg.sample_window;
-    }
-  }
-
-  if (telemetry != nullptr) {
-    gmem.close_trace_spans(params.cycles);
-    if (timeline != nullptr && params.cycles >= timeline->next_lo()) {
-      sample_window(params.cycles);  // final partial window
-    }
-    obs::collect_run(*telemetry);  // no-op without an active global request
-    result.telemetry = telemetry;
-  }
-
-  sim::CounterSet counters;
-  gmem.add_counters(counters);
-  result.scalar_completed = latencies.size();
-  result.scalar_backlog_end = issue_cycles.size();
-  result.scalar_bytes = gmem.scalar_bytes();
-  result.bulk_bytes = gmem.bulk_bytes();
-  result.bulk_stall_cycles = counters.get("gmem.bulk_stall_cycles");
-  result.scalar_p50 = percentile(latencies, 0.50);
-  result.scalar_p99 = percentile(latencies, 0.99);
-  const double channel_bytes =
-      static_cast<double>(params.cycles) * params.bytes_per_cycle;
-  result.bulk_throughput = static_cast<double>(result.bulk_bytes) / channel_bytes;
-  result.channel_util =
-      static_cast<double>(gmem.bytes_transferred()) / channel_bytes;
-  result.share_final = gmem.arbiter().bulk_min_pct;
-  result.share_avg_pct =
-      static_cast<double>(share_acc) / static_cast<double>(params.cycles);
-  result.adjustments = controller != nullptr ? controller->adjustments() : 0;
-  return result;
-}
-
-std::vector<u64> gmem_qos_shares(bool smoke) {
-  return smoke ? std::vector<u64>{0, 50} : std::vector<u64>{0, 25, 50};
-}
-
-std::vector<u64> gmem_qos_bws(bool smoke) {
-  return smoke ? std::vector<u64>{4, 16} : std::vector<u64>{4, 16, 64};
 }
 
 std::vector<u64> gmem_qos_loads(bool smoke) {
@@ -212,17 +40,17 @@ namespace {
 
 ScenarioOutput run_qos_scenario(bool adaptive, u64 share, u64 load, u64 bw,
                                 bool smoke) {
-  QosSoakParams p;
+  ChannelSoakParams p;
   p.bytes_per_cycle = static_cast<u32>(bw);
   p.burst_load_pct = static_cast<u32>(load);
-  p.cycles = static_cast<u64>(p.burst_period) * (smoke ? 4 : 8);
+  p.cycles = u64{kSoakBurstPeriod} * (smoke ? 4 : 8);
   if (adaptive) {
     p.qos = qos_soak_controller();
     p.bulk_min_pct = p.qos.min_pct;
   } else {
     p.bulk_min_pct = static_cast<u32>(share);
   }
-  const QosSoakResult r = run_qos_soak(p);
+  const ChannelSoakResult r = run_channel_soak(p);
 
   ScenarioOutput out;
   out.sim(p.cycles);
@@ -234,7 +62,7 @@ ScenarioOutput run_qos_scenario(bool adaptive, u64 share, u64 load, u64 bw,
       .metric("scalar_p99", r.scalar_p99)
       .metric("scalar_bytes", static_cast<double>(r.scalar_bytes))
       .metric("bulk_bytes", static_cast<double>(r.bulk_bytes))
-      .metric("bulk_throughput", r.bulk_throughput)
+      .metric("bulk_throughput", r.bulk_share)
       .metric("channel_util", r.channel_util)
       .metric("backlog_end", static_cast<double>(r.scalar_backlog_end))
       .metric("share_avg", r.share_avg_pct)
@@ -247,7 +75,7 @@ ScenarioOutput run_qos_scenario(bool adaptive, u64 share, u64 load, u64 bw,
       .cell("bw", bw)
       .cell("scalar_p50", r.scalar_p50, 1)
       .cell("scalar_p99", r.scalar_p99, 1)
-      .cell("bulk_tput", r.bulk_throughput, 4)
+      .cell("bulk_tput", r.bulk_share, 4)
       .cell("share_avg", r.share_avg_pct, 1)
       .cell("adjust", r.adjustments);
   out.row(std::move(row));
@@ -259,9 +87,9 @@ ScenarioOutput run_qos_scenario(bool adaptive, u64 share, u64 load, u64 bw,
 void register_gmem_qos_scenarios(Registry& registry, bool smoke) {
   // Static Pareto points: {share} x {burst load} x {bandwidth}.
   SweepGrid statics;
-  statics.axis("share", gmem_qos_shares(smoke));
+  statics.axis("share", gmem_shares(smoke));
   statics.axis("load", gmem_qos_loads(smoke));
-  statics.axis("bw", gmem_qos_bws(smoke));
+  statics.axis("bw", gmem_bws(smoke));
   statics.expand(registry, [smoke](const SweepPoint& p) {
     const u64 share = p.u("share");
     const u64 load = p.u("load");
@@ -278,7 +106,7 @@ void register_gmem_qos_scenarios(Registry& registry, bool smoke) {
   // The controller, on the same {burst load} x {bandwidth} grid.
   SweepGrid adaptive;
   adaptive.axis("load", gmem_qos_loads(smoke));
-  adaptive.axis("bw", gmem_qos_bws(smoke));
+  adaptive.axis("bw", gmem_bws(smoke));
   adaptive.expand(registry, [smoke](const SweepPoint& p) {
     const u64 load = p.u("load");
     const u64 bw = p.u("bw");

@@ -1,5 +1,6 @@
 // SPDX-License-Identifier: Apache-2.0
-// Mixed-tenancy QoS scenario definitions: the sweep behind bench/gmem_qos.
+// Mixed-tenancy QoS scenario definitions: the sweep behind bench/gmem_qos,
+// run on the standalone channel soak (exp/channel_soak.hpp).
 //
 // One latency-critical scalar service shares the off-chip channel with
 // streaming DMA tenants. The scalar tenant is *bursty*: short phases that
@@ -27,71 +28,14 @@
 // one, on two or more bandwidth points.
 #pragma once
 
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "arch/params.hpp"
 #include "common/units.hpp"
 #include "exp/scenario.hpp"
 
-namespace mp3d::obs {
-class Telemetry;
-}
-
 namespace mp3d::exp {
-
-/// Mixed-tenancy channel soak on a standalone GlobalMemory.
-struct QosSoakParams {
-  u32 bytes_per_cycle = 4;
-  u32 latency = 4;
-  u32 deficit_cap_cycles = 8;  ///< GmemArbiterConfig::deficit_cap_cycles
-
-  // Scalar tenant: duty-cycled word stream. Loads are percent of the
-  // channel's byte rate; burst_load_pct > 100 oversaturates so a backlog
-  // builds and drains into the quiet phase (the latency tail under test).
-  u32 burst_period = 4096;   ///< cycles per burst+quiet period
-  u32 burst_cycles = 512;    ///< leading cycles of each period at burst load
-  u32 burst_load_pct = 180;  ///< offered scalar load during bursts
-  u32 quiet_load_pct = 10;   ///< offered scalar load between bursts
-
-  /// Streaming bulk tenants, one offered rate each (percent of channel).
-  /// Their aggregate should exceed 100 so bulk demand never dries up.
-  std::vector<u32> bulk_rates_pct{90, 70};
-
-  /// Static policy: the fixed share. Adaptive policy: the initial share
-  /// (clamped into the controller's bounds).
-  u32 bulk_min_pct = 0;
-  /// When `qos.enabled`, run the AdaptiveShareController against the
-  /// channel instead of holding `bulk_min_pct` fixed.
-  arch::AdaptiveShareConfig qos;
-
-  u64 cycles = 32768;  ///< keep a multiple of burst_period (ends drained)
-  /// Optional telemetry, as in GmemSoakParams; an active obs global
-  /// request (--timeline/--trace) applies when unset here.
-  arch::TelemetryConfig telemetry;
-};
-
-struct QosSoakResult {
-  u64 scalar_completed = 0;    ///< scalar responses received
-  u64 scalar_backlog_end = 0;  ///< scalar requests still queued at the end
-  u64 scalar_bytes = 0;
-  u64 bulk_bytes = 0;
-  std::vector<u64> bulk_tenant_bytes;  ///< per-tenant delivered bytes
-  u64 bulk_stall_cycles = 0;
-  double scalar_p50 = 0.0;  ///< enqueue-to-response latency [cycles]
-  double scalar_p99 = 0.0;
-  double bulk_throughput = 0.0;  ///< bulk bytes / (cycles x channel rate)
-  double channel_util = 0.0;     ///< all bytes / (cycles x channel rate)
-  u32 share_final = 0;           ///< live share when the run ended
-  double share_avg_pct = 0.0;    ///< cycle-weighted average live share
-  u64 adjustments = 0;           ///< controller share changes (0 for static)
-  std::shared_ptr<obs::Telemetry> telemetry;
-};
-
-/// Run the mixed-tenancy soak cycle by cycle: scalar burst generator and
-/// bulk tenant backlogs against one GlobalMemory, optionally governed by
-/// an AdaptiveShareController. Deterministic (pure integer state).
-QosSoakResult run_qos_soak(const QosSoakParams& params);
 
 /// The controller configuration the qos_adaptive scenarios run: bounds
 /// 0..40 %, +10 % raise steps, 16-cycle windows, scalar p99 budget of
@@ -100,9 +44,8 @@ QosSoakResult run_qos_soak(const QosSoakParams& params);
 arch::AdaptiveShareConfig qos_soak_controller(u32 p99_budget = 16);
 
 // ---- suite axes (shared by scenario registration and the bench gates) ----
-std::vector<u64> gmem_qos_shares(bool smoke);  ///< static bulk_min_pct values
-std::vector<u64> gmem_qos_bws(bool smoke);     ///< channel B/cycle
-std::vector<u64> gmem_qos_loads(bool smoke);   ///< burst_load_pct values
+// Static share and bandwidth: gmem_shares / gmem_bws (exp/channel_soak.hpp).
+std::vector<u64> gmem_qos_loads(bool smoke);  ///< burst_load_pct values
 
 std::string gmem_qos_static_name(u64 share, u64 load, u64 bw);
 std::string gmem_qos_adaptive_name(u64 load, u64 bw);

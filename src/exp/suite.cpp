@@ -324,7 +324,7 @@ int suite_main(int argc, char** argv,
       std::fprintf(stderr, "[telemetry active: forcing --jobs 1]\n");
       runner.jobs = 1;
     }
-    obs::TelemetryRequest request;
+    arch::TelemetryConfig request;
     request.sample_window = static_cast<u32>(options.timeline_window);
     request.trace = !options.trace_file.empty();
     obs::set_global_request(request);

@@ -223,39 +223,55 @@ mm_blk_done:
   return s;
 }
 
-// Host-side hooks shared by the single-buffered and DMA variants.
+// Host-side hooks shared by the single-buffered and DMA variants. A and B
+// are drawn from one stream, A first, row-major; both hooks walk it the
+// same way.
+constexpr i32 kMatmulLo = -8;
+constexpr i32 kMatmulHi = 8;
+
 std::function<void(arch::Cluster&)> make_matmul_init(u32 a_base, u32 b_base, u32 m,
                                                      u64 seed) {
   return [a_base, b_base, m, seed](arch::Cluster& cluster) {
     reset_runtime_state(cluster);
     Prng rng(seed);
-    std::vector<u32> words(static_cast<std::size_t>(m) * m);
-    for (u32& w : words) {
-      w = static_cast<u32>(static_cast<i32>(rng.range(-8, 8)));
-    }
-    cluster.write_words(a_base, words);
-    for (u32& w : words) {
-      w = static_cast<u32>(static_cast<i32>(rng.range(-8, 8)));
-    }
-    cluster.write_words(b_base, words);
+    write_random_words(cluster, a_base, rng, m * m, kMatmulLo, kMatmulHi);
+    write_random_words(cluster, b_base, rng, m * m, kMatmulLo, kMatmulHi);
   };
 }
 
 std::function<std::string(arch::Cluster&, const arch::RunResult&)> make_matmul_verify(
-    u32 a_base, u32 b_base, u32 c_base, u32 m, u32 t_dim, u32 tiles_chk) {
-  return [a_base, b_base, c_base, m, t_dim, tiles_chk](
+    u32 a_base, u32 b_base, u32 c_base, u32 m, u32 t_dim, u32 tiles_chk, u64 seed) {
+  return [a_base, b_base, c_base, m, t_dim, tiles_chk, seed](
              arch::Cluster& cluster, const arch::RunResult&) -> std::string {
-    const auto a = cluster.read_words(a_base, static_cast<std::size_t>(m) * m);
-    const auto b = cluster.read_words(b_base, static_cast<std::size_t>(m) * m);
+    // Regenerate A and B from the seed: B whole (every C column needs all of
+    // it), A one row at a time. Each simulated input word is checked too.
+    Prng a_stream(seed);
+    Prng b_stream = skipped(a_stream, m * m, kMatmulLo, kMatmulHi);
+    std::vector<u32> b(static_cast<std::size_t>(m) * m);
+    for (u32 i = 0; i < m * m; ++i) {
+      b[i] = random_word(b_stream, kMatmulLo, kMatmulHi);
+      if (cluster.read_word(b_base + i * 4) != b[i]) {
+        return strfmt("B[%u][%u] was clobbered", i / m, i % m);
+      }
+    }
     const u32 span = tiles_chk * t_dim;  // computed leading sub-square
-    for (u32 r = 0; r < span; ++r) {
+    std::vector<u32> a_row(m);
+    for (u32 r = 0; r < m; ++r) {
+      for (u32 k = 0; k < m; ++k) {
+        a_row[k] = random_word(a_stream, kMatmulLo, kMatmulHi);
+        if (cluster.read_word(a_base + (r * m + k) * 4) != a_row[k]) {
+          return strfmt("A[%u][%u] was clobbered", r, k);
+        }
+      }
+      if (r >= span) {
+        continue;
+      }
       for (u32 c = 0; c < span; ++c) {
         u32 acc = 0;
         for (u32 k = 0; k < m; ++k) {
-          acc += a[static_cast<std::size_t>(r) * m + k] *
-                 b[static_cast<std::size_t>(k) * m + c];
+          acc += a_row[k] * b[static_cast<std::size_t>(k) * m + c];
         }
-        const u32 got = cluster.read_word(c_base + (static_cast<u32>(r) * m + c) * 4);
+        const u32 got = cluster.read_word(c_base + (r * m + c) * 4);
         if (got != acc) {
           return strfmt("C[%u][%u] = 0x%x, expected 0x%x", r, c, got, acc);
         }
@@ -296,7 +312,6 @@ void MatmulParams::validate(const arch::ClusterConfig& cfg) const {
   MP3D_CHECK(static_cast<u64>(t) * t % cfg.num_cores() == 0,
              "t^2 must be divisible by the core count");
   MP3D_CHECK(w % 4 == 0, "per-core copy share must be a multiple of 4 words");
-  MP3D_CHECK(inner_k == 0 || inner_k <= t, "inner_k cannot exceed t");
   MP3D_CHECK(3ULL * m * m * 4 + MiB(1) <= cfg.gmem_size,
              "A, B, C (" << 3ULL * m * m * 4 << " B) exceed the global memory window");
 }
@@ -306,7 +321,6 @@ Kernel build_matmul(const arch::ClusterConfig& cfg, const MatmulParams& p, u64 s
   const u32 nt = p.m / p.t;                       // k-chunks per output tile
   const u32 nt_run = p.k_chunks == 0 ? nt : std::min(nt, p.k_chunks);
   const u32 tiles_per_axis = p.outer_tiles == 0 ? nt : std::min(nt, p.outer_tiles);
-  const u32 inner_k = p.inner_k == 0 ? p.t : p.inner_k;
   const u32 tdiv4 = p.t / 4;
   const u32 nblk_total = tdiv4 * tdiv4;
   u32 nblk_eff = nblk_total;
@@ -336,7 +350,7 @@ Kernel build_matmul(const arch::ClusterConfig& cfg, const MatmulParams& p, u64 s
               b_base, c_base);
   s += strfmt(".equ AT, 0x%x\n.equ BT, 0x%x\n.equ CT, 0x%x\n", at, bt, ct);
   s += strfmt(".equ TDIV4, %u\n.equ NBLK_EFF, %u\n", tdiv4, nblk_eff);
-  s += strfmt(".equ KT4, %u\n", inner_k * p.t * 4);  // inner loop end offset
+  s += strfmt(".equ KT4, %u\n", p.t * p.t * 4);  // inner loop end offset
   s += strfmt(".equ BSTRIDE, %u\n", p.t * 4 - 12);
   s += strfmt(".equ BACKSTRIDE, %d\n", -3 * static_cast<i32>(p.t) * 4 + 4);
 
@@ -438,10 +452,11 @@ mm_k_loop:
 
   kernel.init = make_matmul_init(a_base, b_base, p.m, seed);
 
-  const bool verifiable = !p.is_sampled() || (p.inner_k == 0 && p.k_chunks == 0 &&
-                                              p.blocks_per_core == 0);
+  const bool verifiable =
+      !p.is_sampled() || (p.k_chunks == 0 && p.blocks_per_core == 0);
   if (verifiable) {
-    kernel.verify = make_matmul_verify(a_base, b_base, c_base, p.m, p.t, tiles_per_axis);
+    kernel.verify =
+        make_matmul_verify(a_base, b_base, c_base, p.m, p.t, tiles_per_axis, seed);
   }
   return kernel;
 }
@@ -689,7 +704,7 @@ dm_store_done:
   kernel.name = strfmt("matmul_dma_m%u_t%u", p.m, p.t);
   kernel.program = isa::assemble(s, opt);
   kernel.init = make_matmul_init(a_base, b_base, p.m, seed);
-  kernel.verify = make_matmul_verify(a_base, b_base, c_base, p.m, p.t, nt);
+  kernel.verify = make_matmul_verify(a_base, b_base, c_base, p.m, p.t, nt, seed);
   return kernel;
 }
 

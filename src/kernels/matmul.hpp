@@ -17,8 +17,8 @@
 // Each input element is loaded exactly M/t times, so larger SPM tiles mean
 // more reuse — the paper's Figure 6 argument.
 //
-// The generator can also emit *sampled* variants (fewer k-chunks, capped
-// blocks per core, reduced inner depth) used to calibrate the analytical
+// The generator can also emit *sampled* variants (fewer output tiles,
+// fewer k-chunks, capped blocks per core) used to calibrate the analytical
 // model without simulating the full kernel.
 #pragma once
 
@@ -34,13 +34,12 @@ struct MatmulParams {
   // ---- sampling controls (0 = full) ---------------------------------------
   u32 outer_tiles = 0;    ///< output tiles per axis to actually compute
   u32 k_chunks = 0;       ///< k-chunks per output tile
-  u32 inner_k = 0;        ///< inner-loop depth per block (< t makes result partial)
   u32 blocks_per_core = 0;  ///< cap on 4x4 blocks per core
 
   bool markers = true;    ///< core 0 emits phase markers
 
   bool is_sampled() const {
-    return outer_tiles != 0 || k_chunks != 0 || inner_k != 0 || blocks_per_core != 0;
+    return outer_tiles != 0 || k_chunks != 0 || blocks_per_core != 0;
   }
 
   /// The paper's tile size for a given cluster SPM capacity: the largest t

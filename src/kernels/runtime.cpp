@@ -226,6 +226,24 @@ void reset_runtime_state(arch::Cluster& cluster) {
   cluster.write_word(barrier_sense_addr(cfg), 0);
 }
 
+u32 random_word(Prng& rng, i32 lo, i32 hi) {
+  return static_cast<u32>(static_cast<i32>(rng.range(lo, hi)));
+}
+
+void write_random_words(arch::Cluster& cluster, u32 base, Prng& rng, u32 n, i32 lo,
+                        i32 hi) {
+  for (u32 i = 0; i < n; ++i) {
+    cluster.write_word(base + i * 4, random_word(rng, lo, hi));
+  }
+}
+
+Prng skipped(Prng rng, u32 n, i32 lo, i32 hi) {
+  for (u32 i = 0; i < n; ++i) {
+    rng.range(lo, hi);
+  }
+  return rng;
+}
+
 SpmAllocator::SpmAllocator(const arch::ClusterConfig& cfg)
     : next_(barrier_counter0_addr(cfg) + kRuntimeReservedBytes),
       end_(static_cast<u32>(cfg.spm_base + cfg.spm_capacity)) {}

@@ -23,6 +23,7 @@
 
 #include "arch/cluster.hpp"
 #include "arch/params.hpp"
+#include "common/prng.hpp"
 
 namespace mp3d::kernels {
 
@@ -84,6 +85,24 @@ u32 barrier_sense_addr(const arch::ClusterConfig& cfg);
 /// Zero the runtime SPM state (barrier counters). Host-side, part of every
 /// kernel's init hook.
 void reset_runtime_state(arch::Cluster& cluster);
+
+// ---- host-side input streams -------------------------------------------------
+//
+// Init hooks write each input word as it is drawn, and verify hooks draw
+// the same words again from the seed, so no hook holds a host copy of an
+// input and no check trusts the simulated one.
+
+/// One word drawn uniformly from [lo, hi] (two's complement).
+u32 random_word(Prng& rng, i32 lo, i32 hi);
+
+/// Write n words drawn from `rng` to consecutive words from `base`, in draw
+/// order, with no host-side copy of the input.
+void write_random_words(arch::Cluster& cluster, u32 base, Prng& rng, u32 n, i32 lo,
+                        i32 hi);
+
+/// A copy of `rng` advanced past n draws: the stream of the input written
+/// after an n-word one.
+Prng skipped(Prng rng, u32 n, i32 lo, i32 hi);
 
 /// Bump allocator for the interleaved SPM region (above the runtime area)
 /// and for global memory. Purely host-side bookkeeping.

@@ -29,34 +29,12 @@ isa::Program assemble_kernel(const arch::ClusterConfig& cfg, const std::string& 
   return isa::assemble(s, opt);
 }
 
-u32 random_word(Prng& rng, i32 lo, i32 hi) {
-  return static_cast<u32>(static_cast<i32>(rng.range(lo, hi)));
-}
-
 std::vector<u32> random_words(Prng& rng, u32 n, i32 lo, i32 hi) {
   std::vector<u32> words(n);
   for (u32& w : words) {
     w = random_word(rng, lo, hi);
   }
   return words;
-}
-
-/// Write n words drawn from `rng` to consecutive words from `base`, in draw
-/// order, with no host-side copy of the input.
-void write_random_words(arch::Cluster& cluster, u32 base, Prng& rng, u32 n, i32 lo,
-                        i32 hi) {
-  for (u32 i = 0; i < n; ++i) {
-    cluster.write_word(base + i * 4, random_word(rng, lo, hi));
-  }
-}
-
-/// A copy of `rng` advanced past n draws: the stream of the input written
-/// after an n-word one.
-Prng skipped(Prng rng, u32 n, i32 lo, i32 hi) {
-  for (u32 i = 0; i < n; ++i) {
-    rng.range(lo, hi);
-  }
-  return rng;
 }
 
 }  // namespace

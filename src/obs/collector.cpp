@@ -18,7 +18,7 @@ constexpr u32 kPidStride = 1000;
 
 std::atomic<bool> g_active{false};
 std::mutex g_mutex;
-TelemetryRequest g_request;                 // guarded by g_mutex
+arch::TelemetryConfig g_request;            // guarded by g_mutex
 std::vector<exp::Row> g_timeline_rows;      // guarded by g_mutex
 std::string g_trace_events;                 // guarded by g_mutex
 u64 g_trace_dropped = 0;                    // guarded by g_mutex
@@ -29,7 +29,7 @@ thread_local std::string t_label;
 
 }  // namespace
 
-void set_global_request(const TelemetryRequest& request) {
+void set_global_request(const arch::TelemetryConfig& request) {
   const std::lock_guard<std::mutex> lock(g_mutex);
   g_request = request;
   g_timeline_rows.clear();
@@ -37,12 +37,15 @@ void set_global_request(const TelemetryRequest& request) {
   g_trace_dropped = 0;
   g_runs_collected = 0;
   g_label_counts.clear();
-  g_active.store(request.active(), std::memory_order_release);
+  g_active.store(request.enabled(), std::memory_order_release);
 }
 
 bool global_request_active() { return g_active.load(std::memory_order_relaxed); }
 
-TelemetryRequest global_request() {
+arch::TelemetryConfig effective_config(const arch::TelemetryConfig& local) {
+  if (local.enabled() || !global_request_active()) {
+    return local;
+  }
   const std::lock_guard<std::mutex> lock(g_mutex);
   return g_request;
 }

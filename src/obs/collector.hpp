@@ -3,12 +3,12 @@
 //
 // The suite CLI (`--timeline N`, `--trace file`) must reach Clusters that
 // scenarios construct many layers down, without changing any scenario
-// code. The suite installs a global TelemetryRequest before running the
-// sweep; every Cluster (and the standalone gmem soak loop) checks it at
-// construction, enables the requested modes, and deposits its results
-// here when the run finishes. The runner labels each deposit with the
-// scenario name via a thread-local, and the suite drains the collected
-// timeline rows / trace fragments into files afterwards.
+// code. The suite installs a global request (an arch::TelemetryConfig)
+// before running the sweep; every Cluster (and the standalone channel
+// soak) checks it at construction, enables the requested modes, and
+// deposits its results here when the run finishes. The runner labels each
+// deposit with the scenario name via a thread-local, and the suite drains
+// the collected timeline rows / trace fragments into files afterwards.
 //
 // Collection is deterministic because the suite forces --jobs 1 whenever
 // a request is active: deposits arrive in scenario order. The fast path
@@ -25,29 +25,15 @@ namespace mp3d::obs {
 
 class Telemetry;
 
-struct TelemetryRequest {
-  u32 sample_window = 0;
-  bool trace = false;
-  u64 trace_capacity = 1u << 20;
-
-  bool active() const { return sample_window > 0 || trace; }
-
-  arch::TelemetryConfig to_config() const {
-    arch::TelemetryConfig cfg;
-    cfg.sample_window = sample_window;
-    cfg.trace = trace;
-    cfg.trace_capacity = trace_capacity;
-    return cfg;
-  }
-};
-
-/// Install (or, with a default-constructed request, clear) the global
+/// Install (or, with a config that turns no mode on, clear) the global
 /// request. Clears everything collected so far.
-void set_global_request(const TelemetryRequest& request);
+void set_global_request(const arch::TelemetryConfig& request);
 /// True when a request with at least one mode enabled is installed.
 bool global_request_active();
-/// The installed request (meaningful only when active).
-TelemetryRequest global_request();
+/// The telemetry a run records: `local` when it turns a mode on, else the
+/// installed global request (no mode on when none is active). Every
+/// Cluster and the standalone channel soak resolve their config here.
+arch::TelemetryConfig effective_config(const arch::TelemetryConfig& local);
 
 /// Label deposits from the current thread (the runner sets the scenario
 /// name before each run). Empty label → "run".

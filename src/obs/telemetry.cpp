@@ -5,7 +5,7 @@ namespace mp3d::obs {
 
 Telemetry::Telemetry(const arch::TelemetryConfig& config) : config_(config) {
   if (config_.trace) {
-    trace_ = std::make_unique<Trace>(config_.trace_capacity);
+    trace_ = std::make_unique<Trace>(kTraceCapacity);
   }
   if (config_.sample_window > 0) {
     timeline_ = std::make_unique<Timeline>(config_.sample_window);

@@ -13,6 +13,10 @@
 
 namespace mp3d::obs {
 
+/// Event buffer bound of a run's trace; events past it are dropped and
+/// counted (Trace::dropped).
+inline constexpr u64 kTraceCapacity = u64{1} << 20;
+
 class Telemetry {
  public:
   explicit Telemetry(const arch::TelemetryConfig& config);

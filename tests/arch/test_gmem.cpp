@@ -170,7 +170,7 @@ namespace {
 /// Drive `cycles` of a scalar-saturated channel (two queued word loads per
 /// cycle at 4 B/cycle) against an always-hungry bulk claimant; returns the
 /// bulk bytes granted. A deliberately minimal mirror of the step/claim
-/// protocol exp::run_gmem_soak (src/exp/scenarios_gmem.cpp) sweeps at
+/// protocol exp::run_channel_soak (src/exp/channel_soak.cpp) sweeps at
 /// scale — kept separate so these unit tests pin the raw GlobalMemory
 /// contract (exact per-counter values) with no exp-layer in between; a
 /// change to the demand/claim call order must update both drivers.

@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "exp/channel_soak.hpp"
 #include "exp/row.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
@@ -17,9 +18,9 @@ namespace {
 TEST(QosSweep, SmokeGridRegistersStaticsAndAdaptive) {
   Registry registry;
   register_gmem_qos_scenarios(registry, /*smoke=*/true);
-  const auto shares = gmem_qos_shares(true);
+  const auto shares = gmem_shares(true);
   const auto loads = gmem_qos_loads(true);
-  const auto bws = gmem_qos_bws(true);
+  const auto bws = gmem_bws(true);
   EXPECT_EQ(registry.scenarios().size(),
             shares.size() * loads.size() * bws.size() +
                 loads.size() * bws.size());
@@ -50,7 +51,7 @@ TEST(QosSweep, AdaptiveScenariosActuallyAdjustTheShare) {
   options.jobs = 1;
   const SweepReport report = run_sweep(registry.scenarios(), options);
   for (const u64 load : gmem_qos_loads(true)) {
-    for (const u64 bw : gmem_qos_bws(true)) {
+    for (const u64 bw : gmem_bws(true)) {
       const std::string name = gmem_qos_adaptive_name(load, bw);
       const auto adjustments = report.metric(name, "adjustments");
       ASSERT_TRUE(adjustments.has_value()) << name;

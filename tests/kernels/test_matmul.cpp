@@ -108,7 +108,6 @@ TEST(MatmulSampled, SampledVariantRunsAndSkipsVerify) {
   p.t = 16;
   p.outer_tiles = 1;
   p.k_chunks = 2;
-  p.inner_k = 8;
   p.blocks_per_core = 1;
   const Kernel k = build_matmul(cluster.config(), p);
   EXPECT_FALSE(static_cast<bool>(k.verify));

@@ -135,6 +135,7 @@ TEST(Robustness, KernelsAreReentrantOnOneCluster) {
 // ---- verify hooks regenerate their expectation from the seed ---------------
 
 constexpr u32 kVerifyN = 1024;
+constexpr u32 kVerifyM = 32;  ///< matmul: A, B and C are kVerifyM^2 = kVerifyN words
 
 /// A kernel on `mini()` with the words a corruption after the run must
 /// trip its verify hook on.
@@ -142,18 +143,28 @@ struct VerifyCase {
   std::string name;
   std::function<Kernel(const arch::ClusterConfig&)> build;
   u32 last_output = 0;  ///< address of the last output word
-  /// Address of the last word of the input the hook guards (AXPY: x,
-  /// memcpy: src), or 0.
+  /// Address of the last word of an input the hook guards (AXPY: x,
+  /// memcpy: src, matmul: A or B), or 0.
   u32 last_input = 0;
-  bool copies = false;  ///< memcpy: the output is a copy of the input
+  /// Corrupts an input and the output alike, so the output still agrees
+  /// with the simulated input (memcpy: one wrong word in src and dst;
+  /// matmul: row 0 of A and of C zeroed), or null.
+  std::function<void(arch::Cluster&)> corrupt_alike = nullptr;
 };
 
 void PrintTo(const VerifyCase& c, std::ostream* os) { *os << c.name; }
 
+MatmulParams verify_matmul() {
+  MatmulParams p;
+  p.m = kVerifyM;
+  p.t = 16;
+  return p;
+}
+
 std::vector<VerifyCase> verify_cases() {
   // The kernels allocate in this order: the first SPM buffers hold x / dst
   // and y, the staged dot product's accumulator is its first SPM word, and
-  // the first gmem buffers hold x / src and y.
+  // the first gmem buffers hold x / src / A, y / B and C.
   const arch::ClusterConfig cfg = arch::ClusterConfig::mini();
   const u32 last = (kVerifyN - 1) * 4;
   SpmAllocator spm(cfg);
@@ -164,12 +175,26 @@ std::vector<VerifyCase> verify_cases() {
   GmemAllocator gmem(cfg);
   const u32 gmem0 = gmem.alloc(u64{kVerifyN} * 4);
   const u32 gmem1 = gmem.alloc(u64{kVerifyN} * 4);
+  const u32 gmem2 = gmem.alloc(u64{kVerifyN} * 4);
+  const auto copy_wrong_word = [](u32 src, u32 dst) {
+    return [src, dst](arch::Cluster& cluster) {
+      const u32 wrong = cluster.read_word(src) ^ 0x100U;
+      cluster.write_word(src, wrong);
+      cluster.write_word(dst, wrong);
+    };
+  };
+  const auto zero_rows_of_a_and_c = [gmem0, gmem2](arch::Cluster& cluster) {
+    for (u32 k = 0; k < kVerifyM; ++k) {
+      cluster.write_word(gmem0 + k * 4, 0);
+      cluster.write_word(gmem2 + k * 4, 0);
+    }
+  };
   using Cfg = const arch::ClusterConfig&;
   return {
       {"axpy", [](Cfg c) { return build_axpy(c, kVerifyN, 3); }, spm1 + last, spm0 + last},
       {"dotp", [](Cfg c) { return build_dotp(c, kVerifyN); }, dotp_acc},
       {"memcpy", [](Cfg c) { return build_memcpy(c, kVerifyN); }, spm0 + last,
-       gmem0 + last, true},
+       gmem0 + last, copy_wrong_word(gmem0 + last, spm0 + last)},
       {"axpy_staged",
        [](Cfg c) { return build_axpy_staged(c, kVerifyN, 3, /*use_dma=*/true, 256); },
        gmem1 + last, gmem0 + last},
@@ -177,7 +202,11 @@ std::vector<VerifyCase> verify_cases() {
        [](Cfg c) { return build_dotp_staged(c, kVerifyN, /*use_dma=*/true, 256); },
        staged_acc},
       {"memcpy_dma", [](Cfg c) { return build_memcpy_dma(c, kVerifyN); }, spm0 + last,
-       gmem0 + last, true},
+       gmem0 + last, copy_wrong_word(gmem0 + last, spm0 + last)},
+      {"matmul", [](Cfg c) { return build_matmul(c, verify_matmul()); }, gmem2 + last,
+       gmem1 + last, zero_rows_of_a_and_c},
+      {"matmul_dma", [](Cfg c) { return build_matmul_dma(c, verify_matmul()); },
+       gmem2 + last, gmem0 + last, zero_rows_of_a_and_c},
   };
 }
 
@@ -185,9 +214,9 @@ class VerifyHook : public ::testing::TestWithParam<VerifyCase> {};
 
 TEST_P(VerifyHook, CatchesCorruption) {
   // A clean run verifies; one corrupted output word or one clobbered input
-  // word must not. For memcpy, neither may a src word corrupted and then
-  // copied to dst: the hook compares dst with words regenerated from the
-  // seed, not with the simulated source.
+  // word must not. Nor may an input and the output corrupted alike: the
+  // hook compares with words regenerated from the seed, not with the
+  // simulated input.
   const VerifyCase& c = GetParam();
   arch::Cluster cluster(arch::ClusterConfig::mini());
   const Kernel k = c.build(cluster.config());
@@ -202,13 +231,15 @@ TEST_P(VerifyHook, CatchesCorruption) {
   cluster.write_word(c.last_output, out);
   ASSERT_EQ(k.verify(cluster, r), "");
   if (c.last_input != 0) {
-    const u32 wrong = cluster.read_word(c.last_input) ^ 0x100U;
-    cluster.write_word(c.last_input, wrong);
+    const u32 in = cluster.read_word(c.last_input);
+    cluster.write_word(c.last_input, in ^ 0x100U);
     EXPECT_NE(k.verify(cluster, r), "") << "last input word clobbered";
-    if (c.copies) {
-      cluster.write_word(c.last_output, wrong);
-      EXPECT_NE(k.verify(cluster, r), "") << "last input word corrupted and copied";
-    }
+    cluster.write_word(c.last_input, in);
+    ASSERT_EQ(k.verify(cluster, r), "");
+  }
+  if (c.corrupt_alike) {
+    c.corrupt_alike(cluster);
+    EXPECT_NE(k.verify(cluster, r), "") << "an input and the output corrupted alike";
   }
 }
 

@@ -106,7 +106,7 @@ TEST(SystemCompat, CollectorDepositBytesMatchAtSingleCluster) {
   const kernels::Kernel kernel = kernels::build_memcpy_dma(cfg, 1024, 1, 5);
 
   const auto deposit = [&](bool through_system) {
-    obs::TelemetryRequest request;
+    arch::TelemetryConfig request;
     request.sample_window = 256;
     request.trace = true;
     obs::set_global_request(request);
@@ -125,7 +125,7 @@ TEST(SystemCompat, CollectorDepositBytesMatchAtSingleCluster) {
     std::pair<std::string, std::string> bytes{
         exp::rows_to_csv(obs::collected_timeline_rows()),
         obs::collected_trace_json()};
-    obs::set_global_request(obs::TelemetryRequest{});  // clear
+    obs::set_global_request(arch::TelemetryConfig{});  // clear
     obs::set_collect_label("");
     return bytes;
   };
