@@ -306,9 +306,24 @@ void Cluster::write_word(u32 addr, u32 value) {
   }
 }
 
-void Cluster::write_words(u32 addr, const std::vector<u32>& words) {
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    write_word(addr + static_cast<u32>(i) * 4, words[i]);
+void Cluster::write_words(u32 addr, std::span<const u32> words) {
+  if (words.empty()) {
+    return;
+  }
+  // The SPM's two regions are one address-ordered array, so a range may
+  // cross from the sequential into the interleaved region.
+  const Region region = map_.classify(addr);
+  const bool spm = region == Region::kSpmSeq || region == Region::kSpmInterleaved;
+  MP3D_CHECK(spm || region == Region::kGmem,
+             "host write to unmapped address 0x" << std::hex << addr);
+  const u64 region_end = spm ? u64{cfg_.spm_base} + cfg_.spm_capacity
+                             : u64{map_.gmem_base()} + map_.gmem_size();
+  MP3D_CHECK(u64{addr & ~3U} + words.size() * 4 <= region_end,
+             "host write to unmapped address 0x" << std::hex << region_end);
+  if (spm) {
+    std::copy(words.begin(), words.end(), spm_.begin() + ((addr - cfg_.spm_base) >> 2));
+  } else {
+    gmem_->write_words(addr, words);
   }
 }
 
@@ -859,7 +874,7 @@ void Cluster::sample_window() {
   // At sampling time (after phase 5) every delivered wake token has been
   // consumed, so the runnable count equals the old per-core kRunning scan.
   gauges.emplace_back("cores.awake", static_cast<double>(awake_cores_));
-  telemetry_->timeline()->sample(cycle_, totals, std::move(gauges));
+  telemetry_->timeline()->sample(cycle_, std::move(totals), std::move(gauges));
   next_sample_at_ += telemetry_->timeline()->window_cycles();
 }
 

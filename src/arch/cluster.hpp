@@ -153,7 +153,11 @@ class Cluster final : public DmaSpmPort {
   // ---- host backdoor access ------------------------------------------------
   u32 read_word(u32 addr) const;
   void write_word(u32 addr, u32 value);
-  void write_words(u32 addr, const std::vector<u32>& words);
+  /// Write `words` to consecutive words from `addr`, as write_word would
+  /// one by one, but as one copy into the SPM array or into the global
+  /// memory pages. The range must lie in one region (the SPM or global
+  /// memory); one that leaves it throws before anything is written.
+  void write_words(u32 addr, std::span<const u32> words);
   std::vector<u32> read_words(u32 addr, std::size_t count) const;
 
   // ---- component access (tests, calibration) --------------------------------

@@ -61,6 +61,28 @@ void GlobalMemory::write_word(u32 addr, u32 value) {
   word_ref(addr & ~3U) = value;
 }
 
+void GlobalMemory::write_words(u32 addr, std::span<const u32> words) {
+  const u64 first = ((addr & ~3U) - static_cast<u64>(base_)) / 4;
+  MP3D_ASSERT_MSG(addr >= base_ && (first + words.size()) * 4 <= size_,
+                  "gmem range out of range: 0x" << std::hex << addr << " + "
+                                                << std::dec << words.size() << " words");
+  std::erase_if(reservations_, [&](const auto& r) {
+    return (r.first - base_) / 4 - first < words.size();
+  });
+  for (std::size_t done = 0; done < words.size();) {
+    const u64 word = first + done;
+    std::vector<u32>& page = pages_[word / kPageWords];
+    if (page.empty()) {
+      page.assign(kPageWords, 0);
+    }
+    const std::size_t offset = word % kPageWords;
+    const std::size_t run = std::min<std::size_t>(words.size() - done, kPageWords - offset);
+    std::copy_n(words.begin() + static_cast<std::ptrdiff_t>(done), run,
+                page.begin() + static_cast<std::ptrdiff_t>(offset));
+    done += run;
+  }
+}
+
 void GlobalMemory::enqueue(const MemRequest& request, sim::Cycle /*now*/) {
   Item item;
   item.is_refill = false;

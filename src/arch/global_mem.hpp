@@ -17,6 +17,7 @@
 #pragma once
 
 #include <deque>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -38,6 +39,10 @@ class GlobalMemory {
   // ---- functional backdoor (host access, program loading) ----------------
   u32 read_word(u32 addr) const;
   void write_word(u32 addr, u32 value);
+  /// write_word over consecutive words from `addr`, copied page by page;
+  /// drops every LR reservation on the range. Pre: the range lies in the
+  /// window.
+  void write_words(u32 addr, std::span<const u32> words);
 
   // ---- timed interface -----------------------------------------------------
   /// Enqueue a scalar request (always accepted; the paper's model has no

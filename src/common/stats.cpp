@@ -45,7 +45,7 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double percentile(const std::vector<u64>& samples, double q) {
+double select_percentile(std::span<u64> samples, double q) {
   if (samples.empty()) {
     return 0.0;
   }
@@ -54,19 +54,19 @@ double percentile(const std::vector<u64>& samples, double q) {
   const std::size_t lo = static_cast<std::size_t>(rank);
   const std::size_t hi = std::min(lo + 1, samples.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  // Select on a scratch copy: callers (per-window telemetry gauges, the QoS
-  // controller) reuse their sample buffers and must not see them reordered.
-  std::vector<u64> scratch(samples);
-  std::nth_element(scratch.begin(),
-                   scratch.begin() + static_cast<std::ptrdiff_t>(lo), scratch.end());
-  const double at_lo = static_cast<double>(scratch[lo]);
+  const auto at = samples.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples.begin(), at, samples.end());
+  const double at_lo = static_cast<double>(*at);
   double at_hi = at_lo;
   if (hi != lo) {
-    at_hi = static_cast<double>(
-        *std::min_element(scratch.begin() + static_cast<std::ptrdiff_t>(lo) + 1,
-                          scratch.end()));
+    at_hi = static_cast<double>(*std::min_element(at + 1, samples.end()));
   }
   return at_lo * (1.0 - frac) + at_hi * frac;
+}
+
+double percentile(const std::vector<u64>& samples, double q) {
+  std::vector<u64> scratch(samples);
+  return select_percentile(scratch, q);
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,11 +39,15 @@ class RunningStats {
 
 /// Percentile of `samples` by linear interpolation between order statistics
 /// (the rank is q*(n-1); fractional ranks blend the two neighbours). The
-/// caller's vector is left untouched — selection runs on an internal copy —
-/// so per-window telemetry gauges can reuse the same sample buffer. Returns
-/// 0 for an empty vector and the sole value for n == 1. `q` is clamped into
-/// [0, 1].
+/// caller's vector is left untouched — selection runs on a copy — so a
+/// caller can keep reusing its sample buffer. Returns 0 for an empty vector
+/// and the sole value for n == 1. `q` is clamped into [0, 1].
 double percentile(const std::vector<u64>& samples, double q);
+
+/// percentile() without the copy: selects in place, so `samples` comes back
+/// reordered (the same multiset). For a buffer that is cleared or queried
+/// again afterwards, such as a per-window latency buffer.
+double select_percentile(std::span<u64> samples, double q);
 
 /// Fixed-range histogram with uniform bins; values outside the range are
 /// clamped into the first/last bin.

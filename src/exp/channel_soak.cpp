@@ -53,13 +53,14 @@ ChannelSoakResult run_channel_soak(const ChannelSoakParams& params) {
     }
     totals.set("cycles", cycle);
     std::vector<std::pair<std::string, double>> gauges;
-    gauges.emplace_back("scalar_p50", percentile(window_latencies, 0.50));
-    gauges.emplace_back("scalar_p99", percentile(window_latencies, 0.99));
+    // The buffer is cleared below, so both quantiles select in place.
+    gauges.emplace_back("scalar_p50", select_percentile(window_latencies, 0.50));
+    gauges.emplace_back("scalar_p99", select_percentile(window_latencies, 0.99));
     gauges.emplace_back("scalar_inflight",
                         static_cast<double>(issue_cycles.size()));
     gauges.emplace_back("bulk_share_pct",
                         static_cast<double>(gmem.arbiter().bulk_min_pct));
-    timeline->sample(cycle, totals, std::move(gauges));
+    timeline->sample(cycle, std::move(totals), std::move(gauges));
     window_latencies.clear();
   };
 

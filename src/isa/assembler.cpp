@@ -1,7 +1,9 @@
 // SPDX-License-Identifier: Apache-2.0
 #include "isa/assembler.hpp"
 
+#include <algorithm>
 #include <map>
+#include <mutex>
 #include <optional>
 
 #include "common/assert.hpp"
@@ -1040,9 +1042,55 @@ const char* register_abi_name(unsigned reg) {
   return kAbiNames[reg];
 }
 
+namespace {
+
+/// Sources whose programs the memo keeps. A sweep or a job queue cycles
+/// through a handful of kernels; 16 covers that with room to spare.
+constexpr std::size_t kMemoCapacity = 16;
+
+struct MemoEntry {
+  std::string source;
+  AsmOptions options;
+  Program program;
+};
+
+/// Assembled programs of recent sources, most recently used first.
+struct Memo {
+  std::mutex mutex;
+  std::vector<MemoEntry> entries;  ///< guarded by `mutex`
+};
+
+Memo& memo() {
+  static Memo m;
+  return m;
+}
+
+}  // namespace
+
 Program assemble(std::string_view source, const AsmOptions& options) {
-  Assembler assembler(options);
-  return assembler.run(source);
+  Memo& m = memo();
+  const auto same_key = [&](const MemoEntry& e) {
+    return e.options == options && e.source == source;
+  };
+  {
+    std::scoped_lock lock(m.mutex);
+    const auto hit = std::find_if(m.entries.begin(), m.entries.end(), same_key);
+    if (hit != m.entries.end()) {
+      std::rotate(m.entries.begin(), hit, hit + 1);
+      return m.entries.front().program;
+    }
+  }
+  // Assemble outside the lock, so misses on different sources do not
+  // queue behind each other. A source that throws is never stored.
+  Program program = Assembler(options).run(source);
+  std::scoped_lock lock(m.mutex);
+  if (std::none_of(m.entries.begin(), m.entries.end(), same_key)) {
+    if (m.entries.size() == kMemoCapacity) {
+      m.entries.pop_back();
+    }
+    m.entries.insert(m.entries.begin(), MemoEntry{std::string(source), options, program});
+  }
+  return program;
 }
 
 }  // namespace mp3d::isa

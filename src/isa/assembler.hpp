@@ -36,6 +36,8 @@ namespace mp3d::isa {
 
 struct AsmOptions {
   u32 default_base = 0x8000'0000;  ///< initial location counter (.text default)
+
+  bool operator==(const AsmOptions&) const = default;
 };
 
 class AsmError : public std::runtime_error {
@@ -49,6 +51,13 @@ class AsmError : public std::runtime_error {
 };
 
 /// Assemble `source`; throws AsmError listing every diagnosed problem.
+///
+/// Memoized: one process-wide table, guarded by a mutex, keeps the
+/// programs of the 16 most recently used (source text, options) pairs, so
+/// a sweep or a job queue that builds the same kernel again pays for one
+/// assembly and then a copy. A hit returns a copy of the stored Program. A
+/// source that fails is never stored and throws on every call. Safe to
+/// call from several threads at once.
 Program assemble(std::string_view source, const AsmOptions& options = {});
 
 /// Register-name lookup: "x7", "t2", "s0"/"fp", ... Returns -1 if unknown.

@@ -1,7 +1,8 @@
 // SPDX-License-Identifier: Apache-2.0
 #include "kernels/runtime.hpp"
 
-#include <atomic>
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "common/assert.hpp"
@@ -211,10 +212,10 @@ std::string emit_marker(const std::string& id_sym, bool enabled) {
   if (!enabled) {
     return "";
   }
-  // Label disambiguator across expansions; atomic so kernel builders can
-  // run on experiment-engine worker threads concurrently.
-  static std::atomic<int> unique{0};
-  const std::string skip = "rt_mrk_" + std::to_string(unique.fetch_add(1));
+  // The skip label is named after the id, not a running count, so a
+  // kernel's source (isa::assemble's memo key) depends only on the
+  // kernel's parameters.
+  const std::string skip = "rt_mrk_" + id_sym;
   return "    bnez s0, " + skip + "\n    li t0, MARKER\n    li t1, " + id_sym +
          "\n    sw t1, 0(t0)\n" + skip + ":\n";
 }
@@ -232,8 +233,14 @@ u32 random_word(Prng& rng, i32 lo, i32 hi) {
 
 void write_random_words(arch::Cluster& cluster, u32 base, Prng& rng, u32 n, i32 lo,
                         i32 hi) {
-  for (u32 i = 0; i < n; ++i) {
-    cluster.write_word(base + i * 4, random_word(rng, lo, hi));
+  std::array<u32, 1024> run{};
+  for (u32 done = 0; done < n;) {
+    const u32 len = std::min<u32>(n - done, run.size());
+    for (u32 i = 0; i < len; ++i) {
+      run[i] = random_word(rng, lo, hi);
+    }
+    cluster.write_words(base + done * 4, std::span<const u32>(run).first(len));
+    done += len;
   }
 }
 

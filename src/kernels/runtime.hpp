@@ -71,7 +71,9 @@ std::string runtime_dma(const arch::ClusterConfig& cfg);
 /// hartid by kernel convention). The cluster records (id, core, cycle) in
 /// RunResult::markers and, with event tracing on, emits a trace instant —
 /// staged kernels use this to label their phases on the timeline. Returns
-/// "" when `enabled` is false so markers stay free by default.
+/// "" when `enabled` is false so markers stay free by default. The
+/// fragment's skip label is named after `id_sym`, so each id may appear
+/// at most once per program (a second one fails to assemble).
 std::string emit_marker(const std::string& id_sym, bool enabled);
 
 /// Address of the two barrier counters in the interleaved region.
@@ -96,7 +98,8 @@ void reset_runtime_state(arch::Cluster& cluster);
 u32 random_word(Prng& rng, i32 lo, i32 hi);
 
 /// Write n words drawn from `rng` to consecutive words from `base`, in draw
-/// order, with no host-side copy of the input.
+/// order, with no host-side copy of the input: each 1,024 draws go to
+/// simulated memory as one Cluster::write_words run.
 void write_random_words(arch::Cluster& cluster, u32 base, Prng& rng, u32 n, i32 lo,
                         i32 hi);
 

@@ -297,7 +297,7 @@ cv_done:
   kernel.init = [img, kmem, h, w, taps, seed](arch::Cluster& cluster) {
     reset_runtime_state(cluster);
     Prng rng(seed);
-    cluster.write_words(img, random_words(rng, h * w, -20, 20));
+    write_random_words(cluster, img, rng, h * w, -20, 20);
     std::vector<u32> kw(9);
     for (int i = 0; i < 9; ++i) {
       kw[static_cast<std::size_t>(i)] = static_cast<u32>(taps[static_cast<std::size_t>(i)]);
@@ -1158,7 +1158,7 @@ cv_drain_done:
   kernel.init = [img, kmem, h, w, taps, seed](arch::Cluster& cluster) {
     reset_runtime_state(cluster);
     Prng rng(seed);
-    cluster.write_words(img, random_words(rng, h * w, -20, 20));
+    write_random_words(cluster, img, rng, h * w, -20, 20);
     std::vector<u32> kw(9);
     for (int i = 0; i < 9; ++i) {
       kw[static_cast<std::size_t>(i)] = static_cast<u32>(taps[static_cast<std::size_t>(i)]);

@@ -10,7 +10,7 @@ Timeline::Timeline(u32 window_cycles) : window_cycles_(window_cycles) {
   windows_.reserve(1024);
 }
 
-void Timeline::sample(sim::Cycle cycle, const sim::CounterSet& totals,
+void Timeline::sample(sim::Cycle cycle, sim::CounterSet totals,
                       std::vector<std::pair<std::string, double>> gauges) {
   MP3D_CHECK(cycle >= next_lo_, "timeline samples must advance in cycle order");
   WindowSample w;
@@ -20,7 +20,7 @@ void Timeline::sample(sim::Cycle cycle, const sim::CounterSet& totals,
   w.deltas = totals.delta_from(prev_);
   w.gauges = std::move(gauges);
   windows_.push_back(std::move(w));
-  prev_ = totals;
+  prev_ = std::move(totals);
   next_lo_ = cycle + 1;
 }
 

@@ -34,10 +34,11 @@ class Timeline {
   u32 window_cycles() const { return window_cycles_; }
 
   /// Close the window ending at `cycle` (inclusive): store the delta of
-  /// `totals` against the previous snapshot plus the given gauges. Windows
-  /// must be sampled in increasing cycle order; the final window of a run
-  /// may be partial (cycle_hi - cycle_lo + 1 < window_cycles).
-  void sample(sim::Cycle cycle, const sim::CounterSet& totals,
+  /// `totals` against the previous snapshot plus the given gauges, then keep
+  /// `totals` as the next window's snapshot. Windows must be sampled in
+  /// increasing cycle order; the final window of a run may be partial
+  /// (cycle_hi - cycle_lo + 1 < window_cycles).
+  void sample(sim::Cycle cycle, sim::CounterSet totals,
               std::vector<std::pair<std::string, double>> gauges);
 
   const std::vector<WindowSample>& windows() const { return windows_; }

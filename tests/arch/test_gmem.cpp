@@ -165,6 +165,36 @@ TEST(GlobalMemoryUnit, LrScReservationTracking) {
   EXPECT_EQ(g.read_word(addr), 52U);
 }
 
+TEST(GlobalMemoryUnit, BulkWriteClobbersReservationsOnItsRange) {
+  GlobalMemory g(0x80000000, MiB(1), 64, 0);
+  std::vector<MemResponse> responses;
+  std::vector<u32> refills;
+  sim::Cycle cycle = 0;
+  const auto access = [&](isa::Op op, u16 core, u32 addr, u32 wdata) {
+    MemRequest req;
+    req.addr = addr;
+    req.op = op;
+    req.core = core;
+    req.wdata = wdata;
+    g.enqueue(req, 0);
+    responses.clear();
+    refills.clear();
+    g.step(++cycle, responses, refills);
+    EXPECT_EQ(responses.size(), 1U);
+    return responses.empty() ? 0U : responses[0].rdata;
+  };
+  // Core 0 reserves the last word of the range, core 1 the word after it.
+  const u32 first = 0x80000100;
+  const u32 last = first + 12;
+  access(isa::Op::kLrW, 0, last, 0);
+  access(isa::Op::kLrW, 1, last + 4, 0);
+  g.write_words(first, std::vector<u32>{1, 2, 3, 4});
+  EXPECT_EQ(access(isa::Op::kScW, 0, last, 9), 1U);
+  EXPECT_EQ(g.read_word(last), 4U);
+  EXPECT_EQ(access(isa::Op::kScW, 1, last + 4, 9), 0U);
+  EXPECT_EQ(g.read_word(last + 4), 9U);
+}
+
 namespace {
 
 /// Drive `cycles` of a scalar-saturated channel (two queued word loads per

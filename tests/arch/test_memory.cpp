@@ -24,7 +24,7 @@ TEST(Backdoor, SpmRoundTrip) {
 TEST(Backdoor, GmemRoundTrip) {
   Cluster cluster(ClusterConfig::mini());
   const u32 base = cluster.config().gmem_base + 0x1000;
-  cluster.write_words(base, {1, 2, 3, 4});
+  cluster.write_words(base, std::vector<u32>{1, 2, 3, 4});
   const auto v = cluster.read_words(base, 4);
   EXPECT_EQ(v, (std::vector<u32>{1, 2, 3, 4}));
 }
@@ -33,6 +33,60 @@ TEST(Backdoor, RejectsUnmapped) {
   Cluster cluster(ClusterConfig::mini());
   EXPECT_THROW(cluster.read_word(0x70000000), std::invalid_argument);
   EXPECT_THROW(cluster.write_word(0x70000000, 1), std::invalid_argument);
+  EXPECT_THROW(cluster.write_words(0x70000000, std::vector<u32>{1}), std::invalid_argument);
+}
+
+/// write_words(first, words) on one cluster and write_word per word on
+/// another read back the same over the range and a margin around it.
+void expect_bulk_matches_word_by_word(u32 first, u32 count) {
+  Cluster bulk(ClusterConfig::mini());
+  Cluster single(ClusterConfig::mini());
+  std::vector<u32> words(count);
+  for (u32 i = 0; i < count; ++i) {
+    words[i] = 0x9E37'79B9U * (i + 1);
+    single.write_word(first + 4 * i, words[i]);
+  }
+  bulk.write_words(first, words);
+  constexpr u32 kMargin = 4;
+  const u32 lo = first - 4 * kMargin;
+  EXPECT_EQ(bulk.read_words(lo, count + 2 * kMargin),
+            single.read_words(lo, count + 2 * kMargin));
+  EXPECT_EQ(bulk.read_words(first, count), words);
+}
+
+TEST(Backdoor, WriteWordsAcrossAGmemPageBoundary) {
+  const ClusterConfig cfg = ClusterConfig::mini();
+  // Global memory is stored in 64 KiB pages counted from gmem_base.
+  expect_bulk_matches_word_by_word(cfg.gmem_base + static_cast<u32>(KiB(64)) - 4 * 300, 700);
+}
+
+TEST(Backdoor, WriteWordsAcrossTheSpmRegionBoundary) {
+  const ClusterConfig cfg = ClusterConfig::mini();
+  const u32 boundary = static_cast<u32>(cfg.spm_base + cfg.seq_region_bytes());
+  const AddrMap map(cfg);
+  ASSERT_EQ(map.classify(boundary - 4), Region::kSpmSeq);
+  ASSERT_EQ(map.classify(boundary), Region::kSpmInterleaved);
+  expect_bulk_matches_word_by_word(boundary - 4 * 40, 100);
+}
+
+TEST(Backdoor, WriteWordsLeavingTheWindowFailsLikeWriteWord) {
+  const ClusterConfig cfg = ClusterConfig::mini();
+  Cluster cluster(cfg);
+  const u32 spm_end = static_cast<u32>(cfg.spm_base + cfg.spm_capacity);
+  const u32 gmem_end = static_cast<u32>(cfg.gmem_base + cfg.gmem_size);
+  EXPECT_THROW(cluster.write_word(spm_end, 1), std::invalid_argument);
+  EXPECT_THROW(cluster.write_word(gmem_end, 1), std::invalid_argument);
+  const std::vector<u32> three = {1, 2, 3};
+  EXPECT_THROW(cluster.write_words(spm_end - 8, three), std::invalid_argument);
+  EXPECT_THROW(cluster.write_words(gmem_end - 8, three), std::invalid_argument);
+  // The range is checked before anything is written.
+  EXPECT_EQ(cluster.read_words(spm_end - 8, 2), (std::vector<u32>{0, 0}));
+  EXPECT_EQ(cluster.read_words(gmem_end - 8, 2), (std::vector<u32>{0, 0}));
+  // A range that ends exactly at the end of its region is fine.
+  cluster.write_words(spm_end - 12, three);
+  cluster.write_words(gmem_end - 12, three);
+  EXPECT_EQ(cluster.read_words(spm_end - 12, 3), three);
+  EXPECT_EQ(cluster.read_words(gmem_end - 12, 3), three);
 }
 
 class AtomicsTest : public ::testing::Test {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "isa/encoding.hpp"
 
 namespace mp3d::isa {
@@ -294,6 +298,133 @@ TEST(Assembler, ExpressionArithmetic) {
   )");
   EXPECT_EQ(decode(p.segments()[0].words[0]).imm, 0x11C);
   EXPECT_EQ(decode(p.segments()[0].words[1]).imm, 0xE0);
+}
+
+// ---- memoized assembly ------------------------------------------------------
+
+/// A program with two segments and three symbols, all depending on `tag`.
+/// Sources with different tags differ in the tag's digits only.
+std::string memo_source(int tag) {
+  return ".equ TAG, " + std::to_string(tag) + R"(
+start:
+    li a0, TAG
+    addi a0, a0, 1
+    bnez a0, start
+.data 0x80001000
+table:
+    .word TAG, TAG + 1
+)";
+}
+
+void expect_same_program(const Program& a, const Program& b) {
+  ASSERT_EQ(a.segments().size(), b.segments().size());
+  for (std::size_t i = 0; i < a.segments().size(); ++i) {
+    EXPECT_EQ(a.segments()[i].base, b.segments()[i].base);
+    EXPECT_EQ(a.segments()[i].words, b.segments()[i].words);
+  }
+  EXPECT_EQ(a.symbols(), b.symbols());
+  EXPECT_EQ(a.entry(), b.entry());
+}
+
+/// The program memo_source(tag) must assemble to.
+void expect_memo_program(const Program& p, int tag) {
+  ASSERT_EQ(p.segments().size(), 2U);
+  EXPECT_EQ(decode(p.segments()[0].words[0]).imm, tag);
+  EXPECT_EQ(p.segments()[1].base, 0x80001000U);
+  EXPECT_EQ(p.segments()[1].words,
+            (std::vector<u32>{static_cast<u32>(tag), static_cast<u32>(tag + 1)}));
+  EXPECT_EQ(p.symbol_or_throw("TAG"), static_cast<u32>(tag));
+  EXPECT_EQ(p.symbol_or_throw("start"), 0x80000000U);
+  EXPECT_EQ(p.symbol_or_throw("table"), 0x80001000U);
+  EXPECT_EQ(p.entry(), 0x80000000U);
+}
+
+TEST(AssemblerMemo, RepeatedSourceReturnsAnEqualCopy) {
+  const std::string src = memo_source(1);
+  const Program first = asm_ok(src);
+  expect_memo_program(first, 1);
+  Program again = asm_ok(src);
+  expect_same_program(again, first);
+  // A hit hands out a copy: changing it leaves the next hit as it was.
+  again.define_symbol("extra", 7);
+  again.set_entry(0);
+  expect_same_program(asm_ok(src), first);
+}
+
+TEST(AssemblerMemo, AnyChangeToTheKeyAssemblesAfresh) {
+  const std::string src = "start:\n    nop\n    j start\n";
+  AsmOptions low;
+  low.default_base = 0x80000000;
+  AsmOptions high;
+  high.default_base = 0x90000000;
+  EXPECT_EQ(assemble(src, low).symbol_or_throw("start"), 0x80000000U);
+  EXPECT_EQ(assemble(src, high).symbol_or_throw("start"), 0x90000000U);
+  EXPECT_EQ(assemble(src, high).entry(), 0x90000000U);
+  EXPECT_EQ(assemble(src, low).entry(), 0x80000000U);
+
+  // memo_source(2) differs from memo_source(3) in one byte.
+  expect_memo_program(asm_ok(memo_source(2)), 2);
+  expect_memo_program(asm_ok(memo_source(3)), 3);
+  expect_memo_program(asm_ok(memo_source(2)), 2);
+}
+
+TEST(AssemblerMemo, FailingSourceThrowsOnEveryCall) {
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_THROW(asm_ok("bogus a0\n"), AsmError);
+  }
+  expect_memo_program(asm_ok(memo_source(4)), 4);
+  EXPECT_THROW(asm_ok("bogus a0\n"), AsmError);
+}
+
+TEST(AssemblerMemo, ConcurrentCallersGetTheSingleThreadedPrograms) {
+  // Threads start on sources nobody assembled yet, so they race on misses
+  // and on inserting the same key as well as on hits.
+  const std::vector<std::string> sources = {memo_source(10), memo_source(11),
+                                            memo_source(12)};
+  constexpr int kThreads = 8;
+  constexpr int kRepeats = 50;
+  std::vector<std::vector<Program>> got(kThreads);
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < kRepeats * 3; ++i) {
+          got[static_cast<std::size_t>(t)].push_back(
+              asm_ok(sources[static_cast<std::size_t>((i + t) % 3)]));
+        }
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+  }
+  // Push the three out of the memo, then assemble them afresh on one thread.
+  for (int tag = 200; tag < 216; ++tag) {
+    asm_ok(memo_source(tag));
+  }
+  for (int k = 0; k < 3; ++k) {
+    const Program expected = asm_ok(sources[static_cast<std::size_t>(k)]);
+    expect_memo_program(expected, 10 + k);
+    for (int t = 0; t < kThreads; ++t) {
+      for (int i = (k - t % 3 + 3) % 3; i < kRepeats * 3; i += 3) {
+        expect_same_program(got[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)],
+                            expected);
+      }
+    }
+  }
+}
+
+TEST(AssemblerMemo, EvictionsKeepEveryProgramCorrect) {
+  // 20 distinct sources through a 16-entry memo, twice around: the second
+  // pass assembles each source again after it was evicted.
+  std::vector<Program> first;
+  for (int tag = 100; tag < 120; ++tag) {
+    first.push_back(asm_ok(memo_source(tag)));
+    expect_memo_program(first.back(), tag);
+  }
+  for (int tag = 100; tag < 120; ++tag) {
+    expect_same_program(asm_ok(memo_source(tag)), first[static_cast<std::size_t>(tag - 100)]);
+  }
 }
 
 }  // namespace

@@ -33,6 +33,31 @@ TEST(GmemAllocator, ReservesCodeRegion) {
   EXPECT_GE(alloc.alloc(16), cfg.gmem_base + MiB(1));
 }
 
+TEST(RandomWords, WriteRandomWordsWritesTheDrawsInOrder) {
+  // 2,500 words: runs of 1,024, 1,024 and 452 words, the second across a
+  // 64 KiB global memory page boundary.
+  arch::Cluster cluster(arch::ClusterConfig::mini());
+  constexpr u32 kWords = 2500;
+  const u32 base = cluster.config().gmem_base + static_cast<u32>(KiB(64)) - 4 * 1500;
+  Prng written(42);
+  write_random_words(cluster, base, written, kWords, -1000, 1000);
+  Prng drawn(42);
+  for (u32 i = 0; i < kWords; ++i) {
+    ASSERT_EQ(cluster.read_word(base + 4 * i), random_word(drawn, -1000, 1000)) << i;
+  }
+  EXPECT_EQ(written.next_u64(), drawn.next_u64());  // no draw more or less
+  EXPECT_EQ(cluster.read_word(base - 4), 0U);
+  EXPECT_EQ(cluster.read_word(base + 4 * kWords), 0U);
+}
+
+TEST(Runtime, MarkerFragmentDependsOnlyOnItsId) {
+  // A kernel's source, which keys isa::assemble's memo, must not change
+  // from one build to the next.
+  EXPECT_EQ(emit_marker("7", true), emit_marker("7", true));
+  EXPECT_NE(emit_marker("7", true), emit_marker("8", true));
+  EXPECT_EQ(emit_marker("7", false), "");
+}
+
 TEST(BarrierCounters, LiveInDistinctBanks) {
   const arch::ClusterConfig cfg = arch::ClusterConfig::mempool(MiB(1));
   const arch::AddrMap map(cfg);
