@@ -64,7 +64,7 @@ void GlobalMemory::write_word(u32 addr, u32 value) {
 void GlobalMemory::write_words(u32 addr, std::span<const u32> words) {
   const u64 first = ((addr & ~3U) - static_cast<u64>(base_)) / 4;
   MP3D_ASSERT_MSG(addr >= base_ && (first + words.size()) * 4 <= size_,
-                  "gmem range out of range: 0x" << std::hex << addr << " + "
+                  "gmem write out of range: 0x" << std::hex << addr << " + "
                                                 << std::dec << words.size() << " words");
   std::erase_if(reservations_, [&](const auto& r) {
     return (r.first - base_) / 4 - first < words.size();
