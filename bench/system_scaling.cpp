@@ -7,7 +7,7 @@
 //
 // Gates pin the PR's headline claims: weak-scaling efficiency >= 0.8 at
 // the largest cluster count (near-linear scale-out despite the shared
-// home shard and mesh staging), a one-cluster System bit-identical to a
+// home cluster and mesh staging), a one-cluster System bit-identical to a
 // bare Cluster, fast-forward on/off bit-identical at every cluster count,
 // every job reaching EOC with verified outputs, and batch speedup growing
 // monotonically with the cluster count.
@@ -22,7 +22,7 @@ using namespace mp3d;
 namespace {
 
 /// Weak-scaling floor at the largest swept cluster count. The staging
-/// serialization on the home shard's mesh ports is the only part of the
+/// serialization on the home cluster's mesh ports is the only part of the
 /// makespan that grows with N, so the budget is generous headroom over
 /// the measured efficiency (see BENCH table in CI).
 constexpr double kWeakEfficiencyFloor = 0.8;

@@ -222,8 +222,8 @@ class Cluster final : public DmaSpmPort {
   void reset_run_state();
 
   // ---- sim::drive hooks (see sim/driver.hpp) ---------------------------------
-  // Cluster::run hands the cluster itself to sim::drive; sys::System
-  // composes these across its running clusters, each on its local clock.
+  // Cluster::run hands the cluster itself to sim::drive; sys::System runs
+  // sim::drive on each running job's cluster, on a host thread of its own.
 
   /// A core wrote the EOC register (the run's natural end).
   bool eoc_signaled() const { return eoc_; }

@@ -25,8 +25,8 @@ sys::SystemConfig system_config(u32 clusters, sys::SchedPolicy policy,
   return cfg;
 }
 
-/// A staged memcpy job: the kernel's gmem source vector is homed on the
-/// home shard and transferred in over the mesh before the run starts.
+/// A staged memcpy job: the kernel's gmem source vector is homed in the
+/// home store and transferred in over the mesh before the run starts.
 sys::JobSpec memcpy_job(const arch::ClusterConfig& cfg, u32 n, u32 rounds,
                         u64 seed, const std::string& name) {
   sys::JobSpec job;
@@ -38,7 +38,7 @@ sys::JobSpec memcpy_job(const arch::ClusterConfig& cfg, u32 n, u32 rounds,
 }
 
 /// A staged matmul job: A and B stream in, C streams back to the home
-/// shard after EOC (the full shard-in / compute / shard-out shape).
+/// store after EOC (the full shard-in / compute / shard-out shape).
 sys::JobSpec matmul_job(const arch::ClusterConfig& cfg, u32 m, u32 t,
                         u64 seed, const std::string& name) {
   kernels::MatmulParams params;

@@ -16,8 +16,8 @@
 //                     A result <= now() + 1 means the next cycle is pinned;
 //                     kNever means nothing is in flight;
 //   horizon()         boundaries that must land exactly but wake nothing
-//                     (telemetry samples, profiler strides, qos windows,
-//                     per-job cycle caps); kNever when there are none;
+//                     (telemetry samples, profiler strides, qos windows);
+//                     kNever when there are none;
 //   skip_to(target)   jump the clock to exactly target - 1, leaving every
 //                     observable as if each skipped cycle had ticked. The
 //                     jump may itself do work on the way (a Cluster steps

@@ -58,7 +58,7 @@ class ClusterIcn {
 
   u64 bytes_moved_ = 0;
   u64 byte_hops_ = 0;       ///< sum over grants of bytes x hops (energy witness)
-  u64 local_bytes_ = 0;     ///< src == dst grants (home-shard self-copies)
+  u64 local_bytes_ = 0;     ///< src == dst grants (home-cluster self-copies)
   u64 starved_claims_ = 0;  ///< nonzero asks granted 0 bytes (port contention)
 };
 

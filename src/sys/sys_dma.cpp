@@ -8,14 +8,10 @@
 
 namespace mp3d::sys {
 
-SysDma::SysDma(const SysDmaConfig& cfg, ClusterIcn& icn,
-               std::vector<arch::GlobalMemory*> shards)
-    : cfg_(cfg), icn_(icn), shards_(std::move(shards)) {
+SysDma::SysDma(const SysDmaConfig& cfg, ClusterIcn& icn) : cfg_(cfg), icn_(icn) {
   cfg_.validate();
-  MP3D_CHECK(shards_.size() == icn_.num_clusters(),
-             "SysDma needs one gmem shard per cluster");
-  engines_.resize(shards_.size());
-  trackers_.resize(shards_.size());
+  engines_.resize(icn_.num_clusters());
+  trackers_.resize(icn_.num_clusters());
 }
 
 bool SysDma::can_accept(u32 engine) const {
@@ -29,6 +25,8 @@ u64 SysDma::push(u32 engine, C2cDescriptor descriptor) {
   MP3D_CHECK(descriptor.src_cluster < num_engines() &&
                  descriptor.dst_cluster < num_engines(),
              "C2cDescriptor cluster id out of range");
+  MP3D_CHECK(descriptor.src != nullptr && descriptor.dst != nullptr,
+             "C2cDescriptor needs a source and a destination memory");
   MP3D_CHECK(descriptor.bytes > 0 && descriptor.bytes % 4 == 0,
              "C2cDescriptor bytes must be a positive multiple of 4");
   MP3D_CHECK((descriptor.src_addr | descriptor.dst_addr) % 4 == 0,
@@ -42,8 +40,7 @@ u64 SysDma::push(u32 engine, C2cDescriptor descriptor) {
 
 void SysDma::move_word(const C2cDescriptor& d, u64 word_index) {
   const u32 offset = static_cast<u32>(word_index * 4);
-  const u32 value = shards_[d.src_cluster]->read_word(d.src_addr + offset);
-  shards_[d.dst_cluster]->write_word(d.dst_addr + offset, value);
+  d.dst->write_word(d.dst_addr + offset, d.src->read_word(d.src_addr + offset));
 }
 
 void SysDma::step_engine(u32 e, sim::Cycle now) {

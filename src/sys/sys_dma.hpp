@@ -1,18 +1,21 @@
 // SPDX-License-Identifier: Apache-2.0
 // Cluster-to-cluster DMA: one engine per cluster moving bytes between
-// global-memory shards through the inter-cluster interconnect.
+// global memories through the inter-cluster interconnect.
 //
-// A descriptor names a linear copy from (src_cluster, src_addr) to
-// (dst_cluster, dst_addr). Every cycle the owning engine claims bytes for
+// A descriptor names a linear copy from (src, src_addr) to (dst,
+// dst_addr), two global memories, routed over the mesh from src_cluster to
+// dst_cluster. Every cycle the owning engine claims bytes for
 // its active descriptor from the icn link budgets (capped by the engine's
 // own port width); whole words move functionally as bytes are granted,
 // and the descriptor retires `hop_latency * hops` cycles after its last
 // byte — the same grant-then-latency shape as the intra-cluster
-// DmaEngine, with the mesh route standing in for the gmem channel.
+// DmaEngine, with the mesh route standing in for the gmem channel. The
+// route alone sets timing, counters and energy; the functional copies
+// touch no counter.
 //
 // Engines are served in a per-cycle rotated order (and the rotation is
 // advanced across fast-forward jumps), so no engine permanently wins a
-// contended home-shard port and the schedule is bit-identical with the
+// contended home-cluster port and the schedule is bit-identical with the
 // fast path on or off. Tickets are per-engine sequential; retirement is
 // reported through an in-order watermark (arch::DmaRetireTracker), which
 // the job scheduler polls.
@@ -33,18 +36,19 @@ namespace mp3d::sys {
 
 /// A validated cluster-to-cluster copy request.
 struct C2cDescriptor {
-  u32 src_cluster = 0;
-  u32 dst_cluster = 0;
-  u32 src_addr = 0;  ///< byte address in the source shard's gmem window
-  u32 dst_addr = 0;  ///< byte address in the destination shard's gmem window
+  u32 src_cluster = 0;  ///< mesh route: the cluster the bytes leave
+  u32 dst_cluster = 0;  ///< mesh route: the cluster the bytes reach
+  arch::GlobalMemory* src = nullptr;  ///< memory the words are read from
+  arch::GlobalMemory* dst = nullptr;  ///< memory the words are written to
+  u32 src_addr = 0;  ///< byte address in `src`'s window
+  u32 dst_addr = 0;  ///< byte address in `dst`'s window
   u64 bytes = 0;     ///< positive multiple of 4
   u64 ticket = 0;    ///< per-engine sequential id (assigned at push)
 };
 
 class SysDma {
  public:
-  SysDma(const SysDmaConfig& cfg, ClusterIcn& icn,
-         std::vector<arch::GlobalMemory*> shards);
+  SysDma(const SysDmaConfig& cfg, ClusterIcn& icn);
 
   u32 num_engines() const { return static_cast<u32>(engines_.size()); }
   bool can_accept(u32 engine) const;
@@ -98,7 +102,6 @@ class SysDma {
 
   SysDmaConfig cfg_;
   ClusterIcn& icn_;
-  std::vector<arch::GlobalMemory*> shards_;
   std::vector<Engine> engines_;
   std::vector<arch::DmaRetireTracker> trackers_;
   u32 step_rr_ = 0;

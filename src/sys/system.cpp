@@ -2,7 +2,10 @@
 #include "sys/system.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <sstream>
+#include <thread>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -12,14 +15,96 @@ namespace mp3d::sys {
 
 namespace {
 
-/// Translate a cluster-local cycle to the system clock (kNever saturates).
-sim::Cycle to_system_cycle(sim::Cycle local, sim::Cycle offset) {
-  return local >= sim::kNever - offset ? sim::kNever : local + offset;
-}
+/// A System thread that has caught up with a worker sleeps until the
+/// worker is this many cycles ahead or has ended, so it wakes at most once
+/// per that many of the worker's cycles.
+constexpr sim::Cycle kLookahead = 4096;
 
 u64 round_up4(u64 bytes) { return (bytes + 3) & ~u64{3}; }
 
 }  // namespace
+
+/// The host thread driving one running job's cluster. It is the sim::drive
+/// model of its thread: every hook is the cluster's own, and step() and
+/// skip_to() publish the cluster's clock. A published clock c means the job
+/// has not ended before local cycle c (drive ends a run only right after a
+/// step, and c may be that step), so offset + c bounds the job's end from
+/// below; once `ended` is set, the clock is the job's final cycle.
+///
+/// The System's thread waits on a worker by storing the clock it wants in
+/// `wake_at`, then reading `signal` and the clock, and sleeping on `signal`
+/// while the clock is short. The worker stores its clock, then reads
+/// `wake_at`, and bumps `signal` once the clock reaches it (claiming the
+/// request with a compare-exchange, so it never clears a newer one); it
+/// also bumps `signal` when it ends. All of these are sequentially
+/// consistent, so either the worker sees the request or the System sees
+/// the clock: no wake-up is lost.
+struct System::Worker {
+  Worker() = default;
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
+
+  arch::Cluster* cluster = nullptr;
+  // Written by the worker, read by the System's thread.
+  alignas(64) std::atomic<sim::Cycle> clock{0};
+  std::atomic<bool> ended{false};
+  std::atomic<u32> signal{0};
+  sim::RunEnd end = sim::RunEnd::kDone;  ///< set before `ended`
+  std::exception_ptr error;              ///< set before `ended`
+  // Written by the System's thread, read by the worker.
+  alignas(64) std::atomic<sim::Cycle> wake_at{sim::kNever};
+  std::atomic<bool> stop{false};
+  std::thread thread;  ///< runs while the cluster's seat is kRunning
+
+  void start(arch::Cluster& driven, u64 max_cycles) {
+    cluster = &driven;
+    clock.store(driven.now());
+    ended.store(false);
+    wake_at.store(sim::kNever);
+    stop.store(false);
+    end = sim::RunEnd::kDone;
+    error = nullptr;
+    thread = std::thread([this, max_cycles] {
+      try {
+        end = sim::drive(*this, max_cycles);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      clock.store(cluster->now());
+      ended.store(true);
+      signal.fetch_add(1);
+      signal.notify_one();
+    });
+  }
+
+  void publish() {
+    const sim::Cycle now = cluster->now();
+    clock.store(now);
+    sim::Cycle wanted = wake_at.load();
+    if (now >= wanted && wake_at.compare_exchange_strong(wanted, sim::kNever)) {
+      signal.fetch_add(1);
+      signal.notify_one();
+    }
+  }
+
+  // sim::drive hooks (see sim/driver.hpp); `stop` ends the run early when
+  // the System abandons it.
+  sim::Cycle now() const { return cluster->now(); }
+  void step() {
+    cluster->step();
+    publish();
+  }
+  bool done() const { return cluster->done() || stop.load(); }
+  u64 activity() const { return cluster->activity(); }
+  bool may_skip() const { return cluster->may_skip(); }
+  sim::Cycle next_wake(sim::Cycle bound) const { return cluster->next_wake(bound); }
+  sim::Cycle horizon() const { return cluster->horizon(); }
+  sim::Cycle skip_to(sim::Cycle target) {
+    const sim::Cycle active_at = cluster->skip_to(target);
+    publish();
+    return active_at;
+  }
+};
 
 std::string SystemConfig::to_string() const {
   std::ostringstream oss;
@@ -35,23 +120,35 @@ System::System(SystemConfig cfg)
     : cfg_(std::move(cfg)), scheduler_(cfg_.policy, cfg_.num_clusters) {
   cfg_.validate();
   clusters_.reserve(cfg_.num_clusters);
-  std::vector<arch::GlobalMemory*> shards;
-  shards.reserve(cfg_.num_clusters);
+  workers_.reserve(cfg_.num_clusters);
   for (u32 k = 0; k < cfg_.num_clusters; ++k) {
     clusters_.push_back(std::make_unique<arch::Cluster>(cfg_.cluster));
-    shards.push_back(&clusters_.back()->gmem());
+    workers_.push_back(std::make_unique<Worker>());
   }
   icn_ = std::make_unique<ClusterIcn>(cfg_.icn, cfg_.num_clusters);
-  sdma_ = std::make_unique<SysDma>(cfg_.sys_dma, *icn_, std::move(shards));
+  sdma_ = std::make_unique<SysDma>(cfg_.sys_dma, *icn_);
+  home_ = std::make_unique<arch::GlobalMemory>(
+      cfg_.cluster.gmem_base, cfg_.cluster.gmem_size, cfg_.cluster.gmem_bytes_per_cycle,
+      cfg_.cluster.gmem_latency);
   seats_.resize(cfg_.num_clusters);
   loaded_.assign(cfg_.num_clusters, 0);
   fast_forward_ = clusters_[0]->fast_forward_enabled();
   home_slot_top_ = cfg_.cluster.gmem_base + cfg_.cluster.gmem_size;
 }
 
-System::~System() = default;
+System::~System() { stop_workers(); }
+
+void System::stop_workers() {
+  for (const std::unique_ptr<Worker>& worker : workers_) {
+    if (worker->thread.joinable()) {
+      worker->stop.store(true);
+      worker->thread.join();
+    }
+  }
+}
 
 void System::reset_run_state() {
+  stop_workers();
   for (u32 k = 0; k < num_clusters(); ++k) {
     if (loaded_[k] != 0) {
       clusters_[k]->reset_run_state();
@@ -60,6 +157,7 @@ void System::reset_run_state() {
   icn_->reset_run_state();
   sdma_->reset_run_state();
   cycle_ = 0;
+  job_events_ = 0;
   std::fill(seats_.begin(), seats_.end(), Seat{});
   records_.clear();
   jobs_done_ = 0;
@@ -68,33 +166,24 @@ void System::reset_run_state() {
 
 u32 System::alloc_home_slot(u64 bytes) {
   bytes = round_up4(bytes);
-  MP3D_CHECK(bytes <= home_slot_top_, "home-shard staging slot underflow");
+  MP3D_CHECK(bytes <= home_slot_top_ - cfg_.cluster.gmem_base,
+             "the run's staged regions overflow the home store");
   home_slot_top_ -= bytes;
-  // Kernel code and data grow from the bottom of the shard; staging slots
-  // grow down from the top. Keeping the slots in the upper half guarantees
-  // they never overlap a GmemAllocator allocation.
-  MP3D_CHECK(home_slot_top_ >=
-                 cfg_.cluster.gmem_base + cfg_.cluster.gmem_size / 2,
-             "home-shard staging slots would overlap kernel data");
   return static_cast<u32>(home_slot_top_);
 }
 
 void System::begin_staging_in(u32 k, const JobSpec& spec) {
   Seat& seat = seats_[k];
-  arch::GlobalMemory& home = clusters_[cfg_.home_cluster]->gmem();
-  arch::GlobalMemory& worker = clusters_[k]->gmem();
+  arch::Cluster& worker = *clusters_[k];
   // The init hook wrote the inputs into the worker's shard (the host-side
-  // programming model). Home the same bytes on the home shard, then move
-  // them back over the mesh as a timed transfer: the data is unchanged,
-  // but the run pays the real staging latency, link occupancy and hop
-  // energy of inputs that live in home memory.
-  for (u64 off = 0; off < spec.input_bytes; off += 4) {
-    home.write_word(static_cast<u32>(seat.home_slot + off),
-                    worker.read_word(static_cast<u32>(spec.input_base + off)));
-  }
+  // programming model). Home the same bytes in the home store, then move
+  // them back over the mesh from the home cluster as a timed transfer: the
+  // data is unchanged, but the run pays the real staging latency, link
+  // occupancy and hop energy of inputs that live in home memory.
+  home_->write_words(seat.home_slot, worker.read_words(spec.input_base, spec.input_bytes / 4));
   seat.staging_ticket =
-      sdma_->push(k, C2cDescriptor{cfg_.home_cluster, k, seat.home_slot,
-                                   spec.input_base, spec.input_bytes, 0});
+      sdma_->push(k, C2cDescriptor{cfg_.home_cluster, k, home_.get(), &worker.gmem(),
+                                   seat.home_slot, spec.input_base, spec.input_bytes, 0});
   seat.state = ClusterState::kStagingIn;
 }
 
@@ -103,6 +192,15 @@ void System::begin_running(u32 k) {
   seat.state = ClusterState::kRunning;
   seat.offset = cycle_;
   records_[seat.job].started_at = cycle_;
+  ++job_events_;
+  // The worker stops at the job's own cap or at the run's, whichever
+  // comes first; step() runs no later than cycle max_cycles_, so the
+  // run's cap leaves at least one local cycle.
+  u64 cap = max_cycles_ - cycle_;
+  if (seat.job_max_cycles > 0) {
+    cap = std::min(cap, seat.job_max_cycles);
+  }
+  workers_[k]->start(*clusters_[k], cap);
 }
 
 void System::dispatch_jobs() {
@@ -176,13 +274,14 @@ void System::finish_job(u32 k, bool eoc, bool deadlock, bool hit_max) {
   JobRecord& rec = records_[seat.job];
   rec.result = labelled_finish(k, eoc, deadlock, hit_max);
   rec.eoc_at = cycle_;
+  ++job_events_;
   if (eoc && spec.kernel.verify) {
     rec.verify_error = spec.kernel.verify(*clusters_[k], rec.result);
   }
   if (eoc && spec.output_bytes > 0) {
-    seat.staging_ticket =
-        sdma_->push(k, C2cDescriptor{k, cfg_.home_cluster, spec.output_base,
-                                     seat.home_slot, spec.output_bytes, 0});
+    seat.staging_ticket = sdma_->push(
+        k, C2cDescriptor{k, cfg_.home_cluster, &clusters_[k]->gmem(), home_.get(),
+                         spec.output_base, seat.home_slot, spec.output_bytes, 0});
     seat.state = ClusterState::kStagingOut;
     return;
   }
@@ -191,16 +290,72 @@ void System::finish_job(u32 k, bool eoc, bool deadlock, bool hit_max) {
   seat.state = ClusterState::kIdle;
 }
 
+void System::await_worker(u32 k, sim::Cycle local) {
+  Worker& worker = *workers_[k];
+  if (!worker.ended.load() && worker.clock.load() <= local) {
+    const sim::Cycle wanted = local + kLookahead;
+    worker.wake_at.store(wanted);
+    for (;;) {
+      const u32 seen = worker.signal.load();
+      if (worker.ended.load() || worker.clock.load() >= wanted) {
+        break;
+      }
+      worker.signal.wait(seen);
+    }
+  }
+}
+
+bool System::ends_at(u32 k, sim::Cycle at) const {
+  const Worker& worker = *workers_[k];
+  const Seat& seat = seats_[k];
+  if (!worker.ended.load()) {
+    return false;
+  }
+  if (worker.error) {
+    return true;  // whenever it threw: end_job rethrows it
+  }
+  if (seat.offset + worker.clock.load() != at) {
+    return false;
+  }
+  return worker.end != sim::RunEnd::kMaxCycles ||
+         (seat.job_max_cycles > 0 && at - seat.offset >= seat.job_max_cycles);
+}
+
+void System::join_worker(u32 k) {
+  Worker& worker = *workers_[k];
+  worker.thread.join();
+  if (worker.error) {
+    std::rethrow_exception(worker.error);
+  }
+}
+
+void System::end_job(u32 k) {
+  join_worker(k);
+  const arch::Cluster& cluster = *clusters_[k];
+  switch (workers_[k]->end) {
+    case sim::RunEnd::kDone:
+      finish_job(k, cluster.eoc_signaled(), false, false);
+      break;
+    case sim::RunEnd::kDeadlock:
+      MP3D_WARN("deadlock: job " << records_[seats_[k].job].name << " on cluster " << k
+                                 << ": " << cluster.deadlock_diagnostic());
+      finish_job(k, false, true, false);
+      break;
+    case sim::RunEnd::kMaxCycles:
+      finish_job(k, false, false, true);
+      break;
+  }
+}
+
 void System::step() {
   // Dispatch runs first, so a newly assigned job starts this very cycle
   // (may_skip() holds every jump while a dispatch is due).
   dispatch_jobs();
   const sim::Cycle now = cycle_ + 1;
   sdma_->step(now);
-  // Staging transitions ride the same cycle their transfer retires in:
-  // the system DMA steps before the clusters (mirroring the cluster's
-  // gmem-before-cores phase order), so a landed input lets its cluster
-  // start this very cycle.
+  // Staging transitions ride the same cycle their transfer retires in, so
+  // a landed input lets its cluster start this very cycle (mirroring the
+  // cluster's gmem-before-cores phase order).
   for (u32 k = 0; k < num_clusters(); ++k) {
     Seat& seat = seats_[k];
     if (seat.state == ClusterState::kStagingIn &&
@@ -213,121 +368,63 @@ void System::step() {
       seat.state = ClusterState::kIdle;
     }
   }
-  for (u32 k = 0; k < num_clusters(); ++k) {
-    if (seats_[k].state == ClusterState::kRunning) {
-      clusters_[k]->step();
-    }
-  }
   ++cycle_;
+  // The jobs that end this cycle, in cluster order. A worker behind this
+  // cycle may still end in it, so wait until it is past it or has ended.
   for (u32 k = 0; k < num_clusters(); ++k) {
-    const Seat& seat = seats_[k];
-    if (seat.state != ClusterState::kRunning) {
+    if (seats_[k].state != ClusterState::kRunning) {
       continue;
     }
-    const arch::Cluster& cluster = *clusters_[k];
-    if (cluster.eoc_signaled()) {
-      finish_job(k, true, false, false);
-    } else if (cluster.all_cores_halted()) {
-      finish_job(k, false, false, false);
-    } else if (seat.job_max_cycles > 0 &&
-               cycle_ - seat.offset >= seat.job_max_cycles) {
-      finish_job(k, false, false, true);
+    await_worker(k, cycle_ - seats_[k].offset);
+    if (ends_at(k, cycle_)) {
+      end_job(k);
     }
   }
-}
-
-u64 System::activity() const {
-  u64 total = sdma_->activity();
-  for (const auto& cluster : clusters_) {
-    total += cluster->activity();
-  }
-  return total;
 }
 
 bool System::may_skip() const {
-  // Frozen staging clusters do not veto: they have no work until their
-  // transfer lands.
-  bool any_running = false;
+  if (!fast_forward_) {
+    return false;
+  }
   for (u32 k = 0; k < num_clusters(); ++k) {
-    switch (seats_[k].state) {
-      case ClusterState::kIdle:
-        if (scheduler_.has_job(k)) {
-          return false;  // step() dispatches to this cluster first
-        }
-        break;
-      case ClusterState::kRunning:
-        if (!clusters_[k]->may_skip()) {
-          return false;
-        }
-        any_running = true;
-        break;
-      default:
-        break;
+    if (seats_[k].state == ClusterState::kIdle && scheduler_.has_job(k)) {
+      return false;  // step() dispatches to this cluster first
     }
   }
-  return any_running || fast_forward_;
+  return true;
 }
 
 sim::Cycle System::next_wake(sim::Cycle bound) const {
-  const sim::Cycle floor = cycle_ + 1;
   sim::Cycle target = std::min(bound, sdma_->next_event_cycle(cycle_));
-  if (target <= floor) {
-    return floor;
-  }
   for (u32 k = 0; k < num_clusters(); ++k) {
-    const Seat& seat = seats_[k];
-    if (seat.state != ClusterState::kRunning) {
-      continue;
-    }
-    const sim::Cycle local = clusters_[k]->next_wake(target - seat.offset);
-    target = std::min(target, to_system_cycle(local, seat.offset));
-    if (target <= floor) {
-      return floor;
+    if (seats_[k].state == ClusterState::kRunning) {
+      target = std::min(target, seats_[k].offset + workers_[k]->clock.load());
     }
   }
   return target;
 }
 
-sim::Cycle System::horizon() const {
-  sim::Cycle next = sim::kNever;
-  for (u32 k = 0; k < num_clusters(); ++k) {
-    const Seat& seat = seats_[k];
-    if (seat.state != ClusterState::kRunning) {
-      continue;
-    }
-    next = std::min(next, to_system_cycle(clusters_[k]->horizon(), seat.offset));
-    if (seat.job_max_cycles > 0) {
-      next = std::min(next, to_system_cycle(seat.job_max_cycles, seat.offset));
-    }
-  }
-  return next;
-}
-
 sim::Cycle System::skip_to(sim::Cycle target) {
-  sim::Cycle last_active = 0;
-  for (u32 k = 0; k < num_clusters(); ++k) {
-    if (seats_[k].state == ClusterState::kRunning) {
-      const sim::Cycle local = clusters_[k]->skip_to(target - seats_[k].offset);
-      if (local != 0) {
-        last_active = std::max(last_active, local + seats_[k].offset);
-      }
-    }
-  }
+  // next_wake bounds the system DMA's next event and every running job's
+  // end, so the span holds no System work: only the DMA's service
+  // rotation moves.
   const u64 span = target - cycle_ - 1;
   sdma_->skip_cycles(span);
   cycle_ += span;
-  return last_active;
+  return 0;
 }
 
 SystemResult System::assemble_result(bool deadlock, bool hit_max) {
   SystemResult result;
   result.cycles = cycle_;
-  result.deadlock = deadlock;
   result.hit_max_cycles = hit_max;
   result.jobs = std::move(records_);
   records_.clear();
   jobs_.clear();
-  result.ok = !deadlock && !hit_max &&
+  result.deadlock =
+      deadlock || std::any_of(result.jobs.begin(), result.jobs.end(),
+                              [](const JobRecord& job) { return job.result.deadlock; });
+  result.ok = !result.deadlock && !hit_max &&
               std::all_of(result.jobs.begin(), result.jobs.end(),
                           [](const JobRecord& job) { return job.ok(); });
   if (num_clusters() == 1) {
@@ -359,24 +456,31 @@ SystemResult System::assemble_result(bool deadlock, bool hit_max) {
 SystemResult System::run_jobs(std::vector<JobSpec> jobs, u64 max_cycles) {
   reset_run_state();
   jobs_ = std::move(jobs);
+  max_cycles_ = max_cycles;
   scheduler_.reset(jobs_.size());
   records_.assign(jobs_.size(), JobRecord{});
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     records_[i].name = jobs_[i].name;
   }
-  const sim::RunEnd end = done() ? sim::RunEnd::kDone : sim::drive(*this, max_cycles);
-  if (end != sim::RunEnd::kDone) {
-    const bool deadlock = end == sim::RunEnd::kDeadlock;
-    for (u32 k = 0; k < num_clusters(); ++k) {
-      if (seats_[k].state != ClusterState::kRunning) {
-        continue;
-      }
-      if (deadlock) {
-        MP3D_WARN("system deadlock: cluster " << k << ": "
-                                              << clusters_[k]->deadlock_diagnostic());
-      }
-      finish_job(k, false, deadlock, !deadlock);
+  sim::RunEnd end = sim::RunEnd::kDone;
+  try {
+    if (!done()) {
+      end = sim::drive(*this, max_cycles);
     }
+    // The jobs still running when the run itself ends: their workers stop
+    // at the run's cap, on this very cycle.
+    if (end != sim::RunEnd::kDone) {
+      const bool deadlock = end == sim::RunEnd::kDeadlock;
+      for (u32 k = 0; k < num_clusters(); ++k) {
+        if (seats_[k].state == ClusterState::kRunning) {
+          join_worker(k);
+          finish_job(k, false, deadlock, !deadlock);
+        }
+      }
+    }
+  } catch (...) {
+    stop_workers();
+    throw;
   }
   return assemble_result(end == sim::RunEnd::kDeadlock,
                          end == sim::RunEnd::kMaxCycles);

@@ -1,7 +1,7 @@
 // SPDX-License-Identifier: Apache-2.0
-// Cluster-to-cluster DMA: data integrity between gmem shards, grant/latency
-// timing through the icn, ticket watermarks, contention fairness and
-// fast-forward-safe state.
+// Cluster-to-cluster DMA: data integrity between the memories a descriptor
+// names, grant/latency timing through the icn, ticket watermarks,
+// contention fairness and fast-forward-safe state.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -25,14 +25,19 @@ struct Rig {
   explicit Rig(u32 clusters, u32 link_bytes = 64, u32 port_bytes = 64) {
     icn_cfg.link_bytes_per_cycle = link_bytes;
     dma_cfg.port_bytes_per_cycle = port_bytes;
-    std::vector<arch::GlobalMemory*> ptrs;
     for (u32 k = 0; k < clusters; ++k) {
       shards.push_back(
           std::make_unique<arch::GlobalMemory>(kBase, MiB(1), 16, 4));
-      ptrs.push_back(shards.back().get());
     }
     icn = std::make_unique<sys::ClusterIcn>(icn_cfg, clusters);
-    dma = std::make_unique<sys::SysDma>(dma_cfg, *icn, ptrs);
+    dma = std::make_unique<sys::SysDma>(dma_cfg, *icn);
+  }
+
+  /// A copy from cluster src's shard to cluster dst's, over their route.
+  sys::C2cDescriptor copy(u32 src, u32 dst, u32 src_addr, u32 dst_addr,
+                          u64 bytes) const {
+    return sys::C2cDescriptor{src,      dst,      shards[src].get(), shards[dst].get(),
+                              src_addr, dst_addr, bytes,             0};
   }
 
   /// Step everything until the engine's watermark reaches `ticket`.
@@ -54,13 +59,31 @@ TEST(SysDma, MovesThePatternBetweenShards) {
     rig.shards[0]->write_word(kBase + i * 4, 0xC0DE'0000 + i);
   }
   const u64 ticket = rig.dma->push(
-      1, sys::C2cDescriptor{0, 1, kBase, kBase + 0x1000, words * 4, 0});
+      1, rig.copy(0, 1, kBase, kBase + 0x1000, words * 4));
   EXPECT_EQ(ticket, 1U);
   rig.run_until_retired(1, ticket);
   for (u32 i = 0; i < words; ++i) {
     ASSERT_EQ(rig.shards[1]->read_word(kBase + 0x1000 + i * 4),
               0xC0DE'0000 + i)
         << "word " << i;
+  }
+}
+
+TEST(SysDma, CopiesBetweenTheNamedMemoriesOverTheNamedRoute) {
+  // The memories need not be the route's shards: a System homes staged
+  // copies in a memory of its own, routed from the home cluster.
+  Rig rig(2);
+  arch::GlobalMemory home(kBase, MiB(1), 16, 4);
+  for (u32 i = 0; i < 16; ++i) {
+    home.write_word(kBase + i * 4, 0xF00D'0000 + i);
+  }
+  const u64 ticket = rig.dma->push(
+      1, sys::C2cDescriptor{0, 1, &home, rig.shards[1].get(), kBase, kBase + 0x40, 64, 0});
+  const sim::Cycle done = rig.run_until_retired(1, ticket);
+  EXPECT_EQ(done, 1U + rig.icn->route_latency(0, 1));  // one grant, one hop
+  for (u32 i = 0; i < 16; ++i) {
+    ASSERT_EQ(rig.shards[1]->read_word(kBase + 0x40 + i * 4), 0xF00D'0000 + i);
+    EXPECT_EQ(rig.shards[0]->read_word(kBase + i * 4), 0U);  // route only
   }
 }
 
@@ -71,7 +94,7 @@ TEST(SysDma, CompletionWaitsOutTheRouteLatency) {
   const u32 hop = rig.icn_cfg.hop_latency;
   EXPECT_EQ(rig.dma->next_event_cycle(5), sim::kNever);  // idle: no events
   const u64 ticket =
-      rig.dma->push(1, sys::C2cDescriptor{0, 1, kBase, kBase, 256, 0});
+      rig.dma->push(1, rig.copy(0, 1, kBase, kBase, 256));
   // Backlog to claim: the engine must tick the very next cycle.
   EXPECT_EQ(rig.dma->next_event_cycle(5), 6U);
   const sim::Cycle done = rig.run_until_retired(1, ticket);
@@ -86,7 +109,7 @@ TEST(SysDma, LocalCopyHasZeroWireLatency) {
   Rig rig(2);
   rig.shards[0]->write_word(kBase, 77);
   const u64 ticket =
-      rig.dma->push(0, sys::C2cDescriptor{0, 0, kBase, kBase + 64, 4, 0});
+      rig.dma->push(0, rig.copy(0, 0, kBase, kBase + 64, 4));
   const sim::Cycle done = rig.run_until_retired(0, ticket);
   EXPECT_EQ(done, 1U);  // one grant cycle, zero hops
   EXPECT_EQ(rig.shards[0]->read_word(kBase + 64), 77U);
@@ -98,9 +121,9 @@ TEST(SysDma, EnginesShareContendedPortsFairly) {
   Rig rig(3);
   const u32 bytes = 512;
   const u64 t1 =
-      rig.dma->push(1, sys::C2cDescriptor{1, 0, kBase, kBase, bytes, 0});
+      rig.dma->push(1, rig.copy(1, 0, kBase, kBase, bytes));
   const u64 t2 = rig.dma->push(
-      2, sys::C2cDescriptor{2, 0, kBase, kBase + 0x2000, bytes, 0});
+      2, rig.copy(2, 0, kBase, kBase + 0x2000, bytes));
   sim::Cycle now = 0;
   while (rig.dma->retired(1) < t1 || rig.dma->retired(2) < t2) {
     ++now;
@@ -123,7 +146,7 @@ TEST(SysDma, QueueDepthBoundsAcceptance) {
   const u32 depth = rig.dma_cfg.queue_depth;
   for (u32 i = 0; i < depth; ++i) {
     ASSERT_TRUE(rig.dma->can_accept(0));
-    rig.dma->push(0, sys::C2cDescriptor{0, 1, kBase, kBase, 4, 0});
+    rig.dma->push(0, rig.copy(0, 1, kBase, kBase, 4));
   }
   EXPECT_FALSE(rig.dma->can_accept(0));
   EXPECT_EQ(rig.dma->issued(0), depth);
@@ -148,9 +171,9 @@ TEST(SysDma, SkipCyclesKeepsTheServiceRotationBitExact) {
       }
     }
     const u64 t1 =
-        rig.dma->push(1, sys::C2cDescriptor{1, 0, kBase, kBase, 256, 0});
+        rig.dma->push(1, rig.copy(1, 0, kBase, kBase, 256));
     const u64 t2 = rig.dma->push(
-        2, sys::C2cDescriptor{2, 0, kBase, kBase + 0x2000, 256, 0});
+        2, rig.copy(2, 0, kBase, kBase + 0x2000, 256));
     while (rig.dma->retired(1) < t1 || rig.dma->retired(2) < t2) {
       ++now;
       rig.dma->step(now);
@@ -164,7 +187,7 @@ TEST(SysDma, ResetRestoresAFreshEngineState) {
   Rig rig(2);
   rig.shards[0]->write_word(kBase, 5);
   const u64 ticket =
-      rig.dma->push(1, sys::C2cDescriptor{0, 1, kBase, kBase + 4, 4, 0});
+      rig.dma->push(1, rig.copy(0, 1, kBase, kBase + 4, 4));
   const sim::Cycle first_done = rig.run_until_retired(1, ticket);
   EXPECT_GT(rig.dma->activity(), 0U);
 
@@ -173,7 +196,7 @@ TEST(SysDma, ResetRestoresAFreshEngineState) {
   EXPECT_TRUE(rig.dma->idle());
   EXPECT_EQ(rig.dma->issued(1), 0U);
   // Tickets restart from 1: the rerun is indistinguishable from the first.
-  EXPECT_EQ(rig.dma->push(1, sys::C2cDescriptor{0, 1, kBase, kBase + 4, 4, 0}),
+  EXPECT_EQ(rig.dma->push(1, rig.copy(0, 1, kBase, kBase + 4, 4)),
             1U);
   EXPECT_EQ(rig.run_until_retired(1, 1), first_done);
 }
@@ -181,14 +204,18 @@ TEST(SysDma, ResetRestoresAFreshEngineState) {
 TEST(SysDma, RejectsMalformedDescriptors) {
   Rig rig(2);
   EXPECT_THROW(
-      rig.dma->push(0, sys::C2cDescriptor{0, 1, kBase, kBase, 3, 0}),
+      rig.dma->push(0, rig.copy(0, 1, kBase, kBase, 3)),
       std::exception);  // bytes not a word multiple
   EXPECT_THROW(
-      rig.dma->push(0, sys::C2cDescriptor{0, 1, kBase + 2, kBase, 4, 0}),
+      rig.dma->push(0, rig.copy(0, 1, kBase + 2, kBase, 4)),
       std::exception);  // unaligned address
   EXPECT_THROW(
-      rig.dma->push(0, sys::C2cDescriptor{0, 5, kBase, kBase, 4, 0}),
+      rig.dma->push(0, sys::C2cDescriptor{0, 5, rig.shards[0].get(),
+                                          rig.shards[1].get(), kBase, kBase, 4, 0}),
       std::exception);  // cluster id out of range
+  EXPECT_THROW(rig.dma->push(0, sys::C2cDescriptor{0, 1, nullptr, rig.shards[1].get(),
+                                                   kBase, kBase, 4, 0}),
+               std::exception);  // no source memory
 }
 
 }  // namespace

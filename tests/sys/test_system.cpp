@@ -1,21 +1,28 @@
 // SPDX-License-Identifier: Apache-2.0
 // The multi-cluster System driver: job sharding, staging through the home
-// shard, scheduler policies, counter namespacing, determinism across
-// back-to-back runs, and system-level energy accounting.
+// store, scheduler policies, counter namespacing, determinism across
+// back-to-back runs, the recorded schedule of the mixed job batch, the
+// per-job deadlock verdict, and system-level energy accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "isa/assembler.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/simple_kernels.hpp"
 #include "power/energy_model.hpp"
 #include "sys/energy.hpp"
 #include "sys/system.hpp"
+#include "testing.hpp"
 
 namespace mp3d {
 namespace {
+
+using mp3d::testing::ctrl_prelude;
 
 sys::SystemConfig mini_system(u32 clusters) {
   sys::SystemConfig cfg;
@@ -37,7 +44,7 @@ sys::JobSpec memcpy_job(const arch::ClusterConfig& cfg, u32 n, u32 rounds,
 }
 
 /// A staged matmul job: A and B stream in, C streams back to the home
-/// shard after EOC (the full shard-in / compute / shard-out shape).
+/// store after EOC (the full shard-in / compute / shard-out shape).
 sys::JobSpec matmul_job(const arch::ClusterConfig& cfg, u32 m, u32 t,
                         u64 seed, const std::string& name) {
   kernels::MatmulParams params;
@@ -53,6 +60,54 @@ sys::JobSpec matmul_job(const arch::ClusterConfig& cfg, u32 m, u32 t,
   job.output_base = static_cast<u32>(cfg.gmem_base + MiB(1) + 2 * mat_bytes);
   job.output_bytes = mat_bytes;  // C
   return job;
+}
+
+/// The job batch of bench/e2e's system_mixed_4c at its smoke size: staged
+/// matmuls (m = 32, t = 16) alternating with staged two-round copies of
+/// 1,024 words, job i seeded 1000 + i.
+std::vector<sys::JobSpec> mixed_jobs(const arch::ClusterConfig& cfg, u32 count) {
+  std::vector<sys::JobSpec> jobs;
+  for (u32 i = 0; i < count; ++i) {
+    const u64 seed = 1000 + i;
+    jobs.push_back(i % 2 == 0
+                       ? matmul_job(cfg, 32, 16, seed, "matmul" + std::to_string(i))
+                       : memcpy_job(cfg, 1024, 2, seed, "memcpy" + std::to_string(i)));
+  }
+  return jobs;
+}
+
+/// FNV-1a over every counter's name and value, in name order.
+u64 counter_digest(const sim::CounterSet& counters) {
+  u64 h = 14695981039346656037ULL;
+  const auto mix = [&h](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h = (h ^ bytes[i]) * 1099511628211ULL;
+    }
+  };
+  for (const auto& [name, value] : counters.all()) {
+    mix(name.data(), name.size());
+    mix(&value, sizeof value);
+  }
+  return h;
+}
+
+void expect_same_records(const sys::SystemResult& a, const sys::SystemResult& b) {
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_TRUE(a.counters == b.counters);
+  ASSERT_EQ(a.jobs.size(), b.jobs.size());
+  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
+    const sys::JobRecord& x = a.jobs[i];
+    const sys::JobRecord& y = b.jobs[i];
+    EXPECT_EQ(x.cluster, y.cluster) << x.name;
+    EXPECT_EQ(x.assigned_at, y.assigned_at) << x.name;
+    EXPECT_EQ(x.started_at, y.started_at) << x.name;
+    EXPECT_EQ(x.eoc_at, y.eoc_at) << x.name;
+    EXPECT_EQ(x.completed_at, y.completed_at) << x.name;
+    EXPECT_EQ(x.verify_error, y.verify_error) << x.name;
+    EXPECT_EQ(x.result.cycles, y.result.cycles) << x.name;
+    EXPECT_TRUE(x.result.counters == y.result.counters) << x.name;
+  }
 }
 
 TEST(System, SingleClusterRunKernelKeepsBareCounterNames) {
@@ -100,11 +155,25 @@ TEST(System, ShardsStagedJobsAcrossFourClusters) {
   EXPECT_EQ(result.counters.get("sys.dma.descriptors"), 4U);
   EXPECT_EQ(result.counters.get("sys.dma.bytes"), staged_bytes);
   EXPECT_EQ(result.counters.get("sys.icn.bytes"), staged_bytes);
-  // Cluster 0 is the home shard: its own job's staging is a local claim.
+  // Cluster 0 is the home cluster: its own job's staging is a local claim.
   EXPECT_GT(result.counters.get("sys.icn.local_bytes"), 0U);
+  // The staged inputs sit in the System's home store, in slots taken down
+  // from the top of the gmem window. The home cluster's own shard reads 0
+  // over that whole span, so a job running there never sees staging.
+  const u32 top = static_cast<u32>(ccfg.gmem_base + ccfg.gmem_size);
+  const u32 span_base = static_cast<u32>(top - staged_bytes);
+  const std::vector<u32> shard =
+      system.cluster(0).read_words(span_base, staged_bytes / 4);
+  EXPECT_EQ(std::count(shard.begin(), shard.end(), 0U),
+            static_cast<std::ptrdiff_t>(shard.size()));
+  u32 staged_nonzero = 0;
+  for (u32 addr = span_base; addr < top; addr += 4) {
+    staged_nonzero += system.home_store().read_word(addr) != 0 ? 1 : 0;
+  }
+  EXPECT_GT(staged_nonzero, 0U);
 }
 
-TEST(System, MatmulRoundTripStagesOutputsBackToTheHomeShard) {
+TEST(System, MatmulRoundTripStagesOutputsBackToTheHomeStore) {
   sys::System system(mini_system(2));
   const arch::ClusterConfig& ccfg = system.config().cluster;
   std::vector<sys::JobSpec> jobs;
@@ -121,12 +190,22 @@ TEST(System, MatmulRoundTripStagesOutputsBackToTheHomeShard) {
   const u64 mat = 32 * 32 * 4;
   EXPECT_EQ(result.counters.get("sys.dma.bytes"), 2 * (2 * mat) + 2 * mat);
   EXPECT_EQ(result.counters.get("sys.dma.descriptors"), 4U);
-  // The worker cluster's C tile crossed the mesh into the home shard:
-  // verify the home copy of job mm1's output matches the worker's.
-  const sys::JobRecord& remote =
-      result.jobs[result.jobs[0].cluster == 0 ? 1 : 0];
-  EXPECT_NE(remote.cluster, 0U);
+  // The worker cluster's C tile crossed the mesh into the home store:
+  // verify the home copy of job mm1's output matches the worker's. Both
+  // jobs are dispatched at cycle 0, mm0 first, and each takes a slot as
+  // large as its larger region (A and B) down from the top of the window.
+  const sys::JobRecord& remote = result.jobs[1];
+  ASSERT_EQ(remote.cluster, 1U);
   EXPECT_GT(result.counters.get("sys.icn.byte_hops"), 0U);
+  const u32 slot = static_cast<u32>(ccfg.gmem_base + ccfg.gmem_size - 2 * (2 * mat));
+  const u32 c_base = static_cast<u32>(ccfg.gmem_base + MiB(1) + 2 * mat);
+  u32 nonzero = 0;
+  for (u32 i = 0; i < mat / 4; ++i) {
+    const u32 worker_word = system.cluster(1).read_word(c_base + 4 * i);
+    ASSERT_EQ(system.home_store().read_word(slot + 4 * i), worker_word) << "word " << i;
+    nonzero += worker_word != 0 ? 1 : 0;
+  }
+  EXPECT_GT(nonzero, 0U);
 }
 
 TEST(System, SchedulerPoliciesDivergeOnSkewedJobs) {
@@ -172,15 +251,124 @@ TEST(System, BackToBackRunsAreIdentical) {
   const sys::SystemResult second = system.run_jobs(jobs(), 10'000'000);
   ASSERT_TRUE(first.ok);
   ASSERT_TRUE(second.ok);
-  EXPECT_EQ(first.cycles, second.cycles);
-  EXPECT_TRUE(first.counters == second.counters);
-  ASSERT_EQ(first.jobs.size(), second.jobs.size());
-  for (std::size_t i = 0; i < first.jobs.size(); ++i) {
-    EXPECT_EQ(first.jobs[i].cluster, second.jobs[i].cluster);
-    EXPECT_EQ(first.jobs[i].started_at, second.jobs[i].started_at);
-    EXPECT_EQ(first.jobs[i].completed_at, second.jobs[i].completed_at);
-    EXPECT_TRUE(first.jobs[i].result.counters == second.jobs[i].result.counters);
+  expect_same_records(first, second);
+}
+
+TEST(SystemSchedule, MixedBatchKeepsTheRecordedSchedule) {
+  // Recorded at the single-threaded lockstep loop, which stepped every
+  // running cluster in turn each system cycle: every record field and
+  // counter must stay the same however the clusters are advanced.
+  struct Pinned {
+    u32 cluster;
+    sim::Cycle assigned_at, started_at, eoc_at, completed_at;
+    u64 cycles;
+  };
+  const std::vector<Pinned> pinned = {
+      {0, 0, 383, 9578, 9700, 9195},       {1, 0, 261, 1005, 1005, 744},
+      {2, 0, 390, 9585, 9719, 9195},       {3, 0, 271, 1015, 1015, 744},
+      {1, 1005, 1204, 10399, 10471, 9195}, {3, 1015, 1158, 1902, 1902, 744},
+      {3, 1902, 2045, 11240, 11320, 9195}, {0, 9700, 9769, 10513, 10513, 744},
+  };
+  sys::SystemConfig cfg = mini_system(4);
+  cfg.policy = sys::SchedPolicy::kLeastLoaded;
+  sys::System system(cfg);
+  const sys::SystemResult result = system.run_jobs(mixed_jobs(cfg.cluster, 8), 50'000'000);
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(result.cycles, 11'320U);
+  ASSERT_EQ(result.jobs.size(), pinned.size());
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    const sys::JobRecord& job = result.jobs[i];
+    EXPECT_EQ(job.cluster, pinned[i].cluster) << job.name;
+    EXPECT_EQ(job.assigned_at, pinned[i].assigned_at) << job.name;
+    EXPECT_EQ(job.started_at, pinned[i].started_at) << job.name;
+    EXPECT_EQ(job.eoc_at, pinned[i].eoc_at) << job.name;
+    EXPECT_EQ(job.completed_at, pinned[i].completed_at) << job.name;
+    EXPECT_EQ(job.result.cycles, pinned[i].cycles) << job.name;
   }
+  EXPECT_EQ(counter_digest(result.counters), 0x1f5acef8f2974f83ULL);
+}
+
+TEST(SystemSchedule, RepeatedLargeBatchGivesIdenticalRecords) {
+  // Eight clusters draining 32 jobs keep many clusters running at once,
+  // with staging and job ends landing while others run.
+  sys::SystemConfig cfg = mini_system(8);
+  cfg.policy = sys::SchedPolicy::kLeastLoaded;
+  sys::System system(cfg);
+  const sys::SystemResult first = system.run_jobs(mixed_jobs(cfg.cluster, 32), 50'000'000);
+  const sys::SystemResult second = system.run_jobs(mixed_jobs(cfg.cluster, 32), 50'000'000);
+  ASSERT_TRUE(first.ok);
+  ASSERT_TRUE(second.ok);
+  std::set<u32> used;
+  for (const sys::JobRecord& job : first.jobs) {
+    used.insert(job.cluster);
+  }
+  EXPECT_EQ(used.size(), 8U);
+  expect_same_records(first, second);
+}
+
+TEST(SystemDeadlock, AJobEndsAtItsOwnClustersVerdict) {
+  // Every core of one job sleeps for good while a staged copy runs beside
+  // it. The sleeper's record ends where a bare run of it reports the
+  // deadlock, offset by its start; the copy still runs to a verified end.
+  const arch::ClusterConfig ccfg = arch::ClusterConfig::mini();
+  const std::string src = ctrl_prelude(ccfg) + R"(
+.text 0x80000000
+_start:
+    wfi
+    j _start
+)";
+  isa::AsmOptions options;
+  options.default_base = ccfg.gmem_base;
+  kernels::Kernel sleeper;
+  sleeper.name = "sleep_forever";
+  sleeper.program = isa::assemble(src, options);
+  arch::Cluster bare(ccfg);
+  bare.load_program(sleeper.program);
+  const arch::RunResult verdict = bare.run(500'000);
+  ASSERT_TRUE(verdict.deadlock);
+
+  sys::System system(mini_system(2));
+  std::vector<sys::JobSpec> jobs(1);
+  jobs[0].name = sleeper.name;
+  jobs[0].kernel = sleeper;
+  jobs.push_back(memcpy_job(ccfg, 1024, 8, 5, "copy"));
+  const sys::SystemResult result = system.run_jobs(jobs, 500'000);
+  EXPECT_TRUE(result.deadlock && !result.ok);
+  EXPECT_FALSE(result.hit_max_cycles);
+  ASSERT_EQ(result.jobs.size(), 2U);
+  const sys::JobRecord& sleep = result.jobs[0];
+  EXPECT_TRUE(sleep.result.deadlock);
+  EXPECT_EQ(sleep.result.cycles, verdict.cycles);
+  EXPECT_EQ(sleep.eoc_at, sleep.started_at + verdict.cycles);
+  EXPECT_EQ(sleep.completed_at, sleep.eoc_at);
+  const sys::JobRecord& copy = result.jobs[1];
+  EXPECT_TRUE(copy.ok()) << copy.verify_error;
+  EXPECT_LT(copy.completed_at, sleep.eoc_at);
+  EXPECT_EQ(result.cycles, sleep.eoc_at);
+}
+
+TEST(System, AThrowingHookLeavesTheSystemReusable) {
+  // A verify hook throws on the System's thread while the other job still
+  // runs on its own: run_jobs stops and joins it before the exception
+  // leaves, and the next run matches a fresh System's.
+  sys::System system(mini_system(2));
+  const arch::ClusterConfig& ccfg = system.config().cluster;
+  const auto jobs = [&]() {
+    std::vector<sys::JobSpec> list;
+    list.push_back(memcpy_job(ccfg, 1024, 1, 5, "short"));
+    list.push_back(memcpy_job(ccfg, 1024, 8, 6, "long"));
+    return list;
+  };
+  std::vector<sys::JobSpec> failing = jobs();
+  failing[0].kernel.verify = [](arch::Cluster&, const arch::RunResult&) -> std::string {
+    throw std::runtime_error("verify hook failed");
+  };
+  EXPECT_THROW(system.run_jobs(failing, 10'000'000), std::runtime_error);
+  const sys::SystemResult again = system.run_jobs(jobs(), 10'000'000);
+  sys::System fresh(mini_system(2));
+  const sys::SystemResult reference = fresh.run_jobs(jobs(), 10'000'000);
+  ASSERT_TRUE(again.ok);
+  expect_same_records(again, reference);
 }
 
 TEST(System, HitMaxCyclesIsReportedNotThrown) {
