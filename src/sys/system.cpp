@@ -148,7 +148,6 @@ void System::stop_workers() {
 }
 
 void System::reset_run_state() {
-  stop_workers();
   for (u32 k = 0; k < num_clusters(); ++k) {
     if (loaded_[k] != 0) {
       clusters_[k]->reset_run_state();
@@ -292,16 +291,17 @@ void System::finish_job(u32 k, bool eoc, bool deadlock, bool hit_max) {
 
 void System::await_worker(u32 k, sim::Cycle local) {
   Worker& worker = *workers_[k];
-  if (!worker.ended.load() && worker.clock.load() <= local) {
-    const sim::Cycle wanted = local + kLookahead;
-    worker.wake_at.store(wanted);
-    for (;;) {
-      const u32 seen = worker.signal.load();
-      if (worker.ended.load() || worker.clock.load() >= wanted) {
-        break;
-      }
-      worker.signal.wait(seen);
+  if (worker.ended.load() || worker.clock.load() > local) {
+    return;
+  }
+  const sim::Cycle wanted = local + kLookahead;
+  worker.wake_at.store(wanted);
+  for (;;) {
+    const u32 seen = worker.signal.load();
+    if (worker.ended.load() || worker.clock.load() >= wanted) {
+      return;
     }
+    worker.signal.wait(seen);
   }
 }
 
