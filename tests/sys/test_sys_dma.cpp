@@ -36,8 +36,7 @@ struct Rig {
   /// A copy from cluster src's shard to cluster dst's, over their route.
   sys::C2cDescriptor copy(u32 src, u32 dst, u32 src_addr, u32 dst_addr,
                           u64 bytes) const {
-    return sys::C2cDescriptor{src,      dst,      shards[src].get(), shards[dst].get(),
-                              src_addr, dst_addr, bytes,             0};
+    return {src, dst, shards[src].get(), shards[dst].get(), src_addr, dst_addr, bytes, 0};
   }
 
   /// Step everything until the engine's watermark reaches `ticket`.
