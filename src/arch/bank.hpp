@@ -1,18 +1,19 @@
 // SPDX-License-Identifier: Apache-2.0
 // One SPM SRAM bank: single-ported, one access per cycle, FIFO service of
 // queued requests. The bank is the serialization point for atomics (AMOs
-// execute here) and holds LR/SC reservations on its words.
+// and LR/SC execute here).
 //
-// The bank holds timing state only: its request queue, its reservations
-// and its counters. The SPM contents are one address-ordered word array
-// owned by the Cluster (host backdoor and DMA port index it directly), and
-// serve() executes the request on the word it addresses there.
+// The bank holds timing state only: its request queue and its counters.
+// The SPM contents are one address-ordered word array owned by the Cluster
+// (host backdoor and DMA port index it directly), beside the SPM's one
+// LR/SC reservation table; serve() executes the request on the word it
+// addresses there with execute_word_op (arch/word_op.hpp).
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "arch/mem_types.hpp"
+#include "arch/word_op.hpp"
 #include "sim/ring_fifo.hpp"
 #include "sim/types.hpp"
 
@@ -49,10 +50,11 @@ class SpmBank {
 
   /// Serve the front request (pre: has_ready(now)), whose record is
   /// `request`: execute it on its word of `spm` (the cluster's SPM array)
-  /// and leave the response word in `request.rdata` (stores answer too).
-  /// Also accumulates conflict statistics: cycles a request waited beyond
-  /// its zero-load arrival time.
-  void serve(sim::Cycle now, BankRequest& request, std::span<u32> spm);
+  /// against the SPM's `reservations`, and leave the response word in
+  /// `request.rdata` (stores answer too). Also accumulates conflict
+  /// statistics: cycles a request waited beyond its zero-load arrival time.
+  void serve(sim::Cycle now, BankRequest& request, std::span<u32> spm,
+             Reservations& reservations);
 
   u64 accesses() const { return accesses_; }
   /// Array-read / array-write activations (the SRAM events energy models
@@ -64,11 +66,10 @@ class SpmBank {
   u64 conflict_wait_cycles() const { return conflict_wait_cycles_; }
   u64 conflicts() const { return conflicts_; }
 
-  /// Drop queued requests and reservations and zero the statistics. Called
-  /// between program loads on one cluster.
+  /// Drop queued requests and zero the statistics. Called between program
+  /// loads on one cluster.
   void reset_run_state() {
     queue_.clear();
-    reservations_.clear();
     accesses_ = 0;
     reads_ = 0;
     writes_ = 0;
@@ -83,12 +84,7 @@ class SpmBank {
     u32 handle;
   };
 
-  u32 execute(const BankRequest& req, u32& word);
-
   sim::RingFifo<Entry> queue_;
-  // LR/SC reservations: (word index, core) pairs; invalidated by any
-  // intervening write from another core.
-  std::vector<std::pair<u32, u16>> reservations_;
   u64 accesses_ = 0;
   u64 reads_ = 0;
   u64 writes_ = 0;

@@ -63,6 +63,24 @@ ClusterConfig validated(ClusterConfig cfg) {
   return cfg;
 }
 
+/// True when `addr` is not a multiple of the size `op` accesses: 2 bytes
+/// for lh/lhu/sh, 4 for word loads and stores, AMOs and lr/sc (byte
+/// accesses are never misaligned).
+bool misaligned(isa::Op op, u32 addr) {
+  switch (op) {
+    case isa::Op::kLb:
+    case isa::Op::kLbu:
+    case isa::Op::kSb:
+      return false;
+    case isa::Op::kLh:
+    case isa::Op::kLhu:
+    case isa::Op::kSh:
+      return (addr & 1U) != 0;
+    default:
+      return (addr & 3U) != 0;
+  }
+}
+
 }  // namespace
 
 Cluster::Cluster(ClusterConfig cfg)
@@ -213,6 +231,7 @@ void Cluster::reset_run_state() {
   for (SpmBank& bank : banks_) {
     bank.reset_run_state();
   }
+  spm_reservations_.clear();
   active_banks_.clear();
   std::fill(bank_active_flag_.begin(), bank_active_flag_.end(), 0);
   refill_slots_.clear();
@@ -276,7 +295,9 @@ u32 Cluster::spm_read_word(u32 addr) const {
 
 void Cluster::spm_write_word(u32 addr, u32 value) {
   MP3D_ASSERT(map_.is_spm(addr));
-  spm_[(addr - cfg_.spm_base) >> 2] = value;
+  const u32 word = (addr - cfg_.spm_base) >> 2;
+  spm_reservations_.drop_words(word, 1);
+  spm_[word] = value;
 }
 
 u32 Cluster::read_word(u32 addr) const {
@@ -321,7 +342,9 @@ void Cluster::write_words(u32 addr, std::span<const u32> words) {
   MP3D_CHECK(u64{addr & ~3U} + words.size() * 4 <= region_end,
              "host write to unmapped address 0x" << std::hex << region_end);
   if (spm) {
-    std::copy(words.begin(), words.end(), spm_.begin() + ((addr - cfg_.spm_base) >> 2));
+    const u32 first = (addr - cfg_.spm_base) >> 2;
+    spm_reservations_.drop_words(first, words.size());
+    std::copy(words.begin(), words.end(), spm_.begin() + first);
   } else {
     gmem_->write_words(addr, words);
   }
@@ -344,6 +367,12 @@ void Cluster::activate_bank(u32 global_bank) {
 }
 
 IssueResult Cluster::issue_mem(const MemRequest& request) {
+  // One alignment rule for every region: a half-word, word, AMO or LR/SC
+  // access off its natural alignment faults the core.
+  if ((request.addr & 3U) != 0 && misaligned(request.op, request.addr)) {
+    return fault_access(request, std::string("misaligned ") + isa::op_name(request.op) +
+                                     " at address");
+  }
   const u32 src_tile = cores_[request.core].tile_id();
   switch (map_.classify(request.addr)) {
     case Region::kSpmSeq:
@@ -391,14 +420,16 @@ IssueResult Cluster::issue_mem(const MemRequest& request) {
       return IssueResult::kAccepted;
     }
     case Region::kInvalid:
-    default: {
-      std::ostringstream oss;
-      oss << "access to unmapped address 0x" << std::hex << request.addr;
-      cores_[request.core].fault(oss.str());
-      // Accepted-and-faulted: the core halts; no response will arrive.
-      return IssueResult::kAccepted;
-    }
+    default:
+      return fault_access(request, "access to unmapped address");
   }
+}
+
+IssueResult Cluster::fault_access(const MemRequest& request, const std::string& what) {
+  std::ostringstream oss;
+  oss << what << " 0x" << std::hex << request.addr;
+  cores_[request.core].fault(oss.str());
+  return IssueResult::kAccepted;
 }
 
 void Cluster::request_icache_refill(u32 tile, u32 pc) {
@@ -466,7 +497,7 @@ void Cluster::serve_banks() {
       // The response goes back on the request's network (it is symmetric).
       const bool local = txn.tile == bank_tile;
       if (local || noc_->can_push_response(bank_tile, txn.net, cycle_)) {
-        bank.serve(cycle_, txn, spm_);
+        bank.serve(cycle_, txn, spm_, spm_reservations_);
         ++activity_;
         if (local) {
           deliver_spm_response(handle);

@@ -190,7 +190,9 @@ class Cluster final : public DmaSpmPort {
 
   // ---- core-facing interface (SnitchCore calls these) -------------------------
   /// Route a core's memory request; may refuse it (port busy). An SPM
-  /// request writes the issuing slot's transaction record once, here.
+  /// request writes the issuing slot's transaction record once, here. A
+  /// misaligned half-word, word, AMO or LR/SC access, or an unmapped one,
+  /// faults the core.
   IssueResult issue_mem(const MemRequest& request);
   /// Begin an instruction-cache refill for tile `tile` covering `pc`.
   void request_icache_refill(u32 tile, u32 pc);
@@ -277,10 +279,14 @@ class Cluster final : public DmaSpmPort {
   void serve_banks();
   void serve_ctrl();
   void ctrl_access(const MemRequest& request);
+  /// Fault the core that issued `request` with "<what> 0x<address>"; the
+  /// request counts as accepted, and no response will arrive.
+  IssueResult fault_access(const MemRequest& request, const std::string& what);
   u32 core_group(u16 core) const;
   /// Validate and launch the staged descriptor; false = core was faulted.
   bool dma_start(const MemRequest& request);
-  // Functional word access to the SPM array (host backdoor + DMA port).
+  // Functional word access to the SPM array (host backdoor + DMA port); a
+  // write drops the reservations on its word.
   u32 spm_read_word(u32 addr) const;
   void spm_write_word(u32 addr, u32 value);
   void deliver_response_to_core(const MemResponse& response);
@@ -313,6 +319,10 @@ class Cluster final : public DmaSpmPort {
   /// not the configured capacity.
   std::unique_ptr<u32[], decltype(&std::free)> spm_words_{nullptr, &std::free};
   std::span<u32> spm_;
+  /// LR/SC reservations on the SPM's words, by word index. The banks
+  /// execute against them; every functional write (host backdoor, DMA
+  /// port) drops those on the words it writes.
+  Reservations spm_reservations_;
   std::vector<SpmBank> banks_;
   /// SPM transaction records, one per core LSU slot, indexed by the slot's
   /// handle `core << lsu_shift_ | tag`. issue_mem writes a record with the

@@ -8,12 +8,6 @@
 
 namespace mp3d::arch {
 
-namespace {
-/// Writer id used for functional stores (host backdoor, DMA bulk words):
-/// not a core, so it clobbers every reservation on the written word.
-constexpr u16 kFunctionalWriter = 0xFFFF;
-}  // namespace
-
 GlobalMemory::GlobalMemory(u32 base, u64 size, u32 bytes_per_cycle, u32 latency,
                            GmemArbiterConfig arbiter)
     : base_(base),
@@ -23,42 +17,30 @@ GlobalMemory::GlobalMemory(u32 base, u64 size, u32 bytes_per_cycle, u32 latency,
       arbiter_(arbiter),
       pages_((size + kPageWords * 4 - 1) / (kPageWords * 4)) {}
 
-u32& GlobalMemory::word_ref(u32 addr) {
+u32 GlobalMemory::word_index(u32 addr) const {
   MP3D_ASSERT_MSG(addr >= base_ && static_cast<u64>(addr) - base_ < size_,
                   "gmem address out of range: 0x" << std::hex << addr);
-  const u32 word = (addr - base_) / 4;
-  std::vector<u32>& page = pages_[word / kPageWords];
+  return (addr - base_) / 4;
+}
+
+u32& GlobalMemory::word_ref(u32 index) {
+  std::vector<u32>& page = pages_[index / kPageWords];
   if (page.empty()) {
     page.assign(kPageWords, 0);
   }
-  return page[word % kPageWords];
+  return page[index % kPageWords];
 }
 
-u32 GlobalMemory::word_at(u32 addr) const {
-  MP3D_ASSERT_MSG(addr >= base_ && static_cast<u64>(addr) - base_ < size_,
-                  "gmem address out of range: 0x" << std::hex << addr);
-  const u32 word = (addr - base_) / 4;
-  const std::vector<u32>& page = pages_[word / kPageWords];
-  return page.empty() ? 0 : page[word % kPageWords];
+u32 GlobalMemory::read_word(u32 addr) const {
+  const u32 index = word_index(addr);
+  const std::vector<u32>& page = pages_[index / kPageWords];
+  return page.empty() ? 0 : page[index % kPageWords];
 }
-
-void GlobalMemory::clobber_reservations(u32 word_addr, u16 writer) {
-  if (reservations_.empty()) {
-    return;  // the overwhelmingly common case: no LR in flight
-  }
-  reservations_.erase(
-      std::remove_if(reservations_.begin(), reservations_.end(),
-                     [&](const auto& r) {
-                       return r.first == word_addr && r.second != writer;
-                     }),
-      reservations_.end());
-}
-
-u32 GlobalMemory::read_word(u32 addr) const { return word_at(addr & ~3U); }
 
 void GlobalMemory::write_word(u32 addr, u32 value) {
-  clobber_reservations(addr & ~3U, kFunctionalWriter);
-  word_ref(addr & ~3U) = value;
+  const u32 index = word_index(addr);
+  reservations_.drop_words(index, 1);
+  word_ref(index) = value;
 }
 
 void GlobalMemory::write_words(u32 addr, std::span<const u32> words) {
@@ -66,9 +48,7 @@ void GlobalMemory::write_words(u32 addr, std::span<const u32> words) {
   MP3D_ASSERT_MSG(addr >= base_ && (first + words.size()) * 4 <= size_,
                   "gmem write out of range: 0x" << std::hex << addr << " + "
                                                 << std::dec << words.size() << " words");
-  std::erase_if(reservations_, [&](const auto& r) {
-    return (r.first - base_) / 4 - first < words.size();
-  });
+  reservations_.drop_words(first, words.size());
   for (std::size_t done = 0; done < words.size();) {
     const u64 word = first + done;
     std::vector<u32>& page = pages_[word / kPageWords];
@@ -99,92 +79,6 @@ void GlobalMemory::enqueue_refill(u32 token, u32 bytes, sim::Cycle /*now*/) {
   item.bytes = bytes;
   item.token = token;
   queue_.push_back(item);
-}
-
-u32 GlobalMemory::amo_or_access(const MemRequest& req) {
-  using isa::Op;
-  const u32 word_addr = req.addr & ~3U;
-  u32& word = word_ref(word_addr);
-  const u32 shift = (req.addr & 3U) * 8;
-  switch (req.op) {
-    case Op::kLb:
-    case Op::kLbu: {
-      u32 v = (word >> shift) & 0xFFU;
-      if (req.op == Op::kLb) {
-        v = static_cast<u32>(static_cast<i32>(v << 24) >> 24);
-      }
-      return v;
-    }
-    case Op::kLh:
-    case Op::kLhu: {
-      u32 v = (word >> shift) & 0xFFFFU;
-      if (req.op == Op::kLh) {
-        v = static_cast<u32>(static_cast<i32>(v << 16) >> 16);
-      }
-      return v;
-    }
-    case Op::kLw:
-    case Op::kPLwPost:
-    case Op::kPLwRPost:
-      return word;
-    case Op::kLrW: {
-      // One reservation per core: re-registering moves it to this word.
-      std::erase_if(reservations_, [&](const auto& r) { return r.second == req.core; });
-      reservations_.emplace_back(word_addr, req.core);
-      return word;
-    }
-    case Op::kSb: {
-      const u32 mask = 0xFFU << shift;
-      word = (word & ~mask) | ((req.wdata & 0xFFU) << shift);
-      clobber_reservations(word_addr, req.core);
-      return 0;
-    }
-    case Op::kSh: {
-      const u32 mask = 0xFFFFU << shift;
-      word = (word & ~mask) | ((req.wdata & 0xFFFFU) << shift);
-      clobber_reservations(word_addr, req.core);
-      return 0;
-    }
-    case Op::kSw:
-    case Op::kPSwPost:
-      word = req.wdata;
-      clobber_reservations(word_addr, req.core);
-      return 0;
-    case Op::kScW: {
-      const bool reserved =
-          std::any_of(reservations_.begin(), reservations_.end(), [&](const auto& r) {
-            return r.first == word_addr && r.second == req.core;
-          });
-      std::erase_if(reservations_, [&](const auto& r) { return r.second == req.core; });
-      if (!reserved) {
-        return 1;  // failure: an intervening store clobbered the reservation
-      }
-      word = req.wdata;
-      clobber_reservations(word_addr, req.core);
-      return 0;  // success
-    }
-    default: {
-      // AMOs on global memory are rare but legal; perform them atomically
-      // (the FIFO service point is a natural serialization point).
-      const u32 old = word;
-      const i32 olds = static_cast<i32>(old);
-      const i32 rhs = static_cast<i32>(req.wdata);
-      switch (req.op) {
-        case Op::kAmoSwapW: word = req.wdata; break;
-        case Op::kAmoAddW: word = old + req.wdata; break;
-        case Op::kAmoXorW: word = old ^ req.wdata; break;
-        case Op::kAmoAndW: word = old & req.wdata; break;
-        case Op::kAmoOrW: word = old | req.wdata; break;
-        case Op::kAmoMinW: word = static_cast<u32>(std::min(olds, rhs)); break;
-        case Op::kAmoMaxW: word = static_cast<u32>(std::max(olds, rhs)); break;
-        case Op::kAmoMinuW: word = std::min(old, req.wdata); break;
-        case Op::kAmoMaxuW: word = std::max(old, req.wdata); break;
-        default: MP3D_UNREACHABLE("unsupported gmem op");
-      }
-      clobber_reservations(word_addr, req.core);
-      return old;
-    }
-  }
 }
 
 void GlobalMemory::step(sim::Cycle now, std::vector<MemResponse>& responses,
@@ -285,7 +179,11 @@ void GlobalMemory::step(sim::Cycle now, std::vector<MemResponse>& responses,
       refills.push_back(item.token);
       continue;
     }
-    responses.push_back(MemResponse{amo_or_access(item.req), item.req.core, item.req.tag});
+    const MemRequest& req = item.req;
+    const u32 index = word_index(req.addr);
+    responses.push_back(MemResponse{execute_word_op(req.op, req.addr & 3U, req.wdata, req.core,
+                                                    index, word_ref(index), reservations_),
+                                    req.core, req.tag});
   }
 }
 

@@ -18,11 +18,11 @@
 
 #include <deque>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "arch/mem_types.hpp"
 #include "arch/params.hpp"
+#include "arch/word_op.hpp"
 #include "sim/counters.hpp"
 
 namespace mp3d::obs {
@@ -78,8 +78,6 @@ class GlobalMemory {
   /// forward progress under scalar saturation.
   u32 claim_bulk(u32 bytes, sim::Cycle now);
 
-  u32 bytes_per_cycle() const { return bytes_per_cycle_; }
-  u32 latency() const { return latency_; }
   const GmemArbiterConfig& arbiter() const { return arbiter_; }
 
   /// Change the live bulk guarantee (the QoS controller's actuator).
@@ -130,12 +128,10 @@ class GlobalMemory {
   /// and every claim_bulk() so far this cycle).
   u64 budget_left() const { return budget_; }
 
-  bool idle() const { return queue_.empty() && in_flight_.empty(); }
   u64 bytes_transferred() const { return bytes_transferred_; }
   u64 scalar_bytes() const { return scalar_bytes_; }
   u64 bulk_bytes() const { return bulk_bytes_; }
   u64 bulk_stall_cycles() const { return bulk_stall_cycles_; }
-  u64 scalar_stall_cycles() const { return scalar_stall_cycles_; }
   /// Cycles step() was handed nonzero bulk demand (the QoS controller's
   /// demand-pressure signal; counted under every policy, share 0 included).
   u64 bulk_demand_cycles() const { return bulk_demand_cycles_; }
@@ -157,9 +153,6 @@ class GlobalMemory {
     sim::Cycle done_at;
     Item item;
   };
-
-  u32 amo_or_access(const MemRequest& req);
-  void clobber_reservations(u32 word_addr, u16 writer);
 
   u32 base_;
   u64 size_;
@@ -195,12 +188,9 @@ class GlobalMemory {
   bool in_bulk_stall_ = false;
   bool in_scalar_stall_ = false;
 
-  // ---- LR/SC reservations -------------------------------------------------
-  // (word address, core) pairs, mirroring SpmBank: a store by any *other*
-  // core (or a functional write — the DMA/host path) to a reserved word
-  // clobbers the reservation, and the SC then fails instead of silently
-  // corrupting the lock word.
-  std::vector<std::pair<u32, u16>> reservations_;
+  /// LR/SC reservations on this memory's words, by word index
+  /// (arch/word_op.hpp holds the rule).
+  Reservations reservations_;
 
   u64 bytes_transferred_ = 0;
   u64 scalar_bytes_ = 0;
@@ -214,8 +204,10 @@ class GlobalMemory {
 
   static constexpr u32 kPageWords = 16384;  ///< 64 KiB pages
 
-  u32& word_ref(u32 addr);
-  u32 word_at(u32 addr) const;
+  /// Index of the word holding `addr` (pre: in the window, asserted).
+  u32 word_index(u32 addr) const;
+  /// The word with index `index`, allocating its page on first touch.
+  u32& word_ref(u32 index);
 };
 
 }  // namespace mp3d::arch

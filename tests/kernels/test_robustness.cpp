@@ -18,21 +18,50 @@ namespace {
 using mp3d::testing::ctrl_prelude;
 using mp3d::testing::run_asm;
 
-TEST(Robustness, MisalignedWordAccessAsserts) {
-  // The Snitch cores and banks require natural alignment; a misaligned lw
-  // is a programming error the simulator refuses to paper over.
+/// Run a kernel on tiny() whose program is `body` (t0 = hart id) followed
+/// by `park` (sleep forever) through run_kernel, which must throw; returns
+/// the error text.
+std::string run_kernel_error(const std::string& body) {
   arch::Cluster cluster(arch::ClusterConfig::tiny());
+  Kernel k = build_memcpy(cluster.config(), 256);
   const std::string src = ctrl_prelude(cluster.config()) + R"(
 .text 0x80000000
     csrr t0, mhartid
-    bnez t0, park
-    li t1, 0x2002
-    lw a0, 0(t1)         # misaligned
+)" + body + R"(
 park:
     wfi
     j park
 )";
-  EXPECT_DEATH(run_asm(cluster, src), "");
+  isa::AsmOptions opt;
+  opt.default_base = cluster.config().gmem_base;
+  k.program = isa::assemble(src, opt);
+  k.verify = nullptr;
+  try {
+    run_kernel(cluster, k, 200'000);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected run_kernel to throw";
+  return "";
+}
+
+TEST(Robustness, MisalignedAccessFaultsTheCore) {
+  // A half-word, word, AMO or LR/SC access off its natural alignment
+  // faults the issuing core, in the SPM and in global memory alike.
+  const struct {
+    const char* address;
+    const char* access;  ///< core 0's access, with t1 = address
+  } cases[] = {
+      {"0x2002", "lw a0, 0(t1)"},             // SPM word at +2
+      {"0x80100003", "lh a0, 0(t1)"},         // gmem half-word at lane 3
+      {"0x2001", "amoadd.w a0, zero, (t1)"},  // SPM AMO at +1
+  };
+  for (const auto& c : cases) {
+    const std::string error = run_kernel_error(std::string("    bnez t0, park\n    li t1, ") +
+                                               c.address + "\n    " + c.access + "\n");
+    EXPECT_NE(error.find("core 0"), std::string::npos) << error;
+    EXPECT_NE(error.find(c.address), std::string::npos) << error;
+  }
 }
 
 TEST(Robustness, SpmOverflowRejectedAtBuildTime) {
@@ -55,29 +84,13 @@ TEST(Robustness, GmemOverflowRejectedAtBuildTime) {
 TEST(Robustness, RuntimeErrorNamesTheFaultingCore) {
   // A kernel whose core 2 dereferences an unmapped address: run_kernel
   // must throw and identify the core.
-  arch::Cluster cluster(arch::ClusterConfig::tiny());
-  Kernel k = build_memcpy(cluster.config(), 256);
-  const std::string src = ctrl_prelude(cluster.config()) + R"(
-.text 0x80000000
-    csrr t0, mhartid
+  const std::string error = run_kernel_error(R"(
     li t1, 2
     bne t0, t1, park
     li t2, 0x70000000
     lw a0, 0(t2)         # unmapped -> core 2 faults
-park:
-    wfi
-    j park
-)";
-  isa::AsmOptions opt;
-  opt.default_base = cluster.config().gmem_base;
-  k.program = isa::assemble(src, opt);
-  k.verify = nullptr;
-  try {
-    run_kernel(cluster, k, 200'000);
-    FAIL() << "expected failure";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("core 2"), std::string::npos) << e.what();
-  }
+)");
+  EXPECT_NE(error.find("core 2"), std::string::npos) << error;
 }
 
 TEST(Robustness, StackSlicesAreDisjointAcrossCores) {
