@@ -5,10 +5,11 @@
 
 namespace mp3d::arch {
 
-void SpmBank::serve(sim::Cycle now, BankRequest& request, std::span<u32> spm,
-                    Reservations& reservations) {
+SpmBank::Entry SpmBank::serve(sim::Cycle now, std::span<u32> spm,
+                              Reservations& reservations, u32 handle_shift) {
   MP3D_ASSERT(has_ready(now));
-  const sim::Cycle arrived = queue_.pop_front().ready_at;
+  Entry entry = queue_.pop_front();
+  BankRequest& request = entry.request;
   ++accesses_;
   // Array activation accounting: loads read, stores write, AMOs and lr/sc
   // do both (the bank reads the old word and writes the new one).
@@ -20,13 +21,15 @@ void SpmBank::serve(sim::Cycle now, BankRequest& request, std::span<u32> spm,
   } else {
     ++reads_;
   }
-  if (now > arrived) {
+  if (now > entry.ready_at) {
     ++conflicts_;
-    conflict_wait_cycles_ += now - arrived;
+    conflict_wait_cycles_ += now - entry.ready_at;
   }
   MP3D_ASSERT(request.word < spm.size());
-  request.rdata = execute_word_op(request.op, request.lane, request.wdata, request.core,
-                                  request.word, spm[request.word], reservations);
+  const auto core = static_cast<u16>(entry.handle >> handle_shift);
+  request.data = execute_word_op(request.op, request.lane, request.data, core, request.word,
+                                 spm[request.word], reservations);
+  return entry;
 }
 
 }  // namespace mp3d::arch

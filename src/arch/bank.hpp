@@ -3,7 +3,8 @@
 // queued requests. The bank is the serialization point for atomics (AMOs
 // and LR/SC execute here).
 //
-// The bank holds timing state only: its request queue and its counters.
+// The bank holds timing state only: its request queue (each entry the
+// request itself and its handle) and its counters.
 // The SPM contents are one address-ordered word array owned by the Cluster
 // (host backdoor and DMA port index it directly), beside the SPM's one
 // LR/SC reservation table; serve() executes the request on the word it
@@ -19,42 +20,36 @@
 
 namespace mp3d::arch {
 
-/// The transaction record of one core LSU slot whose request targets the
-/// SPM. The Cluster keeps one per slot, indexed by the slot's handle
-/// (`core << shift | tag`), and writes it once, at issue, with the decoded
-/// route. The bank queues and both NoC directions carry only the handle,
-/// and the bank leaves the response word in `rdata`.
-struct BankRequest {
-  u32 word = 0;   ///< SPM word index: (addr - spm_base) / 4
-  u32 wdata = 0;  ///< store / AMO operand
-  u32 rdata = 0;  ///< response word, written when the bank serves it
-  u32 bank = 0;   ///< global bank index (tile * banks_per_tile + bank in tile)
-  u16 core = 0;   ///< issuing core
-  u16 tile = 0;   ///< issuing core's tile, where the response goes
-  isa::Op op = isa::Op::kInvalid;
-  u8 lane = 0;  ///< byte offset within the word (addr & 3)
-  u8 net = 0;   ///< network between the core's and the bank's tile (remote only)
-};
-
 class SpmBank {
  public:
-  /// Queue the request with handle `handle`; it reaches the bank at `ready_at`.
-  void push(sim::Cycle ready_at, u32 handle) { queue_.push_back(Entry{ready_at, handle}); }
+  /// A queued request: the cycle it reaches the bank, its handle and the
+  /// request.
+  struct Entry {
+    sim::Cycle ready_at;
+    u32 handle;
+    BankRequest request;
+  };
+
+  /// Queue `request` with handle `handle`; it reaches the bank at `ready_at`.
+  void push(sim::Cycle ready_at, u32 handle, const BankRequest& request) {
+    queue_.push_back(Entry{ready_at, handle, request});
+  }
 
   bool has_ready(sim::Cycle now) const {
     return !queue_.empty() && queue_.front().ready_at <= now;
   }
-  /// Handle of the front request (pre: has_ready).
-  u32 front() const { return queue_.front().handle; }
+  /// The front request (pre: has_ready).
+  const BankRequest& front() const { return queue_.front().request; }
   bool busy() const { return !queue_.empty(); }
 
-  /// Serve the front request (pre: has_ready(now)), whose record is
-  /// `request`: execute it on its word of `spm` (the cluster's SPM array)
-  /// against the SPM's `reservations`, and leave the response word in
-  /// `request.rdata` (stores answer too). Also accumulates conflict
-  /// statistics: cycles a request waited beyond its zero-load arrival time.
-  void serve(sim::Cycle now, BankRequest& request, std::span<u32> spm,
-             Reservations& reservations);
+  /// Serve the front request (pre: has_ready(now)): execute it on its word
+  /// of `spm` (the cluster's SPM array) against the SPM's `reservations`,
+  /// for the core `handle >> handle_shift`, and return its entry with the
+  /// response word in `request.data` (stores answer too). Also accumulates
+  /// conflict statistics: cycles a request waited beyond its zero-load
+  /// arrival time.
+  Entry serve(sim::Cycle now, std::span<u32> spm, Reservations& reservations,
+              u32 handle_shift);
 
   u64 accesses() const { return accesses_; }
   /// Array-read / array-write activations (the SRAM events energy models
@@ -78,12 +73,6 @@ class SpmBank {
   }
 
  private:
-  /// A queued request: the cycle it reaches the bank and its handle.
-  struct Entry {
-    sim::Cycle ready_at;
-    u32 handle;
-  };
-
   sim::RingFifo<Entry> queue_;
   u64 accesses_ = 0;
   u64 reads_ = 0;

@@ -87,7 +87,9 @@ Cluster::Cluster(ClusterConfig cfg)
     : cfg_(validated(std::move(cfg))),
       map_(cfg_),
       bank_tile_shift_(log2_exact(cfg_.banks_per_tile)),
-      lsu_shift_(static_cast<u32>(std::bit_width(cfg_.lsu_max_outstanding - 1))) {
+      lsu_shift_(static_cast<u32>(std::bit_width(cfg_.lsu_max_outstanding - 1))),
+      group_shift_(log2_exact(cfg_.tiles_per_group)),
+      cores_per_group_(cfg_.tiles_per_group * cfg_.cores_per_tile) {
   noc_ = std::make_unique<Interconnect>(cfg_);
   gmem_ = std::make_unique<GlobalMemory>(cfg_.gmem_base, cfg_.gmem_size,
                                          cfg_.gmem_bytes_per_cycle, cfg_.gmem_latency,
@@ -107,7 +109,6 @@ Cluster::Cluster(ClusterConfig cfg)
   }
   spm_ = std::span<u32>(spm_words_.get(), words);
   banks_.resize(cfg_.num_banks());
-  txns_.resize(std::size_t{cfg_.num_cores()} << lsu_shift_);
   bank_active_flag_.assign(cfg_.num_banks(), 0);
   icaches_.reserve(tiles);
   for (u32 t = 0; t < tiles; ++t) {
@@ -117,8 +118,19 @@ Cluster::Cluster(ClusterConfig cfg)
   for (u32 c = 0; c < cfg_.num_cores(); ++c) {
     cores_.emplace_back(cfg_, static_cast<u16>(c), c / cfg_.cores_per_tile);
   }
-  active_.assign((cfg_.num_cores() + 63) / 64, 0);
-  halted_cores_ = cfg_.num_cores();  // cores start halted until load_program
+  groups_.resize(cfg_.num_groups);
+  for (u32 g = 0; g < cfg_.num_groups; ++g) {
+    Group& group = groups_[g];
+    group.index = g;
+    group.first_core = g * cores_per_group_;
+    group.halted = cores_per_group_;  // cores start halted until load_program
+    group.active.assign((cores_per_group_ + 63) / 64, 0);
+    // Capacity for a step's worth, so a section never allocates: at most
+    // every bank active, one queued request per core.
+    group.active_banks.reserve(cfg_.tiles_per_group * cfg_.banks_per_tile);
+    group.queued.reserve(cores_per_group_);
+    core_group_.insert(core_group_.end(), cores_per_group_, static_cast<u8>(g));
+  }
   fast_forward_ = cfg_.fast_forward;
   if (const char* env = std::getenv("MP3D_FAST_FORWARD")) {
     fast_forward_ = !(env[0] == '0' && env[1] == '\0');
@@ -203,17 +215,24 @@ void Cluster::reset_run_state() {
     cores_[c].reset(entry_, sp);
   }
   // reset() does not route through the transition hooks; rebuild the
-  // occupancy counts and the (fully populated) active set, with nothing
+  // occupancy counts and the (fully populated) active sets, with nothing
   // parked.
-  awake_cores_ = cfg_.num_cores();
-  halted_cores_ = 0;
-  std::fill(active_.begin(), active_.end(), 0);
+  for (Group& group : groups_) {
+    group.awake = cores_per_group_;
+    group.halted = 0;
+    group.lr_sc = false;
+    group.activity = 0;
+    group.wfi_idle_cycles = 0;
+    group.parked.fill(0);
+    group.parked_cycles.fill(0);
+    std::fill(group.active.begin(), group.active.end(), 0);
+    group.active_banks.clear();
+    group.queued.clear();
+  }
   for (u32 c = 0; c < cfg_.num_cores(); ++c) {
     activate_core(c);
   }
-  parked_.fill(0);
-  parked_cycles_.fill(0);
-  wfi_idle_cycles_ = 0;
+  sections_in_order_ = false;
   ff_skipped_cycles_ = 0;
   for (TileICache& icache : icaches_) {
     icache.flush();
@@ -232,7 +251,6 @@ void Cluster::reset_run_state() {
     bank.reset_run_state();
   }
   spm_reservations_.clear();
-  active_banks_.clear();
   std::fill(bank_active_flag_.begin(), bank_active_flag_.end(), 0);
   refill_slots_.clear();
   refill_free_.clear();
@@ -359,11 +377,33 @@ std::vector<u32> Cluster::read_words(u32 addr, std::size_t count) const {
   return out;
 }
 
-void Cluster::activate_bank(u32 global_bank) {
+void Cluster::activate_core(u32 core) {
+  Group& group = group_of(core);
+  const u32 bit = core - group.first_core;
+  group.active[bit / 64] |= u64{1} << (bit % 64);
+}
+
+void Cluster::activate_bank(Group& group, u32 global_bank) {
   if (bank_active_flag_[global_bank] == 0) {
     bank_active_flag_[global_bank] = 1;
-    active_banks_.push_back(global_bank);
+    group.active_banks.push_back(global_bank);
   }
+}
+
+u32 Cluster::awake_cores() const {
+  u32 n = 0;
+  for (const Group& group : groups_) {
+    n += group.awake;
+  }
+  return n;
+}
+
+u32 Cluster::halted_cores() const {
+  u32 n = 0;
+  for (const Group& group : groups_) {
+    n += group.halted;
+  }
+  return n;
 }
 
 IssueResult Cluster::issue_mem(const MemRequest& request) {
@@ -374,6 +414,7 @@ IssueResult Cluster::issue_mem(const MemRequest& request) {
                                      " at address");
   }
   const u32 src_tile = cores_[request.core].tile_id();
+  Group& group = groups_[src_tile >> group_shift_];
   switch (map_.classify(request.addr)) {
     case Region::kSpmSeq:
     case Region::kSpmInterleaved: {
@@ -383,42 +424,37 @@ IssueResult Cluster::issue_mem(const MemRequest& request) {
       if (!local && !noc_->can_push_request(src_tile, net, cycle_)) {
         return IssueResult::kPortBusy;
       }
-      // The slot is free, so its record is too: write the decoded route.
+      // The access travels by value with its LSU slot's handle.
       const u32 handle = u32{request.core} << lsu_shift_ | request.tag;
-      BankRequest& txn = txns_[handle];
-      txn.word = (request.addr - cfg_.spm_base) >> 2;
-      txn.wdata = request.wdata;
-      txn.bank = t.tile * cfg_.banks_per_tile + t.bank;
-      txn.core = request.core;
-      txn.tile = static_cast<u16>(src_tile);
-      txn.op = request.op;
-      txn.lane = static_cast<u8>(request.addr & 3U);
-      txn.net = static_cast<u8>(net);
+      BankRequest access;
+      access.word = (request.addr - cfg_.spm_base) >> 2;
+      access.data = request.wdata;
+      access.tile = static_cast<u16>(src_tile);
+      access.op = request.op;
+      access.lane = static_cast<u8>(request.addr & 3U);
+      MP3D_ASSERT(t.bank == (access.word & (cfg_.banks_per_tile - 1)));
+      if (request.op == isa::Op::kLrW || request.op == isa::Op::kScW) {
+        group.lr_sc = true;
+      }
       if (local) {
         // Local crossbar: the bank sees it next cycle.
-        banks_[txn.bank].push(cycle_ + 1, handle);
-        activate_bank(txn.bank);
+        const u32 gb = t.tile * cfg_.banks_per_tile + t.bank;
+        banks_[gb].push(cycle_ + 1, handle, access);
+        activate_bank(group, gb);
       } else {
-        noc_->push_request(src_tile, t.tile, net, handle, cycle_);
+        noc_->push_request(src_tile, t.tile, net, handle, access, cycle_);
       }
-      ++activity_;
+      ++group.activity;
       return IssueResult::kAccepted;
     }
-    case Region::kCtrl: {
-      MemRequest copy = request;
-      copy.ready_at = cycle_ + 1;
-      ctrl_queue_.push_back(copy);
-      ++activity_;
+    case Region::kCtrl:
+      group.queued.push_back(QueuedRequest{QueuedRequest::Kind::kCtrl, 0, request});
+      ++group.activity;
       return IssueResult::kAccepted;
-    }
-    case Region::kGmem: {
-      gmem_->enqueue(request, cycle_);
-      if (qos_ != nullptr) {
-        gmem_issue_cycles_.push_back(cycle_);
-      }
-      ++activity_;
+    case Region::kGmem:
+      group.queued.push_back(QueuedRequest{QueuedRequest::Kind::kGmem, 0, request});
+      ++group.activity;
       return IssueResult::kAccepted;
-    }
     case Region::kInvalid:
     default:
       return fault_access(request, "access to unmapped address");
@@ -433,19 +469,47 @@ IssueResult Cluster::fault_access(const MemRequest& request, const std::string& 
 }
 
 void Cluster::request_icache_refill(u32 tile, u32 pc) {
-  TileICache& icache = icaches_[tile];
-  icache.begin_refill(pc);
-  u32 token = 0;
-  if (!refill_free_.empty()) {
-    token = refill_free_.back();
-    refill_free_.pop_back();
-    refill_slots_[token] = {tile, icache.line_addr(pc)};
-  } else {
-    token = static_cast<u32>(refill_slots_.size());
-    refill_slots_.emplace_back(tile, icache.line_addr(pc));
+  icaches_[tile].begin_refill(pc);
+  Group& group = groups_[tile >> group_shift_];
+  MemRequest fetch;
+  fetch.addr = pc;
+  group.queued.push_back(QueuedRequest{QueuedRequest::Kind::kRefill, tile, fetch});
+  ++group.activity;
+}
+
+void Cluster::replay_requests(Group& group) {
+  for (const QueuedRequest& queued : group.queued) {
+    switch (queued.kind) {
+      case QueuedRequest::Kind::kGmem:
+        gmem_->enqueue(queued.request, cycle_);
+        if (qos_ != nullptr) {
+          gmem_issue_cycles_.push_back(cycle_);
+        }
+        break;
+      case QueuedRequest::Kind::kCtrl: {
+        MemRequest copy = queued.request;
+        copy.ready_at = cycle_ + 1;
+        ctrl_queue_.push_back(copy);
+        break;
+      }
+      case QueuedRequest::Kind::kRefill: {
+        const TileICache& icache = icaches_[queued.tile];
+        const std::pair<u32, u32> slot{queued.tile, icache.line_addr(queued.request.addr)};
+        u32 token = 0;
+        if (!refill_free_.empty()) {
+          token = refill_free_.back();
+          refill_free_.pop_back();
+          refill_slots_[token] = slot;
+        } else {
+          token = static_cast<u32>(refill_slots_.size());
+          refill_slots_.push_back(slot);
+        }
+        gmem_->enqueue_refill(token, icache.line_bytes(), cycle_);
+        break;
+      }
+    }
   }
-  gmem_->enqueue_refill(token, icache.line_bytes(), cycle_);
-  ++activity_;
+  group.queued.clear();
 }
 
 void Cluster::deliver_response_to_core(const MemResponse& response) {
@@ -454,7 +518,7 @@ void Cluster::deliver_response_to_core(const MemResponse& response) {
   if (core.wait() != Wait::kNone) {
     unpark(response.core);
   }
-  ++activity_;
+  ++group_of(response.core).activity;
 }
 
 void Cluster::unpark(u32 core) {
@@ -463,60 +527,61 @@ void Cluster::unpark(u32 core) {
   if (wait == Wait::kNone) {
     return;
   }
-  MP3D_ASSERT(parked_[wait_index(wait)] > 0);
-  --parked_[wait_index(wait)];
+  Group& group = group_of(core);
+  MP3D_ASSERT(group.parked[wait_index(wait)] > 0);
+  --group.parked[wait_index(wait)];
   c.resume();
   if (!c.halted()) {
     activate_core(core);
   }
 }
 
-void Cluster::deliver_spm_response(u32 handle) {
+void Cluster::deliver_spm_response(u32 handle, u32 rdata) {
   const auto core = static_cast<u16>(handle >> lsu_shift_);
   const auto tag = static_cast<u8>(handle & ((1U << lsu_shift_) - 1));
-  deliver_response_to_core(MemResponse{txns_[handle].rdata, core, tag});
+  deliver_response_to_core(MemResponse{rdata, core, tag});
 }
 
-void Cluster::deliver_remote_request(u32 dst_tile, u32 handle) {
-  const u32 gb = txns_[handle].bank;  // decoded once, in issue_mem
-  MP3D_ASSERT(gb >> bank_tile_shift_ == dst_tile);
-  banks_[gb].push(cycle_, handle);
-  activate_bank(gb);
-  ++activity_;
+void Cluster::deliver_remote_request(Group& group, u32 dst_tile, u32 handle,
+                                     const BankRequest& access) {
+  // In both SPM regions a word's bank within its tile is the word index
+  // modulo the banks per tile.
+  const u32 gb = dst_tile * cfg_.banks_per_tile + (access.word & (cfg_.banks_per_tile - 1));
+  banks_[gb].push(cycle_, handle, access);
+  activate_bank(group, gb);
+  ++group.activity;
 }
 
-void Cluster::serve_banks() {
+void Cluster::serve_banks(Group& group) {
+  sim::LineVector<u32>& active = group.active_banks;
   std::size_t keep = 0;
-  for (std::size_t i = 0; i < active_banks_.size(); ++i) {
-    const u32 gb = active_banks_[i];
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    const u32 gb = active[i];
     SpmBank& bank = banks_[gb];
     if (bank.has_ready(cycle_)) {
-      const u32 handle = bank.front();
-      BankRequest& txn = txns_[handle];
+      const BankRequest& front = bank.front();
       const u32 bank_tile = gb >> bank_tile_shift_;
       // The response goes back on the request's network (it is symmetric).
-      const bool local = txn.tile == bank_tile;
-      if (local || noc_->can_push_response(bank_tile, txn.net, cycle_)) {
-        bank.serve(cycle_, txn, spm_, spm_reservations_);
-        ++activity_;
+      const bool local = front.tile == bank_tile;
+      const u32 net = local ? 0 : noc_->network(bank_tile, front.tile);
+      if (local || noc_->can_push_response(bank_tile, net, cycle_)) {
+        const SpmBank::Entry served = bank.serve(cycle_, spm_, spm_reservations_, lsu_shift_);
+        ++group.activity;
         if (local) {
-          deliver_spm_response(handle);
+          deliver_spm_response(served.handle, served.request.data);
         } else {
-          noc_->push_response(bank_tile, txn.tile, txn.net, handle, cycle_);
+          noc_->push_response(bank_tile, served.request.tile, net, served.handle, served.request,
+                              cycle_);
         }
       }
     }
     if (bank.busy()) {
-      active_banks_[keep++] = gb;
+      active[keep++] = gb;
     } else {
       bank_active_flag_[gb] = 0;
     }
   }
-  active_banks_.resize(keep);
-}
-
-u32 Cluster::core_group(u16 core) const {
-  return cores_[core].tile_id() / cfg_.tiles_per_group;
+  active.resize(keep);
 }
 
 u32 Cluster::dma_read_spm(u32 addr) { return spm_read_word(addr); }
@@ -799,6 +864,7 @@ void Cluster::step() {
   const bool prof_sampled = cycle_ >= next_prof_at_;
   prof::StepTimer timer(prof_sampled ? prof_.get() : nullptr);
 
+  // ---- head ------------------------------------------------------------------
   // 1. Global memory: bandwidth-limited service; completions this cycle.
   // The DMA engines' aggregate backlog is handed to the channel arbiter so
   // a nonzero bulk guarantee reserves bytes only while bulk demand exists.
@@ -842,45 +908,45 @@ void Cluster::step() {
   }
   timer.mark(prof::Phase::kQos);
 
-  // 2. Request network.
-  noc_->step_requests(cycle_, [this](u32 dst_tile, u32 handle) {
-    deliver_remote_request(dst_tile, handle);
-  });
-  timer.mark(prof::Phase::kNoc);
-
-  // 3. Banks and control peripherals.
-  serve_banks();
-  timer.mark(prof::Phase::kBanks);
+  // 1d. Control peripherals. They serve requests queued in earlier cycles,
+  // and nothing the networks or banks do this cycle reads or writes what
+  // they touch: their wakes and responses are consumed by phase 5, and a
+  // DMA start by the next cycle's DMA step, as when they ran after the
+  // banks.
   serve_ctrl();
   timer.mark(prof::Phase::kCtrl);
 
-  // 4. Response network.
-  noc_->step_responses(cycle_,
-                       [this](u32 /*dst_tile*/, u32 handle) { deliver_spm_response(handle); });
-  timer.mark(prof::Phase::kNoc);
-
-  // 5. Cores. Only the active set is stepped. Token-less sleepers and
-  // parked cores are charged in bulk (identical to each bumping its own
-  // wfi or stall counter); a step that parks or sleeps clears the core's
-  // bit. Wakes and un-parks land in phases 1-4 only, so the set is stable
-  // while iterating; it steps in ascending id because request FIFO
-  // ordering into the banks, networks, and queues follows core step order.
-  wfi_idle_cycles_ += cfg_.num_cores() - awake_cores_ - halted_cores_;
-  for (std::size_t r = 0; r < kNumWaits; ++r) {
-    parked_cycles_[r] += parked_[r];
-  }
-  for (std::size_t w = 0; w < active_.size(); ++w) {
-    for (u64 bits = active_[w]; bits != 0; bits &= bits - 1) {
-      const auto bit = static_cast<u32>(std::countr_zero(bits));
-      SnitchCore& core = cores_[w * 64 + bit];
-      activity_ += core.step(cycle_) ? 1 : 0;  // a retired instruction is progress
-      if (const Wait wait = core.wait(); wait != Wait::kNone) {
-        ++parked_[wait_index(wait)];
-        active_[w] &= ~(u64{1} << bit);
-      } else if (!core.runnable()) {
-        active_[w] &= ~(u64{1} << bit);
-      }
+  // ---- one section per group ---------------------------------------------
+  noc_->begin_cycle(cycle_);
+  const u32 budget = cfg_.num_groups == 1 ? 1 : std::min(cfg_.num_groups, sim::host_thread_budget());
+  const bool in_order = budget <= 1 || prof_sampled || trace_ != nullptr ||
+                        sections_in_order_ || awake_cores() < cores_per_group_;
+  if (in_order) {
+    for (Group& group : groups_) {
+      run_section(group, timer);
     }
+  } else {
+    if (pool_ == nullptr || pool_->threads() != budget) {
+      pool_.reset();
+      pool_ = std::make_unique<sim::ForkJoin>(budget - 1);
+    }
+    auto section = [this](u32 g) {
+      prof::StepTimer none(nullptr);
+      run_section(groups_[g], none);
+    };
+    pool_->run(cfg_.num_groups, section);
+  }
+
+  // ---- tail ------------------------------------------------------------------
+  noc_->end_cycle(cycle_);
+  timer.mark(prof::Phase::kNoc);
+  // The cores' requests of the cluster-wide queues, in group order, which
+  // is ascending core id: the order the cores stepped in.
+  for (Group& group : groups_) {
+    replay_requests(group);
+    activity_ += group.activity;
+    group.activity = 0;
+    sections_in_order_ |= group.lr_sc;
   }
   timer.mark(prof::Phase::kCores);
 
@@ -897,6 +963,57 @@ void Cluster::step() {
   }
 }
 
+void Cluster::run_section(Group& group, prof::StepTimer& timer) {
+  // 2. Request network: the flits bound for this group's tiles.
+  noc_->begin_group(group.index);
+  noc_->deliver_requests(group.index, cycle_,
+                         [&](u32 dst_tile, u32 handle, const BankRequest& access) {
+                           deliver_remote_request(group, dst_tile, handle, access);
+                         });
+  timer.mark(prof::Phase::kNoc);
+
+  // 3. This group's banks.
+  serve_banks(group);
+  timer.mark(prof::Phase::kBanks);
+
+  // 4. Response network: the flits bound for this group's tiles.
+  noc_->deliver_responses(group.index, cycle_,
+                          [this](u32 /*dst_tile*/, u32 handle, const BankRequest& access) {
+                            deliver_spm_response(handle, access.data);
+                          });
+  timer.mark(prof::Phase::kNoc);
+
+  // 5. This group's cores.
+  step_cores(group);
+  timer.mark(prof::Phase::kCores);
+}
+
+void Cluster::step_cores(Group& group) {
+  // Only the active set is stepped. Token-less sleepers and parked cores
+  // are charged in bulk (identical to each bumping its own wfi or stall
+  // counter); a step that parks or sleeps clears the core's bit. Wakes and
+  // un-parks land in phases 1-4 only, so the set is stable while
+  // iterating; it steps in ascending id because request FIFO ordering into
+  // the banks, networks, and queues follows core step order.
+  group.wfi_idle_cycles += cores_per_group_ - group.awake - group.halted;
+  for (std::size_t r = 0; r < kNumWaits; ++r) {
+    group.parked_cycles[r] += group.parked[r];
+  }
+  for (std::size_t w = 0; w < group.active.size(); ++w) {
+    for (u64 bits = group.active[w]; bits != 0; bits &= bits - 1) {
+      const auto bit = static_cast<u32>(std::countr_zero(bits));
+      SnitchCore& core = cores_[group.first_core + w * 64 + bit];
+      group.activity += core.step(cycle_) ? 1 : 0;  // a retired instruction is progress
+      if (const Wait wait = core.wait(); wait != Wait::kNone) {
+        ++group.parked[wait_index(wait)];
+        group.active[w] &= ~(u64{1} << bit);
+      } else if (!core.runnable()) {
+        group.active[w] &= ~(u64{1} << bit);
+      }
+    }
+  }
+}
+
 void Cluster::sample_window() {
   sim::CounterSet totals;
   collect_counters(totals);
@@ -904,27 +1021,29 @@ void Cluster::sample_window() {
   gauges.emplace_back("dma.backlog_bytes", static_cast<double>(dma_->backlog_bytes()));
   // At sampling time (after phase 5) every delivered wake token has been
   // consumed, so the runnable count equals the old per-core kRunning scan.
-  gauges.emplace_back("cores.awake", static_cast<double>(awake_cores_));
+  gauges.emplace_back("cores.awake", static_cast<double>(awake_cores()));
   telemetry_->timeline()->sample(cycle_, std::move(totals), std::move(gauges));
   next_sample_at_ += telemetry_->timeline()->window_cycles();
 }
 
-void Cluster::note_core_asleep(u16 /*core*/) {
-  MP3D_ASSERT(awake_cores_ > 0);
-  --awake_cores_;
+void Cluster::note_core_asleep(u16 core) {
+  Group& group = group_of(core);
+  MP3D_ASSERT(group.awake > 0);
+  --group.awake;
 }
 
 void Cluster::note_core_awake(u16 core) {
-  ++awake_cores_;
+  ++group_of(core).awake;
   activate_core(core);
 }
 
 void Cluster::note_core_halted(u16 core, bool was_awake) {
   unpark(core);  // a fault can reach a parked core: stop its charge
-  ++halted_cores_;
+  Group& group = group_of(core);
+  ++group.halted;
   if (was_awake) {
-    MP3D_ASSERT(awake_cores_ > 0);
-    --awake_cores_;
+    MP3D_ASSERT(group.awake > 0);
+    --group.awake;
   }
 }
 
@@ -935,8 +1054,10 @@ sim::Cycle Cluster::next_wake(sim::Cycle bound) const {
   // and the engines through the span, and the DMA bound below keeps every
   // retire (and so every completion wake) past it.
   const sim::Cycle floor = cycle_ + 1;
-  if (!active_banks_.empty()) {
-    return floor;  // queued bank work is served every cycle
+  for (const Group& group : groups_) {
+    if (!group.active_banks.empty()) {
+      return floor;  // queued bank work is served every cycle
+    }
   }
   if (!ctrl_queue_.empty() && ctrl_queue_.front().ready_at <= floor) {
     return floor;
@@ -965,8 +1086,12 @@ sim::Cycle Cluster::horizon() const {
 }
 
 sim::Cycle Cluster::skip_to(sim::Cycle target) {
-  // Every non-halted core is a token-less sleeper here (awake_cores_ == 0).
-  const u64 sleepers = cfg_.num_cores() - halted_cores_;
+  // Every non-halted core is a token-less sleeper here (awake_cores() == 0).
+  const auto charge_sleepers = [this](u64 cycles) {
+    for (Group& group : groups_) {
+      group.wfi_idle_cycles += cycles * (cores_per_group_ - group.halted);
+    }
+  };
   sim::Cycle last_active = 0;
   // Streamed cycles: while the DMA engines have bytes to claim or the
   // channel arbiter has per-cycle state to settle, run the gmem and DMA
@@ -976,7 +1101,7 @@ sim::Cycle Cluster::skip_to(sim::Cycle target) {
   // `target`, so no core wakes.
   while (cycle_ + 1 < target && (dma_->backlog_bytes() > 0 || !gmem_->bulk_quiet())) {
     ++cycle_;
-    wfi_idle_cycles_ += sleepers;
+    charge_sleepers(1);
     gmem_responses_.clear();
     gmem_refills_.clear();
     gmem_->step(cycle_, gmem_responses_, gmem_refills_, dma_->backlog_bytes());
@@ -985,12 +1110,12 @@ sim::Cycle Cluster::skip_to(sim::Cycle target) {
       activity_ += moved;
       last_active = cycle_;
     }
-    MP3D_ASSERT(awake_cores_ == 0);
+    MP3D_ASSERT(awake_cores() == 0);
     ++ff_skipped_cycles_;
   }
   // The rest of the span is quiet: charge it as if each cycle had ticked.
   const u64 span = target - cycle_ - 1;
-  wfi_idle_cycles_ += span * sleepers;
+  charge_sleepers(span);
   dma_->skip_cycles(span);  // keep the engine-service rotation bit-exact
   cycle_ += span;
   ff_skipped_cycles_ += span;
@@ -1021,10 +1146,18 @@ void Cluster::collect_counters(sim::CounterSet& counters) const {
   // Bulk-charged sleep cycles from phase 5 / fast-forward jumps and parked
   // cycles from phase 5; same aggregated keys every core bumps, so the sums
   // stay bit-identical.
-  counters.bump("core.wfi_cycles", wfi_idle_cycles_);
-  counters.bump("core.stall_raw", parked_cycles_[wait_index(Wait::kRaw)]);
-  counters.bump("core.stall_lsu_full", parked_cycles_[wait_index(Wait::kLsuFull)]);
-  counters.bump("core.stall_fence", parked_cycles_[wait_index(Wait::kFence)]);
+  u64 wfi_idle = 0;
+  std::array<u64, kNumWaits> parked{};
+  for (const Group& group : groups_) {
+    wfi_idle += group.wfi_idle_cycles;
+    for (std::size_t r = 0; r < kNumWaits; ++r) {
+      parked[r] += group.parked_cycles[r];
+    }
+  }
+  counters.bump("core.wfi_cycles", wfi_idle);
+  counters.bump("core.stall_raw", parked[wait_index(Wait::kRaw)]);
+  counters.bump("core.stall_lsu_full", parked[wait_index(Wait::kLsuFull)]);
+  counters.bump("core.stall_fence", parked[wait_index(Wait::kFence)]);
   u64 bank_accesses = 0;
   u64 bank_reads = 0;
   u64 bank_writes = 0;
@@ -1046,8 +1179,7 @@ void Cluster::collect_counters(sim::CounterSet& counters) const {
     icache.add_counters(counters);
   }
   // A parked core's every repeated step would have hit in its icache.
-  counters.bump("icache.hits",
-                std::accumulate(parked_cycles_.begin(), parked_cycles_.end(), u64{0}));
+  counters.bump("icache.hits", std::accumulate(parked.begin(), parked.end(), u64{0}));
   noc_->add_counters(counters);
   gmem_->add_counters(counters);
   dma_->add_counters(counters);

@@ -2,13 +2,27 @@
 // The MemPool cluster: cores, SPM banks, instruction caches, hierarchical
 // interconnect, control peripherals, per-group DMA engines and
 // bandwidth-limited global memory, advanced together in a fixed per-cycle
-// phase order:
+// order:
 //
-//   global memory -> DMA engines -> request network -> banks/ctrl
-//     -> response network -> cores
+//   head:    global memory -> DMA engines -> qos -> control peripherals
+//   group g: request network -> banks -> response network -> cores
+//   tail:    replay the cores' gmem, refill and ctrl requests -> telemetry
 //
 // The DMA engines run directly after global memory so bulk transfers claim
-// whatever byte budget the cycle's scalar traffic left over.
+// whatever byte budget the cycle's scalar traffic left over. The control
+// peripherals serve requests queued in earlier cycles, and nothing the
+// networks or banks do reads or writes what they touch, so they run ahead
+// of the request network.
+//
+// One section per group: it delivers the flits bound for the group's
+// tiles, serves the group's banks and steps its cores, and touches no
+// state another group's section touches. A flit goes to one group (its
+// network is the XOR of the two tiles' groups), carries its access by
+// value and never arrives in the cycle it is pushed; a bank, an ingress
+// port, an icache and a core each belong to one group; a core's requests
+// of the cluster-wide queues wait for the tail. So the sections may run
+// side by side on host threads, and the results are the same for every
+// thread count.
 //
 // This ordering yields the paper's zero-load latencies exactly: a local SPM
 // access issued in cycle n writes back in n+1 (1 cycle), a same-group
@@ -35,6 +49,7 @@
 #include "arch/params.hpp"
 #include "isa/program.hpp"
 #include "sim/counters.hpp"
+#include "sim/fork_join.hpp"
 #include "sim/types.hpp"
 
 namespace mp3d::obs {
@@ -44,6 +59,7 @@ class Trace;
 
 namespace mp3d::prof {
 class StepProfiler;
+class StepTimer;
 }
 
 namespace mp3d::qos {
@@ -63,7 +79,6 @@ inline constexpr u32 kMarker = 0x14;     ///< W: record (value, core, cycle)
 inline constexpr u32 kNumCores = 0x18;   ///< R
 inline constexpr u32 kCoresPerTile = 0x1C;  ///< R
 inline constexpr u32 kNumTiles = 0x20;   ///< R
-inline constexpr u32 kBarrierBase = 0x24;  ///< R: reserved SPM addr for barriers
 // DMA frontend: per-core staging registers; a kDmaStart write validates the
 // staged descriptor and hands it to one of the writer's group DMA engines
 // (blocking the ctrl frontend while every engine queue of the group is
@@ -146,7 +161,19 @@ class Cluster final : public DmaSpmPort {
   /// Run until EOC / all cores halted / deadlock / `max_cycles`.
   RunResult run(u64 max_cycles);
 
-  /// Single-step one cycle (exposed for tests and interactive tools).
+  /// Single-step one cycle (exposed for tests and interactive tools). The
+  /// group sections run on up to min(num_groups, host_thread_budget())
+  /// host threads (sim/fork_join.hpp), the calling thread being one; they
+  /// run one after another on the calling thread while fewer cores are
+  /// awake than one group holds, on a profiler-sampled cycle, with a trace
+  /// attached (so the trace's event order is the phase order), and from the
+  /// cycle after the run's first lr.w or sc.w to the SPM on (the SPM's one
+  /// reservation table is the only state banks of different groups share;
+  /// in that mode the groups' banks serve in group order, which differs
+  /// from serving every bank before any response only when banks of two
+  /// groups serve LR/SC ops in the same cycle). Every step ends with each
+  /// group's state merged back, so host calls between steps see one
+  /// cluster.
   void step();
   sim::Cycle now() const { return cycle_; }
 
@@ -190,9 +217,9 @@ class Cluster final : public DmaSpmPort {
 
   // ---- core-facing interface (SnitchCore calls these) -------------------------
   /// Route a core's memory request; may refuse it (port busy). An SPM
-  /// request writes the issuing slot's transaction record once, here. A
-  /// misaligned half-word, word, AMO or LR/SC access, or an unmapped one,
-  /// faults the core.
+  /// request is decoded once, here, into the BankRequest that travels with
+  /// its slot's handle. A misaligned half-word, word, AMO or LR/SC access,
+  /// or an unmapped one, faults the core.
   IssueResult issue_mem(const MemRequest& request);
   /// Begin an instruction-cache refill for tile `tile` covering `pc`.
   void request_icache_refill(u32 tile, u32 pc);
@@ -229,7 +256,7 @@ class Cluster final : public DmaSpmPort {
 
   /// A core wrote the EOC register (the run's natural end).
   bool eoc_signaled() const { return eoc_; }
-  bool all_cores_halted() const { return halted_cores_ == cfg_.num_cores(); }
+  bool all_cores_halted() const { return halted_cores() == cfg_.num_cores(); }
   bool done() const { return eoc_ || all_cores_halted(); }
   /// Monotone progress witness of the deadlock watchdog: memory, DMA and
   /// ctrl events plus retired instructions (a core retrying a busy port
@@ -239,7 +266,7 @@ class Cluster final : public DmaSpmPort {
   /// halted-out): a jump may be attempted. Only the memory system can then
   /// do work, and the cores phase has nothing to step.
   bool may_skip() const {
-    return fast_forward_ && awake_cores_ == 0 && halted_cores_ < cfg_.num_cores();
+    return fast_forward_ && awake_cores() == 0 && halted_cores() < cfg_.num_cores();
   }
   /// The wake oracle: a lower bound (capped at `bound`) on the first cycle
   /// at which something beyond DMA streaming happens — a scalar gmem
@@ -276,13 +303,24 @@ class Cluster final : public DmaSpmPort {
   void dma_wake_core(u32 core) override;
 
  private:
-  void serve_banks();
+  struct Group;
+
+  /// Group g's section of step(): phases 2-5 for its tiles.
+  void run_section(Group& group, prof::StepTimer& timer);
+  void serve_banks(Group& group);
+  void step_cores(Group& group);
+  /// The tail's replay of the group's queued gmem, refill and ctrl
+  /// requests, in issue order.
+  void replay_requests(Group& group);
   void serve_ctrl();
   void ctrl_access(const MemRequest& request);
   /// Fault the core that issued `request` with "<what> 0x<address>"; the
   /// request counts as accepted, and no response will arrive.
   IssueResult fault_access(const MemRequest& request, const std::string& what);
-  u32 core_group(u16 core) const;
+  u32 core_group(u16 core) const { return core_group_[core]; }
+  Group& group_of(u32 core) { return groups_[core_group_[core]]; }
+  u32 awake_cores() const;
+  u32 halted_cores() const;
   /// Validate and launch the staged descriptor; false = core was faulted.
   bool dma_start(const MemRequest& request);
   // Functional word access to the SPM array (host backdoor + DMA port); a
@@ -290,14 +328,14 @@ class Cluster final : public DmaSpmPort {
   u32 spm_read_word(u32 addr) const;
   void spm_write_word(u32 addr, u32 value);
   void deliver_response_to_core(const MemResponse& response);
-  /// Deliver the response of SPM transaction `handle` to its core.
-  void deliver_spm_response(u32 handle);
-  void deliver_remote_request(u32 dst_tile, u32 handle);
+  /// Deliver `rdata`, the response to LSU slot `handle`, to its core.
+  void deliver_spm_response(u32 handle, u32 rdata);
+  void deliver_remote_request(Group& group, u32 dst_tile, u32 handle, const BankRequest& access);
   /// Return a parked core to the stepped set (a halted one only stops
   /// being charged). No-op for a core that is not parked.
   void unpark(u32 core);
-  void activate_core(u32 core) { active_[core / 64] |= u64{1} << (core % 64); }
-  void activate_bank(u32 global_bank);
+  void activate_core(u32 core);
+  void activate_bank(Group& group, u32 global_bank);
   void init_telemetry();
   void sample_window();
 
@@ -324,12 +362,9 @@ class Cluster final : public DmaSpmPort {
   /// port) drops those on the words it writes.
   Reservations spm_reservations_;
   std::vector<SpmBank> banks_;
-  /// SPM transaction records, one per core LSU slot, indexed by the slot's
-  /// handle `core << lsu_shift_ | tag`. issue_mem writes a record with the
-  /// decoded route; the bank queues and the NoC carry only its handle, and
-  /// the response is rebuilt from the handle and the record's `rdata`.
-  std::vector<BankRequest> txns_;
-  u32 lsu_shift_;  ///< log2 of the records per core (LSU depth rounded up)
+  /// An SPM access travels with its LSU slot's handle `core << lsu_shift_ |
+  /// tag`, from which the response is rebuilt.
+  u32 lsu_shift_;  ///< log2 of the handles per core (LSU depth rounded up)
   std::vector<TileICache> icaches_;
   std::unique_ptr<Interconnect> noc_;
   std::unique_ptr<GlobalMemory> gmem_;
@@ -362,9 +397,9 @@ class Cluster final : public DmaSpmPort {
   u64 dma_status_reads_ = 0;      ///< kDmaStatus reads (poll-traffic witness)
   u64 dma_retired_reads_ = 0;     ///< kDmaRetired reads
 
-  // Bank scheduling: only banks with queued work are visited.
-  std::vector<u32> active_banks_;
-  std::vector<u8> bank_active_flag_;
+  // Bank scheduling: only banks with queued work are visited (each
+  // group's list is in its Group).
+  sim::LineVector<u8> bank_active_flag_;
 
   // Control peripheral state.
   std::deque<MemRequest> ctrl_queue_;
@@ -397,20 +432,29 @@ class Cluster final : public DmaSpmPort {
   std::unique_ptr<prof::StepProfiler> prof_;
   sim::Cycle next_prof_at_ = sim::kNever;
 
-  // Progress witness for deadlock detection (sim::drive's watchdog).
+  // Progress witness for deadlock detection (sim::drive's watchdog); the
+  // groups' events are added in at the end of each step.
   u64 activity_ = 0;
 
-  // ---- occupancy + idle-cycle fast-forward ---------------------------------
+  /// A core's request of a cluster-wide queue, made in its group's section
+  /// and replayed by the tail.
+  struct QueuedRequest {
+    enum class Kind : u8 { kGmem, kCtrl, kRefill } kind;
+    u32 tile = 0;        ///< kRefill: the tile whose icache missed
+    MemRequest request;  ///< kRefill: `addr` is the fetch pc
+  };
+
+  // ---- occupancy, per group ------------------------------------------------
   // O(1) occupancy counts, updated by the cores' transition hooks
   // (note_core_asleep/awake/halted) instead of scanning every core. A
   // parked core counts as awake.
-  u32 awake_cores_ = 0;
-  u32 halted_cores_ = 0;
-  // Phase 5 steps the cores whose bit is set here, walking the words in
-  // ascending id (request FIFO ordering into banks/noc/ctrl/gmem depends on
-  // core step order). A bit is cleared when its core sleeps, halts or
-  // parks, and set again when it wakes or un-parks; no list to sort.
-  std::vector<u64> active_;
+  //
+  // Phase 5 steps the cores whose bit is set in their group's `active`,
+  // walking the words in ascending id (request FIFO ordering into banks,
+  // noc, ctrl and gmem depends on core step order). A bit is cleared when
+  // its core sleeps, halts or parks, and set again when it wakes or
+  // un-parks; no list to sort.
+  //
   // Parked cores: a step stalled on a memory response (SnitchCore::wait())
   // and the core left the active set. Until something can change that
   // stall — a response to it (deliver), a refill landing on its tile (it
@@ -419,16 +463,41 @@ class Cluster final : public DmaSpmPort {
   // reason instead of stepping them; collect_counters adds the charge to
   // the reason's stall counter and to icache.hits (each repeated step
   // would have hit).
-  std::array<u32, kNumWaits> parked_{};
-  std::array<u64, kNumWaits> parked_cycles_{};
-  // Cluster-level wfi charge: each ticked cycle adds the count of
-  // token-less sleeping cores, and a fast-forward jump adds span x idle —
-  // bit-identical to every core bumping its own counter per slept cycle.
-  // (Core-local wfi_cycles_ still accrues when cores are stepped directly,
-  // outside the cluster's active-set loop.)
-  u64 wfi_idle_cycles_ = 0;
+  //
+  // The wfi charge: each ticked cycle adds the count of token-less
+  // sleeping cores, and a fast-forward jump adds span x idle — bit-identical
+  // to every core bumping its own counter per slept cycle. (Core-local
+  // wfi_cycles_ still accrues when cores are stepped directly, outside the
+  // cluster's active-set loop.)
+  //
+  // During a step only the group's section touches its Group (the head and
+  // the tail touch all of them, alone).
+  struct alignas(64) Group {
+    u32 index = 0;
+    u32 first_core = 0;
+    u32 awake = 0;
+    u32 halted = 0;
+    bool lr_sc = false;  ///< a core issued an lr.w or sc.w to the SPM this step
+    u64 activity = 0;    ///< progress since the last step's end
+    u64 wfi_idle_cycles = 0;
+    std::array<u32, kNumWaits> parked{};
+    std::array<u64, kNumWaits> parked_cycles{};
+    sim::LineVector<u64> active;        ///< bit (core - first_core)
+    sim::LineVector<u32> active_banks;  ///< banks with queued work, in activation order
+    sim::LineVector<QueuedRequest> queued;  ///< this step's, in issue order
+  };
+  std::vector<Group> groups_;
+  std::vector<u8> core_group_;  ///< group of each core
+  u32 group_shift_;             ///< log2(tiles_per_group): tile -> group
+  u32 cores_per_group_;
+  /// Set once the run issues an lr.w or sc.w to the SPM: from the next
+  /// cycle on the sections run one after another on the calling thread.
+  bool sections_in_order_ = false;
   u64 ff_skipped_cycles_ = 0;  ///< host diagnostic, not a sim counter
   bool fast_forward_ = true;   ///< cfg_.fast_forward after env override
+  /// The group sections' helper threads, started by the first step that
+  /// runs sections side by side.
+  std::unique_ptr<sim::ForkJoin> pool_;
 };
 
 }  // namespace mp3d::arch

@@ -29,6 +29,7 @@ void SnitchCore::attach(Cluster* cluster, TileICache* icache, const DecodedImage
   cluster_ = cluster;
   icache_ = icache;
   image_ = image;
+  fetch_segment_ = nullptr;
 }
 
 void SnitchCore::reset(u32 pc, u32 sp) {
@@ -103,7 +104,7 @@ bool SnitchCore::step(sim::Cycle now) {
     return false;
   }
   icache_->count_hit();
-  const DecodedInstr* decoded = image_->lookup(pc_);
+  const DecodedInstr* decoded = image_->lookup(pc_, fetch_segment_);
   if (decoded == nullptr) {
     halt_error("fetch outside program image at pc=0x" + std::to_string(pc_));
     return false;

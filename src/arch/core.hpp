@@ -141,6 +141,7 @@ class SnitchCore {
   sim::Cycle long_op_until_ = 0;  ///< latest ready cycle of a mul/div result
   TileICache* icache_ = nullptr;
   const DecodedImage* image_ = nullptr;
+  const DecodedImage::Segment* fetch_segment_ = nullptr;  ///< image_->lookup's hint
   Cluster* cluster_ = nullptr;
   u64 instret_ = 0;
   u64 stall_raw_ = 0;

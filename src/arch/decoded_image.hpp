@@ -61,7 +61,7 @@ class DecodedImage {
  public:
   explicit DecodedImage(const isa::Program& program) {
     for (const isa::Segment& seg : program.segments()) {
-      DecodedSegment d;
+      Segment d;
       d.base = seg.base;
       d.end = seg.end();
       d.instrs.reserve(seg.words.size());
@@ -72,15 +72,25 @@ class DecodedImage {
     }
   }
 
-  /// Returns nullptr when pc is outside every segment.
-  const DecodedInstr* lookup(u32 pc) const {
+  /// One decoded segment.
+  struct Segment {
+    u32 base = 0;
+    u32 end = 0;
+    std::vector<DecodedInstr> instrs;
+  };
+
+  /// Returns nullptr when pc is outside every segment. `hint` is the
+  /// caller's own cache of the segment its last lookup hit (nullptr at
+  /// first): each core keeps one, so cores fetching on different host
+  /// threads share nothing.
+  const DecodedInstr* lookup(u32 pc, const Segment*& hint) const {
     // Common case: sequential execution within one segment.
-    if (cached_ != nullptr && pc >= cached_->base && pc < cached_->end) {
-      return &cached_->instrs[(pc - cached_->base) / 4];
+    if (hint != nullptr && pc >= hint->base && pc < hint->end) {
+      return &hint->instrs[(pc - hint->base) / 4];
     }
-    for (const DecodedSegment& seg : segments_) {
+    for (const Segment& seg : segments_) {
       if (pc >= seg.base && pc < seg.end) {
-        cached_ = &seg;
+        hint = &seg;
         return &seg.instrs[(pc - seg.base) / 4];
       }
     }
@@ -93,20 +103,14 @@ class DecodedImage {
   std::vector<std::pair<u32, u32>> segment_spans() const {
     std::vector<std::pair<u32, u32>> spans;
     spans.reserve(segments_.size());
-    for (const DecodedSegment& seg : segments_) {
+    for (const Segment& seg : segments_) {
       spans.emplace_back(seg.base, seg.end);
     }
     return spans;
   }
 
  private:
-  struct DecodedSegment {
-    u32 base = 0;
-    u32 end = 0;
-    std::vector<DecodedInstr> instrs;
-  };
-  std::vector<DecodedSegment> segments_;
-  mutable const DecodedSegment* cached_ = nullptr;
+  std::vector<Segment> segments_;
 };
 
 }  // namespace mp3d::arch

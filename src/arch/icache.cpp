@@ -15,19 +15,23 @@ TileICache::TileICache(u64 size_bytes, u32 line_bytes, bool perfect)
   line_shift_ = log2_exact(line_bytes);
   index_mask_ = static_cast<u32>(size_bytes / line_bytes) - 1;
   tags_.assign(size_bytes / line_bytes, kEmpty);
+  pending_.reserve(8);
 }
 
 bool TileICache::miss_pending(u32 pc) const {
-  return pending_.find(line_addr(pc)) != pending_.end();
+  return std::find(pending_.begin(), pending_.end(), line_addr(pc)) != pending_.end();
 }
 
 void TileICache::begin_refill(u32 pc) {
-  MP3D_ASSERT(!perfect_);
-  pending_.insert(line_addr(pc));
+  MP3D_ASSERT(!perfect_ && !miss_pending(pc));
+  pending_.push_back(line_addr(pc));
 }
 
 void TileICache::finish_refill(u32 line) {
-  pending_.erase(line);
+  if (const auto it = std::find(pending_.begin(), pending_.end(), line); it != pending_.end()) {
+    *it = pending_.back();
+    pending_.pop_back();
+  }
   tags_[index_of(line)] = line;
 }
 

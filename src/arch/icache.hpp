@@ -8,7 +8,6 @@
 // four cores.
 #pragma once
 
-#include <unordered_set>
 #include <vector>
 
 #include "common/units.hpp"
@@ -64,7 +63,11 @@ class TileICache {
   u32 index_mask_ = 0;  ///< lines - 1
   bool perfect_;
   std::vector<u32> tags_;  ///< line address per slot, kEmpty when invalid
-  std::unordered_set<u32> pending_;  ///< line addresses being refilled
+  /// Line addresses being refilled. Each was asked for by a core that
+  /// fetches nothing else until its line lands, so there are at most as
+  /// many as the tile has cores (8 at most): reserved once, a refill
+  /// allocates nothing.
+  std::vector<u32> pending_;
   u64 hits_ = 0;
   u64 misses_ = 0;
 };

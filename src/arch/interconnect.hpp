@@ -20,22 +20,47 @@
 // destination is limited to one flit per (tile, network, direction) per
 // cycle (the tile's single remote port), with head-of-line blocking — the
 // first-order contention behaviour of the butterfly under the paper's
-// interleaved-SPM traffic. Contended ingress ports go to the source port
-// visited first, in port order starting at `now % ports` and wrapping.
+// interleaved-SPM traffic.
 //
-// A flit carries no payload, only the 32-bit handle of the transaction it
-// belongs to (the Cluster keeps one record per core LSU slot) and its
-// destination tile, so a flit is 16 bytes and the network never copies a
-// request or a response.
+// Delivery is per destination group. A port's network is the XOR of its
+// tile's group and the destination's, so every flit of one port goes to
+// the same group, and each group owns the read side of the ports bound
+// for it: one per tile of the cluster. A group's delivery walks only
+// those ports and touches no state another group's touches, so the groups
+// may deliver on different host threads. Contended ingress ports go to
+// the source port visited first, in port order starting at `now % ports`
+// and wrapping — within one group, the order a walk over every port takes.
+//
+// A cycle is begin_cycle, then each group's begin_group, deliveries and
+// pushes, then end_cycle. The request direction steps the cycle at
+// begin_cycle (a request pushed during it injects next cycle at the
+// earliest) and the response direction at end_cycle (a response pushed
+// during it can inject in it). A flit's reader (the destination group)
+// owns the port rings; the writer (the source tile's group) owns the
+// port's inject stamps. A flit within a group goes straight into its
+// ring. A flit to another group goes into the writer's mailbox for that
+// group, which the reader copies into its rings at its next begin_group.
+// A flit never arrives in the cycle it is pushed (every pipe takes a
+// cycle), so neither delays a delivery. Mailboxes alternate between two
+// sets by cycle, so a writer never touches the set its readers are
+// copying from, and each cycle's flits for one group cross between host
+// threads as one dense run.
+//
+// A flit carries the SPM access itself (arch/mem_types.hpp's BankRequest,
+// the response word on the way back), the handle of the LSU slot it
+// belongs to and its source and destination tiles: 24 bytes, so the
+// reader needs nothing the writer's group keeps.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <vector>
 
+#include "arch/mem_types.hpp"
 #include "arch/params.hpp"
 #include "common/assert.hpp"
 #include "sim/counters.hpp"
+#include "sim/fork_join.hpp"
 #include "sim/types.hpp"
 
 namespace mp3d::arch {
@@ -69,34 +94,53 @@ class Interconnect {
     return can_push(resp_, src_tile, net, now);
   }
 
-  /// Queue the flit of transaction `handle` from `src_tile` to `dst_tile`
-  /// on network `net` (decoded once, at issue; must equal
+  /// Queue the flit of `request` (LSU slot `handle`) from `src_tile` to
+  /// `dst_tile` on network `net` (decoded once, at issue; must equal
   /// network(src_tile, dst_tile)) at cycle `now`. It injects at the first
   /// cycle its direction has not stepped yet and its port has not
-  /// injected in. Pre: can_push_request(src_tile, net, now).
-  void push_request(u32 src_tile, u32 dst_tile, u32 net, u32 handle, sim::Cycle now) {
-    push(req_, src_tile, dst_tile, net, handle, now);
+  /// injected in. Pre: can_push_request(src_tile, net, now). Touches only
+  /// the source tile's group's state.
+  void push_request(u32 src_tile, u32 dst_tile, u32 net, u32 handle,
+                    const BankRequest& request, sim::Cycle now) {
+    push(req_, src_tile, dst_tile, net, handle, request, now);
   }
   /// Pre: can_push_response(src_tile, net, now).
-  void push_response(u32 src_tile, u32 dst_tile, u32 net, u32 handle, sim::Cycle now) {
-    push(resp_, src_tile, dst_tile, net, handle, now);
+  void push_response(u32 src_tile, u32 dst_tile, u32 net, u32 handle,
+                     const BankRequest& request, sim::Cycle now) {
+    push(resp_, src_tile, dst_tile, net, handle, request, now);
   }
 
-  /// Step cycle `now` of one direction: deliver the flits that have
-  /// arrived (ingress-port limited), calling `sink(dst_tile, handle)` for
-  /// each in delivery order. The sink must not push into the direction
-  /// being stepped. A direction must be stepped every cycle while it holds
-  /// a flit not yet injected (next_event_cycle pins `now + 1` then).
+  /// Start cycle `now`: the request direction steps it.
+  void begin_cycle(sim::Cycle now) {
+    ++cycles_;
+    req_.stepped = now;
+  }
+  /// Start `group`'s part of the cycle, before its deliveries and pushes:
+  /// copy the flits pushed to it since the previous begin_cycle into its
+  /// rings.
+  void begin_group(u32 group) {
+    begin_group(req_, group);
+    begin_group(resp_, group);
+  }
+  /// Deliver the flits bound for `group` that have arrived by `now`
+  /// (ingress-port limited), calling `sink(dst_tile, handle, request)` for
+  /// each in delivery order.
   template <typename Sink>
-  void step_requests(sim::Cycle now, Sink&& sink) {
-    step(req_, now, sink);
+  void deliver_requests(u32 group, sim::Cycle now, Sink&& sink) {
+    deliver(req_, group, now, sink);
   }
   template <typename Sink>
-  void step_responses(sim::Cycle now, Sink&& sink) {
-    step(resp_, now, sink);
+  void deliver_responses(u32 group, sim::Cycle now, Sink&& sink) {
+    deliver(resp_, group, now, sink);
   }
+  /// End cycle `now`: the response direction steps it. A direction must
+  /// be stepped every cycle while it holds a flit not yet injected
+  /// (next_event_cycle pins `now + 1` then).
+  void end_cycle(sim::Cycle now) { resp_.stepped = now; }
 
-  bool idle() const { return req_.idle() && resp_.idle(); }
+  u32 num_groups() const { return num_groups_; }
+  /// No flit in flight. Between cycles only.
+  bool idle() const { return idle(req_) && idle(resp_); }
 
   /// Next cycle any flit moves, for the cluster's idle-cycle fast-forward.
   /// A flit not yet injected injects next cycle (`now + 1`); otherwise the
@@ -106,14 +150,15 @@ class Interconnect {
   /// per-cycle delivery rotation is derived from the cycle number itself,
   /// so it needs no catch-up on a jump. Reads the live-port masks, so a
   /// drained network answers without touching a port (this is called on
-  /// every failed fast-forward attempt).
+  /// every failed fast-forward attempt). Between cycles only.
   sim::Cycle next_event_cycle(sim::Cycle now) const;
 
-  /// Flit slots per request port ring: a power of two shared by every
-  /// port of the direction, doubled when head-of-line blocking fills a
-  /// ring (responses grow the same way).
-  u32 request_ring_slots() const { return req_.mask + 1; }
+  /// The most flit slots of any request port ring: each ring starts with
+  /// room for a full egress queue plus a full pipeline, and doubles when
+  /// head-of-line blocking fills it (responses grow the same way).
+  u32 request_ring_slots() const;
 
+  /// Between cycles only.
   void add_counters(sim::CounterSet& counters) const;
 
   /// Drop in-flight flits and zero the statistics. Called between program
@@ -122,66 +167,110 @@ class Interconnect {
 
  private:
   /// One flit in flight: its arrival cycle (inject cycle + pipe latency),
-  /// the transaction it carries and the tile it goes to.
+  /// its LSU slot, the tiles it goes from and to, and the access it
+  /// carries.
   struct Flit {
-    sim::Cycle ready_at;
-    u32 handle;
-    u32 dst;
+    u64 stamp;  ///< arrival cycle << kHandleBits | handle
+    u16 src;
+    u16 dst;
+    BankRequest request;
+
+    sim::Cycle ready_at() const { return stamp >> kHandleBits; }
+    u32 handle() const { return static_cast<u32>(stamp & ((u64{1} << kHandleBits) - 1)); }
   };
-  static_assert(sizeof(Flit) == 16);
+  /// Handles fit in 24 bits (a core id times the LSU slots), arrival
+  /// cycles in the other 40, so a flit is 24 bytes.
+  static constexpr u32 kHandleBits = 24;
+  static_assert(sizeof(Flit) == 24);
 
-  /// One bit per port, indexed like the ports (port_index).
-  using PortMask = std::vector<u64>;
+  /// One bit per element (tile or ingress port).
+  using Mask = sim::LineVector<u64>;
   static constexpr std::size_t kWordBits = 64;
-  static u64 port_bit(std::size_t port) { return u64{1} << (port % kWordBits); }
+  static u64 bit(std::size_t i) { return u64{1} << (i % kWordBits); }
+  static bool none(const Mask& mask) {
+    return std::all_of(mask.begin(), mask.end(), [](u64 word) { return word == 0; });
+  }
 
-  /// The ports of one direction (requests or responses). Every port's FIFO
-  /// ring of flits lives in one flat slab: port p owns the `mask + 1` slots
-  /// from `p * (mask + 1)`, and its free-running head and tail counters
-  /// index them modulo the ring size. A port's flits are its egress queue
-  /// (not yet injected) followed by its pipeline and its arrived flits, in
-  /// push order, so arrival cycles ascend along a ring. The live mask
-  /// marks the ports holding a flit, so a cycle costs what is in flight,
-  /// not the port count.
-  struct Direction {
-    std::vector<Flit> slab;
-    std::vector<u32> head;
-    std::vector<u32> tail;
-    std::vector<sim::Cycle> last_inject;  ///< inject cycle of each port's newest flit
-    u32 shift = 0;           ///< log2 of the slots per ring
-    u32 mask = 0;            ///< slots per ring - 1
-    PortMask live;           ///< ports holding a flit
-    PortMask ingress_taken;  ///< ingress ports that took a flit this cycle
-    sim::Cycle stepped = 0;      ///< last cycle this direction stepped
-    sim::Cycle newest_inject = 0;  ///< latest inject cycle of any flit
+  /// The FIFO of one port's flits, kept by the port's destination group:
+  /// its egress queue (not yet injected) followed by its pipeline and its
+  /// arrived flits, in push order, so arrival cycles ascend along it. Head
+  /// and tail run free and index the slots modulo their count, a power of
+  /// two that doubles when head-of-line blocking fills the ring.
+  struct Ring {
+    std::vector<Flit> slots;
+    u32 head = 0;
+    u32 tail = 0;
+    u32 mask = 0;  ///< slots - 1
+
+    u32 size() const { return tail - head; }
+    /// The `i`-th flit counted from the head.
+    const Flit& at(u32 i) const { return slots[(head + i) & mask]; }
+    void push(const Flit& flit) {
+      if (size() == mask + 1) {
+        grow();  // head-of-line blocking filled the ring
+      }
+      slots[tail++ & mask] = flit;
+    }
+    /// Double the slots, flits in order.
+    void grow();
+  };
+
+  /// One group's share of a direction. As the reader it owns the rings of
+  /// the ports bound for it, one per source tile and indexed by that tile;
+  /// as the writer it owns the push counts of its tiles' ports. During a
+  /// cycle only that group touches its lane.
+  struct alignas(64) Lane {
+    sim::LineVector<Ring> rings;  ///< per source tile
+    Mask live;                    ///< source tiles whose ring holds a flit
+    Mask ingress_taken;           ///< own ingress ports (local tile x net) taken this cycle
+    u64 hol_blocked = 0;          ///< arrived flits held back by a taken ingress port
+    sim::Cycle newest_inject = 0;  ///< latest inject cycle of a flit pushed here
     u64 pushed = 0;       ///< flits pushed (noc.*_flits adds injected ones)
-    u64 hol_blocked = 0;  ///< arrived flits held back by a taken ingress port
+    u64 local_hops = 0;   ///< pushes on the intra-group network
+    u64 global_hops = 0;  ///< pushes on the inter-group networks
+  };
+
+  /// The flits one group's tiles pushed for one reader group in one cycle,
+  /// in push order.
+  struct alignas(64) Mailbox {
+    sim::LineVector<Flit> flits;
+  };
+
+  /// The ports of one direction (requests or responses).
+  struct Direction {
+    /// Inject cycle of each port's newest flit, written by the port's
+    /// tile's group.
+    sim::LineVector<sim::Cycle> last_inject;
+    /// Mailbox (writer w, reader r, set s) at (w * groups + r) * 2 + s.
+    std::vector<Mailbox> mailboxes;
+    std::vector<Lane> lanes;  ///< one per group
+    sim::Cycle stepped = 0;   ///< last cycle this direction stepped
 
     /// First cycle a flit pushed at `now` can inject in: `now`, unless
     /// this direction has already stepped it.
     sim::Cycle first_open(sim::Cycle now) const { return std::max(now, stepped + 1); }
-    std::size_t size(std::size_t port) const { return tail[port] - head[port]; }
-    /// The `i`-th flit of `port`'s ring counted from its head.
-    const Flit& at(std::size_t port, u32 i) const {
-      return slab[(port << shift) + ((head[port] + i) & mask)];
-    }
-    bool idle() const {
-      return std::all_of(live.begin(), live.end(), [](u64 word) { return word == 0; });
-    }
-    /// Double every ring, keeping each port's flits in order.
-    void grow();
     void clear();
   };
 
-  /// Calls `visit(port)` for every set bit of `mask`, in port order
-  /// starting at port `start` and wrapping around. Each mask word is read
-  /// when the walk reaches it, so `visit` may clear the bit of the port it
-  /// visits.
+  /// Calls `visit(i)` for every set bit `i` of `mask`, in index order
+  /// starting at `start` and wrapping around. Each mask word is read when
+  /// the walk reaches it, so `visit` may clear the bit it visits.
   template <typename F>
-  static void for_each_port(const PortMask& mask, std::size_t start, F&& visit);
+  static void for_each_bit(const Mask& mask, std::size_t start, F&& visit);
 
   u32 port_index(u32 tile, u32 net) const { return tile * kNumNetworks + net; }
-
+  u32 group_of(u32 tile) const { return tile >> group_shift_; }
+  /// Network of `tile`'s port bound for `group`.
+  u32 net_to(u32 tile, u32 group) const { return group_of(tile) ^ group; }
+  /// The mailbox set pushes go to this cycle (the other one is being
+  /// copied from).
+  u32 mailbox_set() const { return cycles_ & 1; }
+  Mailbox& mailbox(Direction& dir, u32 writer, u32 reader, u32 set) const {
+    return dir.mailboxes[(writer * num_groups_ + reader) * 2 + set];
+  }
+  const Mailbox& mailbox(const Direction& dir, u32 writer, u32 reader, u32 set) const {
+    return dir.mailboxes[(writer * num_groups_ + reader) * 2 + set];
+  }
   /// Flits of `port` not yet injected at `first_open`: their inject cycles
   /// run consecutively from `first_open` to the port's last one.
   static std::size_t queued(const Direction& dir, std::size_t port, sim::Cycle first_open) {
@@ -192,57 +281,81 @@ class Interconnect {
   bool can_push(const Direction& dir, u32 src_tile, u32 net, sim::Cycle now) const {
     return queued(dir, port_index(src_tile, net), dir.first_open(now)) < queue_depth_;
   }
-  void push(Direction& dir, u32 src_tile, u32 dst_tile, u32 net, u32 handle, sim::Cycle now);
+  void push(Direction& dir, u32 src_tile, u32 dst_tile, u32 net, u32 handle,
+            const BankRequest& request, sim::Cycle now);
+  /// Copy the flits pushed to `group` in the other mailbox set into its
+  /// rings, and empty the group's own mailboxes of this cycle's set.
+  void begin_group(Direction& dir, u32 group);
   template <typename Sink>
-  void step(Direction& dir, sim::Cycle now, Sink& sink);
+  void deliver(Direction& dir, u32 group, sim::Cycle now, Sink& sink);
+  bool idle(const Direction& dir) const;
+  /// Calls `visit(flit)` for every flit pushed since the last begin_cycle
+  /// (still in a mailbox). Between cycles only.
+  template <typename F>
+  void for_each_pending(const Direction& dir, F&& visit) const;
 
   /// Flits pushed and injected: pushed minus those with an inject cycle
   /// after the direction's last step.
   u64 injected(const Direction& dir) const;
 
   u32 group_shift_;  ///< log2(tiles_per_group): tile -> group
+  u32 num_groups_;
   u32 num_tiles_;
   u32 num_ports_;    ///< ports per direction: tiles x networks
   u32 local_pipe_;
   u32 global_pipe_;
   std::size_t queue_depth_;  ///< egress queue entries per port
+  u32 cycles_ = 0;  ///< begin_cycle calls: picks the mailbox set
 
   Direction req_;
   Direction resp_;
-
-  // Hops per network level (request + response flits combined): local =
-  // intra-group butterfly traversals, global = inter-group network
-  // traversals. The energy model charges each level a different wire
-  // length, so they are counted separately.
-  u64 local_hops_ = 0;
-  u64 global_hops_ = 0;
 };
 
 inline void Interconnect::push(Direction& dir, u32 src_tile, u32 dst_tile, u32 net,
-                               u32 handle, sim::Cycle now) {
+                               u32 handle, const BankRequest& request, sim::Cycle now) {
   MP3D_ASSERT_MSG(net == network(src_tile, dst_tile), "flit routed on the wrong network");
-  (net == 0 ? local_hops_ : global_hops_) += 1;
+  const u32 writer = group_of(src_tile);
+  Lane& lane = dir.lanes[writer];
+  (net == 0 ? lane.local_hops : lane.global_hops) += 1;
   const u32 p = port_index(src_tile, net);
   const sim::Cycle first = dir.first_open(now);
   MP3D_ASSERT_MSG(queued(dir, p, first) < queue_depth_, "push to a full egress queue");
   const sim::Cycle inject = std::max(first, dir.last_inject[p] + 1);
-  const sim::Cycle ready_at = inject + pipe_latency(net);
-  if (dir.size(p) == dir.mask + 1) {
-    dir.grow();  // head-of-line blocking filled the ring
-  }
   // Arrival cycles ascend along a port because inject cycles do.
-  MP3D_ASSERT(dir.size(p) == 0 ||
-              dir.at(p, static_cast<u32>(dir.size(p) - 1)).ready_at <= ready_at);
-  dir.slab[(std::size_t{p} << dir.shift) + (dir.tail[p]++ & dir.mask)] =
-      Flit{ready_at, handle, dst_tile};
+  const sim::Cycle ready_at = inject + pipe_latency(net);
+  MP3D_ASSERT(handle >> kHandleBits == 0 && ready_at >> (64 - kHandleBits) == 0);
+  const Flit flit{ready_at << kHandleBits | handle, static_cast<u16>(src_tile),
+                  static_cast<u16>(dst_tile), request};
+  if (net == 0) {
+    // The reader is this group: no other thread reads the ring, and the
+    // flit arrives after this cycle's delivery walk has passed it.
+    lane.rings[src_tile].push(flit);
+    lane.live[src_tile / kWordBits] |= bit(src_tile);
+  } else {
+    mailbox(dir, writer, group_of(dst_tile), mailbox_set()).flits.push_back(flit);
+  }
   dir.last_inject[p] = inject;
-  dir.newest_inject = std::max(dir.newest_inject, inject);
-  ++dir.pushed;
-  dir.live[p / kWordBits] |= port_bit(p);
+  lane.newest_inject = std::max(lane.newest_inject, inject);
+  ++lane.pushed;
+}
+
+inline void Interconnect::begin_group(Direction& dir, u32 group) {
+  const u32 set = mailbox_set();
+  Lane& lane = dir.lanes[group];
+  for (u32 writer = 0; writer < num_groups_; ++writer) {
+    if (writer == group) {
+      continue;  // a group's own flits went straight into its rings
+    }
+    for (const Flit& flit : mailbox(dir, writer, group, set ^ 1).flits) {
+      lane.rings[flit.src].push(flit);
+      lane.live[flit.src / kWordBits] |= bit(flit.src);
+    }
+    mailbox(dir, group, writer, set).flits.clear();
+  }
 }
 
 template <typename F>
-void Interconnect::for_each_port(const PortMask& mask, std::size_t start, F&& visit) {
+void Interconnect::for_each_bit(const Mask& mask, std::size_t start, F&& visit) {
   const std::size_t words = mask.size();
   const std::size_t first = start / kWordBits;
   const u64 from_start = ~u64{0} << (start % kWordBits);
@@ -262,36 +375,44 @@ void Interconnect::for_each_port(const PortMask& mask, std::size_t start, F&& vi
 }
 
 template <typename Sink>
-void Interconnect::step(Direction& dir, sim::Cycle now, Sink& sink) {
-  dir.stepped = now;
-  if (dir.idle()) {
+void Interconnect::deliver(Direction& dir, u32 group, sim::Cycle now, Sink& sink) {
+  Lane& lane = dir.lanes[group];
+  if (none(lane.live)) {
     return;
   }
   // Deliver arrived flits, one per destination ingress port per cycle. The
-  // starting port rotates with the cycle count for long-run fairness.
-  std::fill(dir.ingress_taken.begin(), dir.ingress_taken.end(), 0);
-  for_each_port(dir.live, now % num_ports_, [&](std::size_t p) {
-    const Flit* ring = &dir.slab[p << dir.shift];
-    const u32 net = static_cast<u32>(p % kNumNetworks);
-    const u32 tail = dir.tail[p];
-    u32 head = dir.head[p];
+  // starting port rotates with the cycle count for long-run fairness: the
+  // walk starts at the first tile whose port bound here is not below it.
+  std::fill(lane.ingress_taken.begin(), lane.ingress_taken.end(), 0);
+  const u32 start = static_cast<u32>(now % num_ports_);
+  u32 first = start / kNumNetworks;
+  if (net_to(first, group) < start % kNumNetworks && ++first == num_tiles_) {
+    first = 0;
+  }
+  const u32 first_tile = group << group_shift_;
+  for_each_bit(lane.live, first, [&](std::size_t t) {
+    const u32 tile = static_cast<u32>(t);
+    const u32 net = net_to(tile, group);
+    Ring& ring = lane.rings[tile];
+    const u32 tail = ring.tail;
+    u32 head = ring.head;
     for (; head != tail; ++head) {
-      const Flit flit = ring[head & dir.mask];
-      if (flit.ready_at > now) {
+      const Flit& flit = ring.slots[head & ring.mask];
+      if (flit.ready_at() > now) {
         break;
       }
-      const u32 ingress = port_index(flit.dst, net);
-      u64& taken = dir.ingress_taken[ingress / kWordBits];
-      if ((taken & port_bit(ingress)) != 0) {
-        ++dir.hol_blocked;
+      const u32 ingress = (flit.dst - first_tile) * kNumNetworks + net;
+      u64& taken = lane.ingress_taken[ingress / kWordBits];
+      if ((taken & bit(ingress)) != 0) {
+        ++lane.hol_blocked;
         break;  // head-of-line blocking on the destination port
       }
-      taken |= port_bit(ingress);
-      sink(flit.dst, flit.handle);
+      taken |= bit(ingress);
+      sink(flit.dst, flit.handle(), flit.request);
     }
-    dir.head[p] = head;
+    ring.head = head;
     if (head == tail) {
-      dir.live[p / kWordBits] &= ~port_bit(p);
+      lane.live[tile / kWordBits] &= ~bit(tile);
     }
   });
 }

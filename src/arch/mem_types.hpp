@@ -24,6 +24,20 @@ struct MemResponse {
   u8 tag = 0;
 };
 
+/// An SPM access on its way to its bank and back: what the bank needs to
+/// serve it and to answer. It travels by value, beside the handle of the
+/// issuing LSU slot (`core << shift | tag`), in the NoC flits and the bank
+/// queues, so serving and answering it reads nothing the issuing core's
+/// group wrote.
+struct BankRequest {
+  u32 word = 0;   ///< SPM word index: (addr - spm_base) / 4
+  u32 data = 0;   ///< store / AMO operand; the response word once served
+  u16 tile = 0;   ///< issuing core's tile, where the response goes
+  isa::Op op = isa::Op::kInvalid;
+  u8 lane = 0;  ///< byte offset within the word (addr & 3)
+};
+static_assert(sizeof(BankRequest) == 12);
+
 /// Result of handing a request to the memory system in the current cycle.
 enum class IssueResult : u8 {
   kAccepted,   ///< request is on its way

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "obs/collector.hpp"
+#include "sim/fork_join.hpp"
 
 namespace mp3d::exp {
 
@@ -82,10 +83,7 @@ double ScenarioResult::mcycles_per_sec() const {
   return static_cast<double>(output.sim_cycles) / (wall_ms * 1e3);
 }
 
-u32 default_jobs() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<u32>(hw);
-}
+u32 default_jobs() { return sim::affinity_cpu_count(); }
 
 SweepReport run_sweep(const std::vector<Scenario>& scenarios,
                       const RunnerOptions& options) {
@@ -94,10 +92,16 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
   report.results.resize(scenarios.size());
   const auto sweep_start = Clock::now();
 
+  const std::size_t pool =
+      std::min<std::size_t>(report.jobs, scenarios.empty() ? 1 : scenarios.size());
+  // Each worker gets its share of the caller's host threads for the
+  // clusters its scenarios step.
+  const u32 budget = std::max<u32>(1, sim::host_thread_budget() / static_cast<u32>(pool));
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   std::mutex progress_mutex;
   const auto worker = [&] {
+    sim::set_host_thread_budget(budget);
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= scenarios.size()) {
@@ -130,8 +134,6 @@ SweepReport run_sweep(const std::vector<Scenario>& scenarios,
     }
   };
 
-  const std::size_t pool =
-      std::min<std::size_t>(report.jobs, scenarios.empty() ? 1 : scenarios.size());
   if (pool <= 1) {
     worker();
   } else {

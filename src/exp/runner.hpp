@@ -1,6 +1,8 @@
 // SPDX-License-Identifier: Apache-2.0
 // SweepRunner: farms independent scenarios out to a std::thread pool.
 // Simulations share nothing, so a sweep scales ~linearly with host cores.
+// Each of the P workers gets 1/P of the caller's host-thread budget
+// (sim/fork_join.hpp) for the clusters it steps.
 // Results land in a pre-sized slot per scenario, so reporting order — and
 // therefore every CSV byte — is identical regardless of the thread count.
 #pragma once
@@ -52,7 +54,8 @@ struct RunnerOptions {
 SweepReport run_sweep(const std::vector<Scenario>& scenarios,
                       const RunnerOptions& options);
 
-/// Default worker count: the host's hardware concurrency (at least 1).
+/// Default worker count: the CPUs the process may run on
+/// (sim::affinity_cpu_count(), what `nproc` prints).
 u32 default_jobs();
 
 }  // namespace mp3d::exp

@@ -10,6 +10,7 @@
 #include "common/assert.hpp"
 #include "common/log.hpp"
 #include "obs/collector.hpp"
+#include "sim/fork_join.hpp"
 
 namespace mp3d::sys {
 
@@ -56,7 +57,9 @@ struct System::Worker {
   std::atomic<bool> stop{false};
   std::thread thread;  ///< runs while the cluster's seat is kRunning
 
-  void start(arch::Cluster& driven, u64 max_cycles) {
+  /// Drive `driven` on a new thread with a host-thread budget of `budget`
+  /// for its group sections.
+  void start(arch::Cluster& driven, u64 max_cycles, u32 budget) {
     cluster = &driven;
     clock.store(driven.now());
     ended.store(false);
@@ -64,7 +67,8 @@ struct System::Worker {
     stop.store(false);
     end = sim::RunEnd::kDone;
     error = nullptr;
-    thread = std::thread([this, max_cycles] {
+    thread = std::thread([this, max_cycles, budget] {
+      sim::set_host_thread_budget(budget);
       try {
         end = sim::drive(*this, max_cycles);
       } catch (...) {
@@ -199,7 +203,9 @@ void System::begin_running(u32 k) {
   if (seat.job_max_cycles > 0) {
     cap = std::min(cap, seat.job_max_cycles);
   }
-  workers_[k]->start(*clusters_[k], cap);
+  // Each job's thread gets its share of this thread's host threads.
+  workers_[k]->start(*clusters_[k], cap,
+                     std::max<u32>(1, sim::host_thread_budget() / num_clusters()));
 }
 
 void System::dispatch_jobs() {

@@ -19,7 +19,9 @@
 //             considered idle again.
 //
 // A running job touches only its own cluster, so each one runs on its own
-// host thread (at most one per cluster) and publishes its local clock
+// host thread (at most one per cluster, with budget / clusters of the
+// calling thread's host-thread budget for the cluster's group sections;
+// see sim/fork_join.hpp) and publishes its local clock
 // after every step and jump. The System is a sim::drive model too, on the
 // thread that called run_jobs: step() runs dispatch, the system DMA, the
 // staging transitions and the job ends; the wake oracle is the system

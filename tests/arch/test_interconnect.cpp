@@ -15,6 +15,7 @@ namespace {
 
 using mp3d::testing::ctrl_prelude;
 using mp3d::testing::run_asm;
+using mp3d::testing::step_requests;
 
 TEST(InterconnectUnit, NetworkSelection) {
   ClusterConfig cfg = ClusterConfig::mempool(MiB(1));
@@ -45,12 +46,12 @@ TEST(InterconnectUnit, EgressQueueBackPressure) {
   cfg.port_queue_depth = 2;
   Interconnect noc(cfg);
   ASSERT_TRUE(noc.can_push_request(0, 0, 1));
-  noc.push_request(0, 1, /*net=*/0, /*handle=*/0, 1);
-  noc.push_request(0, 1, /*net=*/0, /*handle=*/1, 1);
+  noc.push_request(0, 1, /*net=*/0, /*handle=*/0, {}, 1);
+  noc.push_request(0, 1, /*net=*/0, /*handle=*/1, {}, 1);
   EXPECT_FALSE(noc.can_push_request(0, 0, 1));  // depth 2 reached
   // One injection per cycle frees one slot.
   u32 delivered = 0;
-  noc.step_requests(1, [&](u32, u32) { ++delivered; });
+  step_requests(noc, 1, [&](u32, u32) { ++delivered; });
   EXPECT_TRUE(noc.can_push_request(0, 0, 1));
 }
 
@@ -59,14 +60,14 @@ TEST(InterconnectUnit, OneFlitPerCyclePerPort) {
   cfg.port_queue_depth = 8;
   Interconnect noc(cfg);
   for (u32 i = 0; i < 6; ++i) {
-    noc.push_request(0, 1, /*net=*/0, /*handle=*/i, 1);
+    noc.push_request(0, 1, /*net=*/0, /*handle=*/i, {}, 1);
   }
   // With a 1-cycle pipe, deliveries trail injections by one cycle and are
   // capped at 1/cycle by both egress and ingress ports.
   u32 total = 0;
   for (sim::Cycle c = 1; c <= 10; ++c) {
     u32 now = 0;
-    noc.step_requests(c, [&](u32, u32) { ++now; });
+    step_requests(noc, c, [&](u32, u32) { ++now; });
     EXPECT_LE(now, 1U);
     total += now;
   }
@@ -86,17 +87,17 @@ TEST(InterconnectUnit, RotatingStartArbitratesContendedIngress) {
     SCOPED_TRACE("arrival cycle " + std::to_string(arrive));
     Interconnect noc(cfg);
     // Each flit's handle names its egress port.
-    noc.push_request(1, 0, /*net=*/0, /*handle=*/4, arrive - 1);
-    noc.push_request(2, 0, /*net=*/0, /*handle=*/8, arrive - 1);
+    noc.push_request(1, 0, /*net=*/0, /*handle=*/4, {}, arrive - 1);
+    noc.push_request(2, 0, /*net=*/0, /*handle=*/8, {}, arrive - 1);
     std::vector<u32> seen;
     const auto sink = [&](u32 dst_tile, u32 handle) {
       EXPECT_EQ(dst_tile, 0U);
       seen.push_back(handle);
     };
-    noc.step_requests(arrive - 1, sink);  // both inject; the pipe takes a cycle
+    step_requests(noc, arrive - 1, sink);  // both inject; the pipe takes a cycle
     EXPECT_TRUE(seen.empty());
 
-    noc.step_requests(arrive, sink);
+    step_requests(noc, arrive, sink);
     const u64 start = arrive % 16;
     const u32 winner = start > 4 && start <= 8 ? 8 : 4;
     ASSERT_EQ(seen.size(), 1U) << "one ingress port delivers one flit per cycle";
@@ -106,7 +107,7 @@ TEST(InterconnectUnit, RotatingStartArbitratesContendedIngress) {
     EXPECT_EQ(counters.get("noc.req_hol_blocked"), 1U);
     EXPECT_LE(noc.next_event_cycle(arrive), arrive + 1) << "the loser is still ready";
 
-    noc.step_requests(arrive + 1, sink);
+    step_requests(noc, arrive + 1, sink);
     ASSERT_EQ(seen.size(), 2U);
     EXPECT_EQ(seen[1], winner == 4 ? 8 : 4);
     EXPECT_TRUE(noc.idle());
@@ -135,7 +136,7 @@ TEST(InterconnectUnit, HolBlockedRingsOutgrowTheirSlotsInPushOrder) {
   std::string winners;
   std::vector<sim::Cycle> cycles;
   for (sim::Cycle now = 1; now < 1000; ++now) {
-    noc.step_requests(now, [&](u32 dst_tile, u32 handle) {
+    step_requests(noc, now, [&](u32 dst_tile, u32 handle) {
       EXPECT_EQ(dst_tile, 0U);
       const u32 tile = handle >> 16;
       EXPECT_EQ(handle & 0xFFFFU, delivered[tile]++) << "tile " << tile << " out of push order";
@@ -145,7 +146,7 @@ TEST(InterconnectUnit, HolBlockedRingsOutgrowTheirSlotsInPushOrder) {
     if (now <= 48) {
       for (u32 tile = 1; tile <= 3; ++tile) {
         ASSERT_TRUE(noc.can_push_request(tile, 0, now));
-        noc.push_request(tile, 0, /*net=*/0, tile << 16 | pushed[tile]++, now);
+        noc.push_request(tile, 0, /*net=*/0, tile << 16 | pushed[tile]++, {}, now);
       }
     } else if (noc.idle()) {
       break;

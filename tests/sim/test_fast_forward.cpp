@@ -28,7 +28,9 @@ namespace mp3d {
 namespace {
 
 using mp3d::testing::ctrl_prelude;
+using mp3d::testing::random_barrier_program;
 using mp3d::testing::run_asm;
+using mp3d::testing::step_requests;
 
 // ---------------------------------------------------------------------------
 // Per-source next-event unit tests
@@ -271,17 +273,17 @@ TEST(FastForwardSources, NocNextEventCoversQueuesAndPipes) {
   arch::Interconnect noc(cfg);
   EXPECT_EQ(noc.next_event_cycle(50), sim::kNever);  // empty
 
-  noc.push_request(0, 1, /*net=*/0, /*handle=*/0, /*now=*/51);
+  noc.push_request(0, 1, /*net=*/0, /*handle=*/0, {}, /*now=*/51);
   EXPECT_EQ(noc.next_event_cycle(50), 51U);  // egress queue injects next step
 
   // Injecting moves the flit into the delay pipe; with a 1-cycle local pipe
   // it is deliverable in the next step.
   u32 delivered = 0;
-  noc.step_requests(51, [&](u32, u32) { ++delivered; });
+  step_requests(noc, 51, [&](u32, u32) { ++delivered; });
   EXPECT_EQ(delivered, 0U);
   const sim::Cycle next = noc.next_event_cycle(51);
   EXPECT_EQ(next, 51 + cfg.local_net_pipe);
-  noc.step_requests(next, [&](u32, u32) { ++delivered; });
+  step_requests(noc, next, [&](u32, u32) { ++delivered; });
   EXPECT_EQ(delivered, 1U);
   EXPECT_EQ(noc.next_event_cycle(next), sim::kNever);
 }
@@ -508,73 +510,6 @@ TEST(FastForwardCluster, EnvVarOverridesTheConfigKnob) {
 // ---------------------------------------------------------------------------
 // Seeded fuzz equivalence: random programs x configuration matrix
 // ---------------------------------------------------------------------------
-
-/// Random SPMD program: every core runs `iters` rounds of a random-length
-/// delay loop followed by a sense-reversing barrier (amoadd + wfi/wake-all),
-/// with per-core delays drawn from `prng` so sleep order and wake timing
-/// differ every round. Core 0 reports the accumulated sum through EOC.
-std::string random_barrier_program(const arch::ClusterConfig& cfg, Prng& prng) {
-  const int iters = static_cast<int>(prng.below(5)) + 1;
-  std::string delays;
-  for (u32 c = 0; c < cfg.num_cores(); ++c) {
-    delays += std::to_string(20 + prng.below(600));
-    delays += c + 1 < cfg.num_cores() ? ", " : "";
-  }
-  return ctrl_prelude(cfg) + R"(
-.equ COUNT0, 0x2000
-.equ COUNT1, 0x2080
-.equ SUM,    0x2100
-.equ ITERS,  )" + std::to_string(iters) + R"(
-.text 0x80000000
-_start:
-    csrr s0, mhartid
-    li s1, NUM_CORES
-    lw s1, 0(s1)
-    li s2, ITERS
-    li s3, 0
-    la s4, delay_table
-    slli t0, s0, 2
-    add s4, s4, t0
-    lw s4, 0(s4)              # this core's random delay length
-main_loop:
-    mv t4, s4
-spin:
-    addi t4, t4, -1
-    bnez t4, spin
-    li t1, SUM
-    li t2, 1
-    amoadd.w zero, t2, (t1)
-    andi t3, s3, 1
-    li t4, COUNT0
-    beqz t3, use0
-    li t4, COUNT1
-use0:
-    fence
-    li t5, 1
-    amoadd.w t6, t5, (t4)
-    addi t6, t6, 1
-    bne t6, s1, sleep
-    sw zero, 0(t4)
-    li t5, WAKE_ALL
-    sw t5, 0(t5)
-    j barrier_done
-sleep:
-    wfi
-barrier_done:
-    addi s3, s3, 1
-    blt s3, s2, main_loop
-    bnez s0, park
-    li t1, SUM
-    lw a0, 0(t1)
-    li t0, EOC
-    sw a0, 0(t0)
-park:
-    wfi
-    j park
-.data 0x80010000
-delay_table:
-    .word )" + delays + "\n";
-}
 
 TEST(FastForwardFuzz, RandomBarrierProgramsAreBitIdentical) {
   Prng prng(0xF00DF00DULL);
