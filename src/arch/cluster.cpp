@@ -919,8 +919,8 @@ void Cluster::step() {
   // ---- one section per group ---------------------------------------------
   noc_->begin_cycle(cycle_);
   const u32 budget = cfg_.num_groups == 1 ? 1 : std::min(cfg_.num_groups, sim::host_thread_budget());
-  const bool in_order = budget <= 1 || prof_sampled || trace_ != nullptr ||
-                        sections_in_order_ || awake_cores() < cores_per_group_;
+  const bool in_order =
+      budget <= 1 || trace_ != nullptr || sections_in_order_ || awake_cores() < cores_per_group_;
   if (in_order) {
     for (Group& group : groups_) {
       run_section(group, timer);
@@ -930,11 +930,20 @@ void Cluster::step() {
       pool_.reset();
       pool_ = std::make_unique<sim::ForkJoin>(budget - 1);
     }
-    auto section = [this](u32 g) {
-      prof::StepTimer none(nullptr);
-      run_section(groups_[g], none);
+    auto section = [this, prof_sampled](u32 g) {
+      prof::SectionTimer timer(prof_sampled ? &groups_[g].phase_ns : nullptr);
+      run_section(groups_[g], timer);
     };
     pool_->run(cfg_.num_groups, section);
+    if (prof_sampled) {
+      timer.skip();
+      for (Group& group : groups_) {
+        for (std::size_t p = 0; p < prof::kNumPhases; ++p) {
+          prof_->add(static_cast<prof::Phase>(p), group.phase_ns[p]);
+        }
+        group.phase_ns.fill(0);
+      }
+    }
   }
 
   // ---- tail ------------------------------------------------------------------
@@ -963,7 +972,8 @@ void Cluster::step() {
   }
 }
 
-void Cluster::run_section(Group& group, prof::StepTimer& timer) {
+template <typename Timer>
+void Cluster::run_section(Group& group, Timer& timer) {
   // 2. Request network: the flits bound for this group's tiles.
   noc_->begin_group(group.index);
   noc_->deliver_requests(group.index, cycle_,

@@ -48,6 +48,7 @@
 #include "arch/interconnect.hpp"
 #include "arch/params.hpp"
 #include "isa/program.hpp"
+#include "prof/profile.hpp"
 #include "sim/counters.hpp"
 #include "sim/fork_join.hpp"
 #include "sim/types.hpp"
@@ -55,11 +56,6 @@
 namespace mp3d::obs {
 class Telemetry;
 class Trace;
-}
-
-namespace mp3d::prof {
-class StepProfiler;
-class StepTimer;
 }
 
 namespace mp3d::qos {
@@ -165,8 +161,8 @@ class Cluster final : public DmaSpmPort {
   /// group sections run on up to min(num_groups, host_thread_budget())
   /// host threads (sim/fork_join.hpp), the calling thread being one; they
   /// run one after another on the calling thread while fewer cores are
-  /// awake than one group holds, on a profiler-sampled cycle, with a trace
-  /// attached (so the trace's event order is the phase order), and from the
+  /// awake than one group holds, with a trace attached (so the trace's
+  /// event order is the phase order), and from the
   /// cycle after the run's first lr.w or sc.w to the SPM on (the SPM's one
   /// reservation table is the only state banks of different groups share;
   /// in that mode the groups' banks serve in group order, which differs
@@ -305,8 +301,10 @@ class Cluster final : public DmaSpmPort {
  private:
   struct Group;
 
-  /// Group g's section of step(): phases 2-5 for its tiles.
-  void run_section(Group& group, prof::StepTimer& timer);
+  /// Group g's section of step(): phases 2-5 for its tiles, marked on
+  /// `timer` (a prof::StepTimer or a prof::SectionTimer).
+  template <typename Timer>
+  void run_section(Group& group, Timer& timer);
   void serve_banks(Group& group);
   void step_cores(Group& group);
   /// The tail's replay of the group's queued gmem, refill and ctrl
@@ -482,6 +480,8 @@ class Cluster final : public DmaSpmPort {
     u64 wfi_idle_cycles = 0;
     std::array<u32, kNumWaits> parked{};
     std::array<u64, kNumWaits> parked_cycles{};
+    /// Section phase times of a sampled cycle that ran side by side.
+    std::array<u64, prof::kNumPhases> phase_ns{};
     sim::LineVector<u64> active;        ///< bit (core - first_core)
     sim::LineVector<u32> active_banks;  ///< banks with queued work, in activation order
     sim::LineVector<QueuedRequest> queued;  ///< this step's, in issue order

@@ -10,7 +10,10 @@
 // into a component breakdown of total step time; because the marks tile
 // the step contiguously, the breakdown covers the measured step time up
 // to the few instructions around the timer itself (the sim_speed bench
-// gates coverage >= 90 %).
+// gates coverage >= 90 %). When a cluster's group sections run side by
+// side on host threads, each section is timed on its own thread and the
+// section phases (NoC, banks, cores) add up the threads' time, so they
+// can exceed the step's wall time.
 //
 // Zero-cost-when-disabled, in the style of src/obs: the cluster compares
 // the cycle against a deadline parked at "never" and passes a null
@@ -142,6 +145,14 @@ class StepTimer {
     }
   }
 
+  /// Start the next interval here without attributing the time since the
+  /// last mark (it was timed elsewhere, by SectionTimers).
+  void skip() {
+    if (profiler_ != nullptr) {
+      last_ = now_ns();
+    }
+  }
+
   /// End the sampled cycle (idempotent; also run by the destructor so an
   /// early return cannot lose the sample).
   void finish(sim::Cycle cycle) {
@@ -159,6 +170,31 @@ class StepTimer {
  private:
   StepProfiler* profiler_;
   u64 start_ = 0;
+  u64 last_ = 0;
+};
+
+/// Times one group section of a sampled cycle on whichever host thread
+/// runs it: each mark() adds the time since the previous one to `ns`,
+/// which the cluster adds into its profiler after the join. Null on
+/// unsampled cycles, where every mark is a null check.
+class SectionTimer {
+ public:
+  explicit SectionTimer(std::array<u64, kNumPhases>* ns) : ns_(ns) {
+    if (ns_ != nullptr) {
+      last_ = now_ns();
+    }
+  }
+
+  void mark(Phase phase) {
+    if (ns_ != nullptr) {
+      const u64 t = now_ns();
+      (*ns_)[static_cast<std::size_t>(phase)] += t - last_;
+      last_ = t;
+    }
+  }
+
+ private:
+  std::array<u64, kNumPhases>* ns_;
   u64 last_ = 0;
 };
 

@@ -4,7 +4,7 @@
 // program here runs at budgets 1, 2, 3 and 4 (3 splits four groups
 // unevenly), and the RunResult — cycles, every counter, markers, console,
 // core errors — the final SPM and global-memory words and any telemetry
-// must equal the one-thread run's.
+// must equal the one-thread run's, with or without the step profiler.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -295,6 +295,17 @@ TEST(GroupSections, TelemetryAndTraceDoNotDependOnTheThreadCount) {
   cfg.telemetry.trace = true;
   const Outcome traced = expect_budget_independent(cfg, assemble(cfg, source), no_init);
   EXPECT_FALSE(traced.trace.empty());
+}
+
+TEST(GroupSections, ProfiledRunsDoNotDependOnTheThreadCount) {
+  // A sampled cycle times each section on the thread that runs it and
+  // adds the phases up after the join.
+  ClusterConfig cfg = four_small_groups();
+  cfg.profiling.stride = 8;
+  kernels::MatmulParams params;
+  params.m = 32;
+  params.t = 16;
+  expect_budget_independent(cfg, kernels::build_matmul(cfg, params, 9));
 }
 
 TEST(GroupSections, SweepWorkersShareTheCallersBudget) {
