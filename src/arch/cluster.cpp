@@ -221,6 +221,7 @@ void Cluster::reset_run_state() {
     group.awake = cores_per_group_;
     group.halted = 0;
     group.lr_sc = false;
+    group.fault = false;
     group.activity = 0;
     group.wfi_idle_cycles = 0;
     group.parked.fill(0);
@@ -256,6 +257,7 @@ void Cluster::reset_run_state() {
   refill_free_.clear();
   cycle_ = 0;
   eoc_ = false;
+  fault_ = false;
   eoc_code_ = 0;
   markers_.clear();
   console_.clear();
@@ -311,11 +313,12 @@ u32 Cluster::spm_read_word(u32 addr) const {
   return spm_[(addr - cfg_.spm_base) >> 2];
 }
 
-void Cluster::spm_write_word(u32 addr, u32 value) {
-  MP3D_ASSERT(map_.is_spm(addr));
-  const u32 word = (addr - cfg_.spm_base) >> 2;
-  spm_reservations_.drop_words(word, 1);
-  spm_[word] = value;
+void Cluster::spm_write_words(u32 addr, std::span<const u32> words) {
+  MP3D_ASSERT(map_.is_spm(addr) && u64{addr} + words.size() * 4 <=
+                                       u64{cfg_.spm_base} + cfg_.spm_capacity);
+  const u32 first = (addr - cfg_.spm_base) >> 2;
+  spm_reservations_.drop_words(first, words.size());
+  std::copy(words.begin(), words.end(), spm_.begin() + first);
 }
 
 u32 Cluster::read_word(u32 addr) const {
@@ -335,7 +338,7 @@ void Cluster::write_word(u32 addr, u32 value) {
   switch (map_.classify(addr)) {
     case Region::kSpmSeq:
     case Region::kSpmInterleaved:
-      spm_write_word(addr, value);
+      spm_write_words(addr, std::span<const u32>(&value, 1));
       return;
     case Region::kGmem:
       gmem_->write_word(addr, value);
@@ -360,9 +363,7 @@ void Cluster::write_words(u32 addr, std::span<const u32> words) {
   MP3D_CHECK(u64{addr & ~3U} + words.size() * 4 <= region_end,
              "host write to unmapped address 0x" << std::hex << region_end);
   if (spm) {
-    const u32 first = (addr - cfg_.spm_base) >> 2;
-    spm_reservations_.drop_words(first, words.size());
-    std::copy(words.begin(), words.end(), spm_.begin() + first);
+    spm_write_words(addr & ~3U, words);
   } else {
     gmem_->write_words(addr, words);
   }
@@ -584,9 +585,15 @@ void Cluster::serve_banks(Group& group) {
   active.resize(keep);
 }
 
-u32 Cluster::dma_read_spm(u32 addr) { return spm_read_word(addr); }
+void Cluster::dma_read_spm(u32 addr, std::span<u32> words) {
+  MP3D_ASSERT(map_.is_spm(addr) && u64{addr} + words.size() * 4 <=
+                                       u64{cfg_.spm_base} + cfg_.spm_capacity);
+  std::copy_n(spm_.begin() + ((addr - cfg_.spm_base) >> 2), words.size(), words.begin());
+}
 
-void Cluster::dma_write_spm(u32 addr, u32 value) { spm_write_word(addr, value); }
+void Cluster::dma_write_spm(u32 addr, std::span<const u32> words) {
+  spm_write_words(addr, words);
+}
 
 void Cluster::dma_wake_core(u32 core) {
   MP3D_ASSERT(core < cores_.size());  // validated at kDmaStart
@@ -956,6 +963,7 @@ void Cluster::step() {
     activity_ += group.activity;
     group.activity = 0;
     sections_in_order_ |= group.lr_sc;
+    fault_ |= group.fault;
   }
   timer.mark(prof::Phase::kCores);
 
@@ -1051,6 +1059,7 @@ void Cluster::note_core_halted(u16 core, bool was_awake) {
   unpark(core);  // a fault can reach a parked core: stop its charge
   Group& group = group_of(core);
   ++group.halted;
+  group.fault |= cores_[core].state() == CoreState::kError;
   if (was_awake) {
     MP3D_ASSERT(group.awake > 0);
     --group.awake;
@@ -1060,9 +1069,9 @@ void Cluster::note_core_halted(u16 core, bool was_awake) {
 sim::Cycle Cluster::next_wake(sim::Cycle bound) const {
   // Consulted on every all-asleep cycle, so the sources are consulted
   // cheapest-first and the attempt bails as soon as the next cycle is
-  // pinned. DMA streaming does not pin it: skip_to steps the gmem channel
-  // and the engines through the span, and the DMA bound below keeps every
-  // retire (and so every completion wake) past it.
+  // pinned. DMA streaming does not pin it: skip_to advances the gmem
+  // channel and the engines through the span, and the DMA bound below
+  // keeps every retire (and so every completion wake) past it.
   const sim::Cycle floor = cycle_ + 1;
   for (const Group& group : groups_) {
     if (!group.active_banks.empty()) {
@@ -1096,39 +1105,28 @@ sim::Cycle Cluster::horizon() const {
 }
 
 sim::Cycle Cluster::skip_to(sim::Cycle target) {
-  // Every non-halted core is a token-less sleeper here (awake_cores() == 0).
-  const auto charge_sleepers = [this](u64 cycles) {
-    for (Group& group : groups_) {
-      group.wfi_idle_cycles += cycles * (cores_per_group_ - group.halted);
-    }
-  };
+  // By the wake oracle only the gmem channel and the DMA engines have work
+  // before `target`: no scalar work is queued, no completion, refill or
+  // NoC flit lands, no bank or ctrl work is due and no descriptor retires,
+  // so no core wakes and the engines have the channel to themselves. The
+  // span advances by runs of cycles that repeat one grant pattern, each
+  // in one call (DmaSubsystem::stream); a span with nothing to stream is
+  // one run.
   sim::Cycle last_active = 0;
-  // Streamed cycles: while the DMA engines have bytes to claim or the
-  // channel arbiter has per-cycle state to settle, run the gmem and DMA
-  // phases of step() as they are. The other phases are idle by the wake
-  // oracle: no scalar work is queued, no completion, refill or NoC flit
-  // lands, no bank or ctrl work is due, and no descriptor retires before
-  // `target`, so no core wakes.
-  while (cycle_ + 1 < target && (dma_->backlog_bytes() > 0 || !gmem_->bulk_quiet())) {
-    ++cycle_;
-    charge_sleepers(1);
-    gmem_responses_.clear();
-    gmem_refills_.clear();
-    gmem_->step(cycle_, gmem_responses_, gmem_refills_, dma_->backlog_bytes());
-    MP3D_ASSERT(gmem_responses_.empty() && gmem_refills_.empty());
-    if (const u32 moved = dma_->step(cycle_, *gmem_, *this); moved > 0) {
-      activity_ += moved;
-      last_active = cycle_;
+  while (cycle_ + 1 < target) {
+    const DmaSubsystem::Run run = dma_->stream(cycle_ + 1, target - cycle_ - 1, *gmem_, *this);
+    cycle_ += run.cycles;
+    ff_skipped_cycles_ += run.cycles;
+    // Every non-halted core is a token-less sleeper here.
+    for (Group& group : groups_) {
+      group.wfi_idle_cycles += run.cycles * (cores_per_group_ - group.halted);
     }
-    MP3D_ASSERT(awake_cores() == 0);
-    ++ff_skipped_cycles_;
+    if (run.bytes > 0) {
+      activity_ += run.bytes;
+      last_active = cycle_;  // every cycle of a run with bytes grants some
+    }
   }
-  // The rest of the span is quiet: charge it as if each cycle had ticked.
-  const u64 span = target - cycle_ - 1;
-  charge_sleepers(span);
-  dma_->skip_cycles(span);  // keep the engine-service rotation bit-exact
-  cycle_ += span;
-  ff_skipped_cycles_ += span;
+  MP3D_ASSERT(awake_cores() == 0);
   return last_active;
 }
 
@@ -1208,6 +1206,7 @@ RunResult Cluster::finish(bool eoc, bool deadlock, bool hit_max) {
   result.cycles = cycle_;
   result.eoc = eoc;
   result.deadlock = deadlock;
+  result.fault = fault_;
   result.hit_max_cycles = hit_max;
   result.exit_code = eoc_code_;
   result.markers = markers_;

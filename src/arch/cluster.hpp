@@ -115,6 +115,7 @@ struct RunResult {
   u64 cycles = 0;
   bool eoc = false;           ///< a core wrote the EOC register
   bool deadlock = false;      ///< simulator detected lack of progress
+  bool fault = false;         ///< a core faulted, which ended the run
   bool hit_max_cycles = false;
   u32 exit_code = 0;
   std::vector<u32> core_exit_codes;
@@ -154,7 +155,8 @@ class Cluster final : public DmaSpmPort {
   /// reset all cores to the entry point, clear caches and statistics.
   void load_program(const isa::Program& program);
 
-  /// Run until EOC / all cores halted / deadlock / `max_cycles`.
+  /// Run until EOC / all cores halted / a core fault / deadlock /
+  /// `max_cycles`.
   RunResult run(u64 max_cycles);
 
   /// Single-step one cycle (exposed for tests and interactive tools). The
@@ -253,7 +255,9 @@ class Cluster final : public DmaSpmPort {
   /// A core wrote the EOC register (the run's natural end).
   bool eoc_signaled() const { return eoc_; }
   bool all_cores_halted() const { return halted_cores() == cfg_.num_cores(); }
-  bool done() const { return eoc_ || all_cores_halted(); }
+  /// EOC, every core halted, or a core faulted (the run ends on the cycle
+  /// it did).
+  bool done() const { return eoc_ || fault_ || all_cores_halted(); }
   /// Monotone progress witness of the deadlock watchdog: memory, DMA and
   /// ctrl events plus retired instructions (a core retrying a busy port
   /// retires nothing, so it cannot hide a hang).
@@ -269,7 +273,7 @@ class Cluster final : public DmaSpmPort {
   /// request queued or completing, an icache refill, a DMA retire, a NoC
   /// flit, bank or ctrl work — or kNever when everything is drained. A
   /// result <= now() + 1 means the next cycle is pinned. Bulk DMA
-  /// streaming alone never pins it: skip_to steps through it. Pure:
+  /// streaming alone never pins it: skip_to advances through it. Pure:
   /// charging a jump is skip_to()'s job.
   sim::Cycle next_wake(sim::Cycle bound) const;
   /// The next qos window, telemetry sample or profiler stride boundary
@@ -277,12 +281,12 @@ class Cluster final : public DmaSpmPort {
   sim::Cycle horizon() const;
   /// Jump the clock to exactly one cycle before `target` (pre: may_skip()
   /// and `target` > now() + 1 no later than next_wake() and horizon()),
-  /// with every observable as if each skipped cycle had ticked. While DMA
-  /// bytes remain to be granted or the channel arbiter has per-cycle state
-  /// to settle, the jump steps the gmem channel and the DMA engines cycle
-  /// by cycle with their own step code (these streamed cycles count in
-  /// fast_forwarded_cycles()); the quiet rest of the span is charged in
-  /// one go. Returns the last skipped cycle that advanced activity(), or 0
+  /// with every observable as if each skipped cycle had ticked. The gmem
+  /// channel and the DMA engines advance through the span by runs of
+  /// cycles that repeat one grant pattern (DmaSubsystem::stream: one call
+  /// per run, which ends where an engine activates a descriptor or is
+  /// granted a descriptor's last byte); a span with no backlog is one
+  /// run. Returns the last skipped cycle that advanced activity(), or 0
   /// if none did, so the run loop's watchdog sees the ticked run's
   /// last-progress cycle.
   sim::Cycle skip_to(sim::Cycle target);
@@ -294,8 +298,8 @@ class Cluster final : public DmaSpmPort {
   std::string deadlock_diagnostic() const;
 
   // ---- DmaSpmPort (dedicated wide SPM port of the DMA engines) --------------
-  u32 dma_read_spm(u32 addr) override;
-  void dma_write_spm(u32 addr, u32 value) override;
+  void dma_read_spm(u32 addr, std::span<u32> words) override;
+  void dma_write_spm(u32 addr, std::span<const u32> words) override;
   void dma_wake_core(u32 core) override;
 
  private:
@@ -321,10 +325,10 @@ class Cluster final : public DmaSpmPort {
   u32 halted_cores() const;
   /// Validate and launch the staged descriptor; false = core was faulted.
   bool dma_start(const MemRequest& request);
-  // Functional word access to the SPM array (host backdoor + DMA port); a
-  // write drops the reservations on its word.
+  // Functional access to the SPM array (host backdoor + DMA port); a
+  // write drops the reservations on the words it writes.
   u32 spm_read_word(u32 addr) const;
-  void spm_write_word(u32 addr, u32 value);
+  void spm_write_words(u32 addr, std::span<const u32> words);
   void deliver_response_to_core(const MemResponse& response);
   /// Deliver `rdata`, the response to LSU slot `handle`, to its core.
   void deliver_spm_response(u32 handle, u32 rdata);
@@ -476,6 +480,7 @@ class Cluster final : public DmaSpmPort {
     u32 awake = 0;
     u32 halted = 0;
     bool lr_sc = false;  ///< a core issued an lr.w or sc.w to the SPM this step
+    bool fault = false;  ///< a core of the group faulted this step
     u64 activity = 0;    ///< progress since the last step's end
     u64 wfi_idle_cycles = 0;
     std::array<u32, kNumWaits> parked{};
@@ -493,6 +498,9 @@ class Cluster final : public DmaSpmPort {
   /// Set once the run issues an lr.w or sc.w to the SPM: from the next
   /// cycle on the sections run one after another on the calling thread.
   bool sections_in_order_ = false;
+  /// Set once a core faults (merged from the groups after the join, as
+  /// their lr_sc is): done() then ends the run.
+  bool fault_ = false;
   u64 ff_skipped_cycles_ = 0;  ///< host diagnostic, not a sim counter
   bool fast_forward_ = true;   ///< cfg_.fast_forward after env override
   /// The group sections' helper threads, started by the first step that

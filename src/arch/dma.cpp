@@ -2,6 +2,7 @@
 #include "arch/dma.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "arch/global_mem.hpp"
 #include "common/assert.hpp"
@@ -73,8 +74,8 @@ void DmaEngine::set_trace(obs::Trace* trace, u32 track) {
   }
 }
 
-u32 DmaEngine::step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm,
-                    DmaRetireTracker& tracker) {
+void DmaEngine::step(sim::Cycle now, u32 grant, GlobalMemory& gmem, DmaSpmPort& spm,
+                     DmaRetireTracker& tracker) {
   while (!completing_.empty() && completing_.front().done_at <= now) {
     // The descriptor leaves the pending count this cycle; this is the
     // moment software can observe completion, so the retired watermark
@@ -89,8 +90,11 @@ u32 DmaEngine::step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm,
     }
     completing_.pop_front();
   }
+  // The claim spans descriptors: one that completes with port width to
+  // spare hands the rest to the next, which activates even when the claim
+  // is spent (the channel ran out exactly at the boundary).
   u32 port_budget = port_bytes_per_cycle_;
-  u32 granted_total = 0;
+  u32 left = grant;
   while (port_budget > 0) {
     if (!active_) {
       if (queue_.empty()) {
@@ -108,29 +112,14 @@ u32 DmaEngine::step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm,
         trace_->begin(track_, ev_xfer_, now, current_.ticket);
       }
     }
-    const u64 remaining = current_.total_bytes() - granted_bytes_;
-    const u32 want = static_cast<u32>(std::min<u64>(port_budget, remaining));
-    const u32 got = gmem.claim_bulk(want, now);
+    const u32 want =
+        static_cast<u32>(std::min<u64>(port_budget, current_.total_bytes() - granted_bytes_));
+    const u32 got = std::min(want, left);
     granted_bytes_ += got;
-    granted_total += got;
+    left -= got;
     port_budget -= got;
     backlog_bytes_ -= got;
-    // Whole granted words move functionally; the cursor walks the gmem
-    // side row by row and the SPM side linearly.
-    for (; moved_bytes_ + 4 <= granted_bytes_; moved_bytes_ += 4) {
-      const u32 gmem_addr = gmem_row_ + row_off_;
-      if (current_.to_spm) {
-        spm.dma_write_spm(spm_addr_, gmem.read_word(gmem_addr));
-      } else {
-        gmem.write_word(gmem_addr, spm.dma_read_spm(spm_addr_));
-      }
-      spm_addr_ += 4;
-      row_off_ += 4;
-      if (row_off_ == current_.bytes_per_row) {
-        row_off_ = 0;
-        gmem_row_ += current_.gmem_stride;
-      }
-    }
+    move_words(gmem, spm);
     if (granted_bytes_ == current_.total_bytes()) {
       completing_.push_back(Completion{now + gmem_latency_, current_.waker, current_.ticket});
       ++descriptors_completed_;
@@ -140,11 +129,65 @@ u32 DmaEngine::step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm,
       }
     }
     if (got < want) {
-      break;  // channel budget exhausted this cycle
+      break;  // the claim is spent
     }
   }
-  bytes_moved_ += granted_total;
-  return granted_total;
+  MP3D_ASSERT(left == 0);
+  bytes_moved_ += grant;
+}
+
+void DmaEngine::stream(u64 bytes, GlobalMemory& gmem, DmaSpmPort& spm) {
+  MP3D_ASSERT(bytes < ungranted());
+  granted_bytes_ += bytes;
+  backlog_bytes_ -= bytes;
+  bytes_moved_ += bytes;
+  move_words(gmem, spm);
+}
+
+void DmaEngine::move_words(GlobalMemory& gmem, DmaSpmPort& spm) {
+  // The gmem side walks row by row, the SPM side linearly, so a row piece
+  // is one block on both sides.
+  constexpr u32 kBlockWords = 256;
+  std::array<u32, kBlockWords> block;
+  while (moved_bytes_ + 4 <= granted_bytes_) {
+    const u32 bytes = static_cast<u32>(std::min<u64>(
+        {(granted_bytes_ - moved_bytes_) & ~u64{3}, current_.bytes_per_row - row_off_,
+         kBlockWords * 4}));
+    const std::span<u32> words(block.data(), bytes / 4);
+    const u32 gmem_addr = gmem_row_ + row_off_;
+    if (current_.to_spm) {
+      gmem.read_words(gmem_addr, words);
+      spm.dma_write_spm(spm_addr_, words);
+    } else {
+      spm.dma_read_spm(spm_addr_, words);
+      gmem.write_words(gmem_addr, words);
+    }
+    moved_bytes_ += bytes;
+    spm_addr_ += bytes;
+    row_off_ += bytes;
+    if (row_off_ == current_.bytes_per_row) {
+      row_off_ = 0;
+      gmem_row_ += current_.gmem_stride;
+    }
+  }
+}
+
+bool DmaEngine::overlaps(const DmaEngine& other) const {
+  const auto gmem_end = [](const DmaDescriptor& d) {
+    return u64{d.to_spm ? d.src : d.dst} + u64{d.rows - 1} * d.gmem_stride + d.bytes_per_row;
+  };
+  const auto spm_end = [](const DmaDescriptor& d) {
+    return u64{d.to_spm ? d.dst : d.src} + d.total_bytes();
+  };
+  const DmaDescriptor& a = current_;
+  const DmaDescriptor& b = other.current_;
+  // A to-SPM transfer reads gmem and writes the SPM, a to-gmem one the
+  // other way round; two reads of one word do not conflict.
+  const bool gmem = !(a.to_spm && b.to_spm) && gmem_row_ < gmem_end(b) &&
+                    other.gmem_row_ < gmem_end(a);
+  const bool spm = (a.to_spm || b.to_spm) && spm_addr_ < spm_end(b) &&
+                   other.spm_addr_ < spm_end(a);
+  return gmem || spm;
 }
 
 DmaSubsystem::DmaSubsystem(const ClusterConfig& cfg)
@@ -162,6 +205,7 @@ DmaSubsystem::DmaSubsystem(const ClusterConfig& cfg)
   }
   trackers_.resize(num_groups_);
   dispatch_rr_.assign(num_groups_, 0);
+  run_grants_.resize((engines_.size() + 1) * engines_.size());
 }
 
 bool DmaSubsystem::can_accept(u32 group) const {
@@ -210,25 +254,115 @@ u32 DmaSubsystem::pending(u32 group) const {
   return total;
 }
 
-u32 DmaSubsystem::step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm) {
-  // Rotate the service order so no engine permanently wins the leftover
-  // channel budget when several groups stream at once.
+template <typename Served>
+u64 DmaSubsystem::grant(u32 rr, u64 budget, Served&& served) {
+  // The service order rotates every cycle, so no engine permanently wins
+  // the leftover channel budget when several groups stream at once.
   const u32 n = static_cast<u32>(engines_.size());
-  u32 moved = 0;
-  u32 e = step_rr_;
-  for (u32 i = 0; i < n; ++i) {
+  u64 channel = budget;
+  for (u32 i = 0, e = rr; i < n; ++i, e = e + 1 == n ? 0 : e + 1) {
+    served(e, engines_[e].claim(channel));
+  }
+  return budget - channel;
+}
+
+u64 DmaSubsystem::serve(sim::Cycle now, u64 budget, GlobalMemory& gmem, DmaSpmPort& spm) {
+  return grant(step_rr_, budget, [&](u32 e, u32 granted) {
     DmaEngine& engine = engines_[e];
-    if (!engine.inert(now, gmem.budget_left())) {
-      moved += engine.step(now, gmem, spm, trackers_[engine_group_[e]]);
+    if (!engine.inert(now, granted)) {
+      engine.step(now, granted, gmem, spm, trackers_[engine_group_[e]]);
     }
-    e = e + 1 == n ? 0 : e + 1;
+  });
+}
+
+void DmaSubsystem::account(u64 cycles, u64 grant) {
+  const u32 n = static_cast<u32>(engines_.size());
+  // A stepped cycle rotates by one without a division.
+  step_rr_ = cycles == 1 ? (step_rr_ + 1 == n ? 0 : step_rr_ + 1)
+                         : static_cast<u32>((step_rr_ + cycles) % n);
+  backlog_bytes_ -= cycles * grant;
+  if (grant > 0) {
+    busy_cycles_ += cycles;  // subsystem-level: never exceeds elapsed cycles
   }
-  step_rr_ = step_rr_ + 1 >= n ? 0 : step_rr_ + 1;
-  backlog_bytes_ -= moved;
-  if (moved > 0) {
-    ++busy_cycles_;  // subsystem-level: never exceeds elapsed cycles
+}
+
+u32 DmaSubsystem::step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm) {
+  const u64 granted = serve(now, gmem.budget_left(), gmem, spm);
+  gmem.claim_bulk(static_cast<u32>(granted), now);
+  account(1, granted);
+  return static_cast<u32>(granted);
+}
+
+u64 DmaSubsystem::run_length(sim::Cycle first, u64 cycles, u64 budget) {
+  if (cycles == 1) {
+    return 1;
   }
-  return moved;
+  u64 run = cycles;
+  u32 active = 0;
+  for (const DmaEngine& engine : engines_) {
+    if (engine.next_retire() <= first || engine.activation_due()) {
+      return 1;  // a retire or an activation is due
+    }
+    run = std::min<u64>(run, engine.next_retire() - first);
+    active += engine.active() ? 1 : 0;
+  }
+  if (active > 1) {
+    for (std::size_t a = 0; a < engines_.size(); ++a) {
+      for (std::size_t b = a + 1; b < engines_.size(); ++b) {
+        if (engines_[a].active() && engines_[b].active() && engines_[a].overlaps(engines_[b])) {
+          return 1;  // the word moves must keep the per-cycle order
+        }
+      }
+    }
+  }
+  // One rotation period of grants, summed per engine.
+  const u32 n = static_cast<u32>(engines_.size());
+  std::fill_n(run_grants_.begin(), n, 0);
+  for (u32 j = 0; j < n; ++j) {
+    const u64* sums = &run_grants_[j * n];
+    u64* next = &run_grants_[(j + 1) * n];
+    grant((step_rr_ + j) % n, budget, [&](u32 e, u32 granted) { next[e] = sums[e] + granted; });
+  }
+  // Each active engine keeps at least one byte of its descriptor
+  // ungranted: whole periods first, then the cycles of the next one.
+  for (u32 e = 0; e < n; ++e) {
+    if (!engines_[e].active()) {
+      continue;
+    }
+    const u64 period = run_grants_[n * n + e];  // > 0: it leads one cycle per period
+    const u64 keep = engines_[e].ungranted() - 1;
+    const u64 periods = keep / period;
+    u32 extra = 0;
+    while (extra + 1 < n && periods * period + run_grants_[(extra + 1) * n + e] <= keep) {
+      ++extra;
+    }
+    run = std::min(run, periods * n + extra);
+  }
+  return std::max<u64>(run, 1);
+}
+
+DmaSubsystem::Run DmaSubsystem::stream(sim::Cycle first, u64 cycles, GlobalMemory& gmem,
+                                       DmaSpmPort& spm) {
+  const u64 budget = gmem.bytes_per_cycle();
+  const u64 run = run_length(first, cycles, budget);
+  // Bytes granted per cycle, the same in every cycle of the run. The
+  // channel opens its cycles before the engines take their grants, as in
+  // Cluster::step, so trace events keep their order.
+  const u64 granted = grant(step_rr_, budget, [](u32, u32) {});
+  gmem.stream(first, run, backlog_bytes_, static_cast<u32>(granted));
+  if (run == 1) {
+    serve(first, budget, gmem, spm);
+  } else {
+    const u32 n = static_cast<u32>(engines_.size());
+    for (u32 e = 0; e < n; ++e) {
+      const u64 bytes = run / n * run_grants_[n * n + e] + run_grants_[run % n * n + e];
+      if (bytes > 0) {
+        engines_[e].stream(bytes, gmem, spm);
+      }
+    }
+  }
+  account(run, granted);
+  return Run{run, run * granted};
 }
 
 sim::Cycle DmaSubsystem::next_ready_cycle(sim::Cycle now) const {

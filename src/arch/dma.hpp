@@ -12,12 +12,21 @@
 // Timing model: every cycle each engine claims bytes for its active
 // descriptor from the GlobalMemory byte budget *left over after scalar and
 // icache-refill traffic* (scalar requests are latency-critical and win the
-// arbitration), capped by the engine's own SPM-side port width. Whole
-// words move functionally once enough channel bytes are claimed; the
+// arbitration), capped by the engine's own SPM-side port width; the
+// engines take their turns in an order that rotates by one every cycle.
+// Whole words move functionally once enough channel bytes are claimed; the
 // descriptor completes `gmem latency` cycles after its last byte is
 // granted — mirroring the scalar path's latency model, so a transfer of N
 // bytes on an otherwise idle channel of B bytes/cycle with port width P
 // finishes in ceil(N / min(B, P)) + latency cycles.
+//
+// Streaming runs: while the engines have the channel to themselves (a
+// fast-forward jump with every core asleep), each cycle grants what the
+// one a rotation earlier did, until an engine activates a descriptor or is
+// granted a descriptor's last byte, or a completion is due.
+// DmaSubsystem::stream advances such a run in one call: each engine's
+// grants come from the rotation's period sums, and its words move as
+// row-wise block copies.
 //
 // Ordering: the engines access gmem/SPM storage functionally, so they are
 // NOT ordered against scalar accesses still queued in the memory system.
@@ -29,6 +38,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "arch/params.hpp"
@@ -46,16 +56,19 @@ class GlobalMemory;
 /// Sentinel for DmaDescriptor::waker: nobody is woken on completion.
 inline constexpr u32 kDmaNoWaker = 0xFFFF'FFFFu;
 
-/// Cluster-side port of the DMA engines: word-granular functional SPM
-/// access (the engines own a dedicated wide SPM port, so data moves
-/// directly into the interleaved banks without traversing the core-side
-/// interconnect) plus the completion-wake hook into the cluster's wake-up
-/// unit.
+/// Cluster-side port of the DMA engines: functional SPM access by blocks
+/// of consecutive words (the engines own a dedicated wide SPM port, so
+/// data moves directly into the interleaved banks without traversing the
+/// core-side interconnect) plus the completion-wake hook into the
+/// cluster's wake-up unit.
 class DmaSpmPort {
  public:
   virtual ~DmaSpmPort() = default;
-  virtual u32 dma_read_spm(u32 addr) = 0;
-  virtual void dma_write_spm(u32 addr, u32 value) = 0;
+  /// Copy the SPM words from `addr` on into `words`.
+  virtual void dma_read_spm(u32 addr, std::span<u32> words) = 0;
+  /// Copy `words` into the SPM words from `addr` on, dropping the LR
+  /// reservations on them.
+  virtual void dma_write_spm(u32 addr, std::span<const u32> words) = 0;
   /// A descriptor carrying waker id `core` finished (its completion-latency
   /// window passed, i.e. the cycle its group's pending count drops).
   virtual void dma_wake_core(u32 core) = 0;
@@ -124,24 +137,52 @@ class DmaEngine {
   /// completion-latency window). This is what software polls as kDmaStatus.
   u32 pending() const;
 
-  /// Advance one cycle; returns bytes granted (progress for deadlock
-  /// detection). Must run after GlobalMemory::step so the cycle's scalar
-  /// traffic has first claim on the byte budget. Retiring descriptors are
-  /// reported to `tracker` (their group's) before any completion wake.
-  u32 step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm,
-           DmaRetireTracker& tracker);
-
-  /// step(now) would change nothing: no completion is due, and the engine
-  /// either has no backlog or is mid-transfer while the cycle's channel
-  /// budget (`budget_left`) is spent. An inactive engine with a queued
-  /// descriptor is never inert: its step activates the descriptor (and
-  /// opens its trace span) even when no byte is granted.
-  bool inert(sim::Cycle now, u64 budget_left) const {
-    if (!completing_.empty() && completing_.front().done_at <= now) {
-      return false;
-    }
-    return backlog_bytes_ == 0 || (active_ && budget_left == 0);
+  /// The grant rule, for this engine's turn in a cycle's service order:
+  /// with `channel` bytes of the cycle's budget left, it claims up to its
+  /// port width of its backlog. Returns the claim and takes it off
+  /// `channel`.
+  u32 claim(u64& channel) const {
+    const u32 got = static_cast<u32>(
+        std::min<u64>({port_bytes_per_cycle_, backlog_bytes_, channel}));
+    channel -= got;
+    return got;
   }
+
+  /// Advance one cycle in which this engine claimed `grant` bytes: retire
+  /// the due completions (reported to `tracker`, its group's, before any
+  /// completion wake), then place the bytes on the active and queued
+  /// descriptors in order, activating and completing them.
+  void step(sim::Cycle now, u32 grant, GlobalMemory& gmem, DmaSpmPort& spm,
+            DmaRetireTracker& tracker);
+
+  /// Grant `bytes` more to the active descriptor over a streaming run:
+  /// the run leaves at least one of its bytes ungranted, so nothing
+  /// activates, completes or retires.
+  void stream(u64 bytes, GlobalMemory& gmem, DmaSpmPort& spm);
+
+  /// step(now, grant) would change nothing: no completion is due, and
+  /// `grant` is zero for an engine that is mid-transfer or has no
+  /// backlog. An inactive engine with a queued descriptor is never inert:
+  /// its step activates the descriptor (and opens its trace span) even
+  /// when no byte is granted.
+  bool inert(sim::Cycle now, u32 grant) const {
+    return next_retire() > now && grant == 0 && (active_ || queue_.empty());
+  }
+
+  bool active() const { return active_; }
+  /// A descriptor is queued and none is active: the next step activates it.
+  bool activation_due() const { return !active_ && !queue_.empty(); }
+  /// The active descriptor's bytes not yet granted (0 when inactive).
+  u64 ungranted() const { return active_ ? current_.total_bytes() - granted_bytes_ : 0; }
+  /// The cycle the oldest completion retires (kNever when none waits).
+  sim::Cycle next_retire() const {
+    return completing_.empty() ? sim::kNever : completing_.front().done_at;
+  }
+  /// True when the active transfers of this engine and `other` touch a
+  /// common word that one of them writes, so their word moves must keep
+  /// the per-cycle order. Each transfer counts from its next word to move
+  /// to its end; the gmem side from its current row's start.
+  bool overlaps(const DmaEngine& other) const;
 
   bool idle() const { return pending() == 0; }
   u64 bytes_moved() const { return bytes_moved_; }
@@ -196,6 +237,10 @@ class DmaEngine {
   u64 backlog_bytes_ = 0;
   std::deque<Completion> completing_;  ///< descriptors awaiting latency
 
+  /// Move the granted whole words of `current_` not moved yet, one block
+  /// copy per gmem row piece.
+  void move_words(GlobalMemory& gmem, DmaSpmPort& spm);
+
   u64 bytes_moved_ = 0;
   u64 descriptors_completed_ = 0;
 
@@ -235,9 +280,24 @@ class DmaSubsystem {
   /// with ticket <= retired(group) has completed.
   u64 retired(u32 group) const { return trackers_[group].watermark(); }
 
-  /// Advance every engine one cycle; returns total bytes granted. Engines
-  /// whose step would change nothing (DmaEngine::inert) are passed over.
+  /// Advance every engine one cycle on the budget the channel has left
+  /// after the cycle's scalar traffic, and claim the grants from `gmem`;
+  /// returns the bytes granted. Must run after GlobalMemory::step.
   u32 step(sim::Cycle now, GlobalMemory& gmem, DmaSpmPort& spm);
+
+  /// A run of cycles that repeat one grant pattern (see the header
+  /// comment), and the bytes granted over it.
+  struct Run {
+    u64 cycles = 0;
+    u64 bytes = 0;
+  };
+  /// Advance the engines and `gmem` over the run that starts at cycle
+  /// `first`, at most `cycles` long, on a channel that carries no scalar
+  /// traffic (GlobalMemory::stream). A run is one cycle when `first` is a
+  /// boundary (an activation, a completion or a due retire) or when two
+  /// active transfers overlap; otherwise it ends before the next boundary.
+  /// With no backlog it lasts until the next retire is due.
+  Run stream(sim::Cycle first, u64 cycles, GlobalMemory& gmem, DmaSpmPort& spm);
 
   /// Aggregate channel-byte backlog of every engine — the bulk-demand
   /// signal the gmem bounded-share arbiter reserves against. A running sum
@@ -248,16 +308,8 @@ class DmaSubsystem {
   /// lower bound on the next retire or completion wake.
   sim::Cycle next_ready_cycle(sim::Cycle now) const;
 
-  /// Account `span` skipped cycles: the per-cycle engine-service rotation
-  /// advances exactly as if step() had run `span` times (it rotates once
-  /// per cycle and determines engine service order, so a fast-forward jump
-  /// must leave it bit-identical to the ticked run). Only valid while
-  /// every engine would be inert over the span: no backlog (a backlog is
-  /// stepped, not skipped) and next_ready_cycle() beyond it.
-  void skip_cycles(u64 span) {
-    const u32 n = static_cast<u32>(engines_.size());
-    step_rr_ = n == 0 ? 0 : static_cast<u32>((step_rr_ + span % n) % n);
-  }
+  /// The engine that leads the next cycle's service order.
+  u32 rotation() const { return step_rr_; }
 
   bool idle() const;
   void reset();
@@ -283,8 +335,26 @@ class DmaSubsystem {
   u64 queue_full_stall_cycles_ = 0;
   obs::Trace* trace_ = nullptr;   ///< kept so reset() can re-attach
   std::vector<u32> engine_tracks_;
+  /// Row j (0..n) holds each engine's grants summed over the first j
+  /// cycles of a run (n = engines, one rotation period); sized once.
+  std::vector<u64> run_grants_;
 
   void apply_trace();
+  /// The grant rule, one cycle: the engines in service order from `rr`,
+  /// each claiming from what the earlier ones left of `budget`
+  /// (DmaEngine::claim); `served(e, grant)` sees every engine's claim in
+  /// that order, and may step the engine (a claim depends on no other
+  /// engine's state). Returns the cycle's total.
+  template <typename Served>
+  u64 grant(u32 rr, u64 budget, Served&& served);
+  /// One cycle on `budget`: every engine's claim, retires and grants.
+  u64 serve(sim::Cycle now, u64 budget, GlobalMemory& gmem, DmaSpmPort& spm);
+  /// The length of the streaming run from `first` (at least 1, at most
+  /// `cycles`); fills run_grants_ when it is longer than one cycle.
+  u64 run_length(sim::Cycle first, u64 cycles, u64 budget);
+  /// Rotate, drain the backlog and count busy cycles for `cycles` cycles
+  /// that each granted `grant` bytes.
+  void account(u64 cycles, u64 grant);
 };
 
 }  // namespace mp3d::arch

@@ -37,6 +37,26 @@ u32 GlobalMemory::read_word(u32 addr) const {
   return page.empty() ? 0 : page[index % kPageWords];
 }
 
+void GlobalMemory::read_words(u32 addr, std::span<u32> words) const {
+  const u64 first = ((addr & ~3U) - static_cast<u64>(base_)) / 4;
+  MP3D_ASSERT_MSG(addr >= base_ && (first + words.size()) * 4 <= size_,
+                  "gmem read out of range: 0x" << std::hex << addr << " + "
+                                               << std::dec << words.size() << " words");
+  for (std::size_t done = 0; done < words.size();) {
+    const u64 word = first + done;
+    const std::vector<u32>& page = pages_[word / kPageWords];
+    const std::size_t offset = word % kPageWords;
+    const std::size_t run = std::min<std::size_t>(words.size() - done, kPageWords - offset);
+    const auto out = words.begin() + static_cast<std::ptrdiff_t>(done);
+    if (page.empty()) {
+      std::fill_n(out, run, 0U);
+    } else {
+      std::copy_n(page.begin() + static_cast<std::ptrdiff_t>(offset), run, out);
+    }
+    done += run;
+  }
+}
+
 void GlobalMemory::write_word(u32 addr, u32 value) {
   const u32 index = word_index(addr);
   reservations_.drop_words(index, 1);
@@ -81,8 +101,7 @@ void GlobalMemory::enqueue_refill(u32 token, u32 bytes, sim::Cycle /*now*/) {
   queue_.push_back(item);
 }
 
-void GlobalMemory::step(sim::Cycle now, std::vector<MemResponse>& responses,
-                        std::vector<u32>& refills, u64 bulk_demand_bytes) {
+void GlobalMemory::open_cycle(sim::Cycle now, u64 bulk_demand_bytes) {
   // A cycle with bulk demand and zero granted bulk bytes is a bulk stall
   // (under the legacy absolute-priority policy this is the starvation
   // signature; under the bounded-share arbiter it only happens while the
@@ -139,9 +158,7 @@ void GlobalMemory::step(sim::Cycle now, std::vector<MemResponse>& responses,
   }
   bulk_reserve_in_cycle_ = reserve;
 
-  u64 scalar_budget = budget_ - reserve;
-  const bool was_busy = !queue_.empty();
-  const bool scalar_stalled = was_busy && scalar_budget == 0;
+  const bool scalar_stalled = !queue_.empty() && budget_ == reserve;
   if (scalar_stalled) {
     ++scalar_stall_cycles_;
   }
@@ -154,6 +171,13 @@ void GlobalMemory::step(sim::Cycle now, std::vector<MemResponse>& responses,
       in_scalar_stall_ = false;
     }
   }
+}
+
+void GlobalMemory::step(sim::Cycle now, std::vector<MemResponse>& responses,
+                        std::vector<u32>& refills, u64 bulk_demand_bytes) {
+  open_cycle(now, bulk_demand_bytes);
+  u64 scalar_budget = budget_ - bulk_reserve_in_cycle_;
+  const bool was_busy = !queue_.empty();
   while (!queue_.empty() && scalar_budget > 0) {
     Item& head = queue_.front();
     const u32 take = static_cast<u32>(std::min<u64>(scalar_budget, head.bytes));
@@ -205,6 +229,36 @@ u32 GlobalMemory::claim_bulk(u32 bytes, sim::Cycle now) {
     ++busy_cycles_;
   }
   return granted;
+}
+
+void GlobalMemory::stream(sim::Cycle first, u64 cycles, u64 bulk_demand, u32 grant) {
+  MP3D_ASSERT(cycles > 0 && queue_.empty() && grant <= bytes_per_cycle_);
+  MP3D_ASSERT((grant > 0) == (bulk_demand > 0) && (cycles - 1) * grant < std::max<u64>(bulk_demand, 1));
+  MP3D_ASSERT(in_flight_.empty() || in_flight_.front().done_at >= first + cycles);
+  // The first cycle settles what the cycle before left: a stall verdict
+  // and its span, the scalar stall span, credit with no demand left. The
+  // second closes a bulk stall span the first opened. At a nonzero share
+  // the credit moves on every demand cycle.
+  u64 done = 0;
+  do {
+    open_cycle(first + done, bulk_demand - done * grant);
+    claim_bulk(grant, first + done);
+    ++done;
+  } while (done < cycles && (in_bulk_stall_ || (arbiter_.bulk_min_pct > 0 && bulk_demand > 0)));
+  // The rest repeat the last one: its grant (or its lack of demand) rules
+  // out a stall, no credit moves and no trace event fires.
+  const u64 rest = cycles - done;
+  if (rest == 0) {
+    return;
+  }
+  pending_bulk_demand_ = bulk_demand - (cycles - 1) * grant;
+  bulk_demand_cycles_ += bulk_demand > 0 ? rest : 0;
+  bytes_transferred_ += rest * grant;
+  bulk_bytes_ += rest * grant;
+  if (grant > 0) {
+    busy_cycles_ += rest;
+    busy_stamp_ = first + cycles - 1;
+  }
 }
 
 void GlobalMemory::set_bulk_share(u32 bulk_min_pct) {

@@ -38,6 +38,10 @@ class GlobalMemory {
 
   // ---- functional backdoor (host access, program loading) ----------------
   u32 read_word(u32 addr) const;
+  /// read_word over consecutive words from `addr` into `words`, copied
+  /// page by page (a page never written reads as zeros). Pre: the range
+  /// lies in the window.
+  void read_words(u32 addr, std::span<u32> words) const;
   void write_word(u32 addr, u32 value);
   /// write_word over consecutive words from `addr`, copied page by page;
   /// drops every LR reservation on the range. Pre: the range lies in the
@@ -78,6 +82,19 @@ class GlobalMemory {
   /// forward progress under scalar saturation.
   u32 claim_bulk(u32 bytes, sim::Cycle now);
 
+  /// Advance `cycles` cycles from `first` that carry no scalar traffic,
+  /// each the same as step(c, ..., demand_c) followed by bulk claims of
+  /// `grant` bytes, where demand_c = bulk_demand - (c - first) * grant: the
+  /// DMA engines streaming alone through a fast-forward jump. Every
+  /// counter, the arbiter's credit and every trace event come out as that
+  /// loop leaves them; only the first cycle (which settles what the cycle
+  /// before left open) and, at a nonzero bulk share, the credit are
+  /// advanced cycle by cycle. Pre: the scalar FIFO is empty, nothing in
+  /// flight completes before first + cycles, `grant` fits the budget, and
+  /// demand is nonzero on every cycle iff `grant` is.
+  void stream(sim::Cycle first, u64 cycles, u64 bulk_demand, u32 grant);
+
+  u32 bytes_per_cycle() const { return bytes_per_cycle_; }
   const GmemArbiterConfig& arbiter() const { return arbiter_; }
 
   /// Change the live bulk guarantee (the QoS controller's actuator).
@@ -103,8 +120,8 @@ class GlobalMemory {
   /// oldest in-flight completion (`done_at` is monotone), or kNever when
   /// nothing is in flight. Bulk traffic never completes anything here (the
   /// DMA engines own their completions), so bulk demand, arbiter credit
-  /// and open stall spans do not pin the next cycle; they only need the
-  /// per-cycle step() to run, which bulk_quiet() reports.
+  /// and open stall spans do not pin the next cycle: stream() advances
+  /// them through a jump.
   sim::Cycle next_completion_cycle(sim::Cycle now) const {
     if (!queue_.empty()) {
       return now + 1;
@@ -113,15 +130,6 @@ class GlobalMemory {
       return in_flight_.front().done_at;
     }
     return sim::kNever;
-  }
-
-  /// No bulk demand was reported to the last step(), no arbiter credit is
-  /// outstanding and no stall span is open: with an empty DMA backlog, a
-  /// step() would change nothing but the clock. Until then a fast-forward
-  /// jump must keep stepping this memory cycle by cycle.
-  bool bulk_quiet() const {
-    return pending_bulk_demand_ == 0 && bulk_credit_x100_ == 0 && !in_bulk_stall_ &&
-           !in_scalar_stall_;
   }
 
   /// Bytes of the current cycle's budget still unclaimed (after step()
@@ -203,6 +211,11 @@ class GlobalMemory {
   sim::Cycle busy_stamp_ = ~sim::Cycle{0};  ///< last cycle counted as busy
 
   static constexpr u32 kPageWords = 16384;  ///< 64 KiB pages
+
+  /// The head of a cycle, before any scalar byte is served: the verdict
+  /// on the previous cycle's bulk grants, the fresh byte budget, the bulk
+  /// reserve and the scalar stall verdict (step() and stream() share it).
+  void open_cycle(sim::Cycle now, u64 bulk_demand_bytes);
 
   /// Index of the word holding `addr` (pre: in the window, asserted).
   u32 word_index(u32 addr) const;

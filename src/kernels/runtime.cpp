@@ -286,7 +286,7 @@ arch::RunResult run_kernel(arch::Cluster& cluster, const Kernel& kernel, u64 max
   }
   arch::RunResult result = cluster.run(max_cycles);
   if (!result.eoc) {
-    std::string why = result.deadlock ? "deadlock" : "cycle limit";
+    std::string why = result.deadlock ? "deadlock" : result.fault ? "fault" : "cycle limit";
     for (std::size_t i = 0; i < result.core_errors.size(); ++i) {
       if (!result.core_errors[i].empty()) {
         why += "; core " + std::to_string(i) + ": " + result.core_errors[i];

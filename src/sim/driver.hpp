@@ -20,12 +20,13 @@
 //                     kNever when there are none;
 //   skip_to(target)   jump the clock to exactly target - 1, leaving every
 //                     observable as if each skipped cycle had ticked. The
-//                     jump may itself do work on the way (a Cluster steps
-//                     its gmem channel and DMA engines through a bulk
-//                     streaming span), but none of the events next_wake
-//                     bounds: no core wakes inside it. Returns the last
-//                     skipped cycle that advanced activity(), or 0 if
-//                     none did.
+//                     jump may itself do work on the way (a Cluster
+//                     advances its gmem channel and DMA engines through a
+//                     bulk streaming span, one call per run of cycles that
+//                     repeat one grant pattern), but none of the events
+//                     next_wake bounds: no core wakes inside it. Returns
+//                     the last skipped cycle that advanced activity(), or
+//                     0 if none did.
 //
 // A jump lands one cycle before the earliest of next_wake, horizon,
 // max_cycles and the watchdog deadline, so that cycle itself runs through

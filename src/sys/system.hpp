@@ -31,7 +31,8 @@
 // published a local clock past X - offset, so every record, counter and
 // byte is the one a single thread stepping all clusters in lockstep would
 // produce. A job ends at its own cluster's verdict: EOC, all cores halted,
-// its cycle cap, or the deadlock verdict a bare Cluster::run would reach.
+// a core fault, its cycle cap, or the deadlock verdict a bare Cluster::run
+// would reach.
 // A single-cluster System run is bit-identical to a bare Cluster::run:
 // same RunResult, same counter names, same timeline and trace bytes.
 //

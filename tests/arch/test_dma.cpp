@@ -17,11 +17,21 @@ namespace {
 
 using mp3d::testing::ctrl_prelude;
 
-/// Word-granular SPM stand-in for engine-level unit tests.
+/// SPM stand-in for engine-level unit tests, one map entry per word address.
 class FakeSpm : public DmaSpmPort {
  public:
-  u32 dma_read_spm(u32 addr) override { return words_[addr]; }
-  void dma_write_spm(u32 addr, u32 value) override { words_[addr] = value; }
+  void dma_read_spm(u32 addr, std::span<u32> words) override {
+    for (u32& word : words) {
+      word = words_[addr];
+      addr += 4;
+    }
+  }
+  void dma_write_spm(u32 addr, std::span<const u32> words) override {
+    for (const u32 word : words) {
+      words_[addr] = word;
+      addr += 4;
+    }
+  }
   void dma_wake_core(u32 core) override { wakes_.push_back(core); }
   std::unordered_map<u32, u32> words_;
   std::vector<u32> wakes_;  ///< waker ids in completion order

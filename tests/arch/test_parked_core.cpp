@@ -121,7 +121,8 @@ INSTANTIATE_TEST_SUITE_P(LatencyAndSpin, ParkedCoreEviction,
 
 // Core 0 waits on a slow gmem load when the host faults it: from that
 // cycle on it is halted and must not be charged another stall cycle, even
-// though its load is still in flight. Core 1 keeps the run going.
+// though its load is still in flight. A fault ends a run, so the test
+// steps the cluster itself until core 1 writes EOC.
 TEST(ParkedCoreFault, FaultWhileWaitingStopsTheCharge) {
   ClusterConfig cfg = ClusterConfig::tiny();
   cfg.perfect_icache = true;
@@ -162,8 +163,12 @@ data:
   }
   ASSERT_FALSE(cluster.core(0).lsu_idle()) << "core 0 must be waiting on its load";
   cluster.core(0).fault("injected fault");
-  const RunResult r = cluster.run(100'000);
+  while (!cluster.eoc_signaled() && cluster.now() < 100'000) {
+    cluster.step();
+  }
+  const RunResult r = cluster.finish(cluster.eoc_signaled(), false, false);
   ASSERT_TRUE(r.eoc);
+  EXPECT_TRUE(r.fault);
   EXPECT_EQ(cluster.core(0).state(), CoreState::kError);
   EXPECT_EQ(r.core_errors[0], "injected fault");
   expect_totals(r, {609, 324, 13, 0, 302, 0, 337, 0});

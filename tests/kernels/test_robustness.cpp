@@ -64,6 +64,31 @@ TEST(Robustness, MisalignedAccessFaultsTheCore) {
   }
 }
 
+TEST(Robustness, AFaultEndsTheRunOnItsCycle) {
+  // Core 0 faults on a misaligned load while every other core sleeps: the
+  // run ends on the fault's cycle as a fault, not 20,000 cycles later as
+  // a deadlock, and run_kernel names the fault and the core.
+  arch::Cluster cluster(arch::ClusterConfig::tiny());
+  const arch::RunResult r = run_asm(cluster, ctrl_prelude(cluster.config()) + R"(
+.text 0x80000000
+    csrr t0, mhartid
+    bnez t0, park
+    li t1, 0x2002
+    lw a0, 0(t1)
+park:
+    wfi
+    j park
+)");
+  EXPECT_TRUE(r.fault);
+  EXPECT_FALSE(r.deadlock);
+  EXPECT_FALSE(r.eoc);
+  EXPECT_LT(r.cycles, 50U);
+  EXPECT_NE(r.core_errors[0].find("misaligned lw"), std::string::npos) << r.core_errors[0];
+  const std::string error =
+      run_kernel_error("    bnez t0, park\n    li t1, 0x2002\n    lw a0, 0(t1)\n");
+  EXPECT_NE(error.find("(fault; core 0: misaligned lw"), std::string::npos) << error;
+}
+
 TEST(Robustness, SpmOverflowRejectedAtBuildTime) {
   const arch::ClusterConfig cfg = arch::ClusterConfig::tiny();  // 16 KiB SPM
   MatmulParams p;

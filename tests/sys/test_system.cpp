@@ -347,6 +347,52 @@ _start:
   EXPECT_EQ(result.cycles, sleep.eoc_at);
 }
 
+TEST(SystemFault, AJobEndsAtItsClustersFault) {
+  // Core 0 of one job faults on a misaligned load while its other cores
+  // sleep: the job ends on the fault's cycle, as a bare run of it does,
+  // not at a deadlock verdict, and the copy beside it runs to a verified
+  // end.
+  const arch::ClusterConfig ccfg = arch::ClusterConfig::mini();
+  const std::string src = ctrl_prelude(ccfg) + R"(
+.text 0x80000000
+_start:
+    csrr t0, mhartid
+    bnez t0, park
+    li t1, 0x2002
+    lw a0, 0(t1)
+park:
+    wfi
+    j park
+)";
+  isa::AsmOptions options;
+  options.default_base = ccfg.gmem_base;
+  kernels::Kernel faulting;
+  faulting.name = "misaligned_load";
+  faulting.program = isa::assemble(src, options);
+  arch::Cluster bare(ccfg);
+  bare.load_program(faulting.program);
+  const arch::RunResult verdict = bare.run(500'000);
+  ASSERT_TRUE(verdict.fault);
+  ASSERT_LT(verdict.cycles, 100U);
+
+  sys::System system(mini_system(2));
+  std::vector<sys::JobSpec> jobs(1);
+  jobs[0].name = faulting.name;
+  jobs[0].kernel = faulting;
+  jobs.push_back(memcpy_job(ccfg, 1024, 8, 5, "copy"));
+  const sys::SystemResult result = system.run_jobs(jobs, 500'000);
+  EXPECT_FALSE(result.ok);
+  EXPECT_FALSE(result.deadlock);
+  ASSERT_EQ(result.jobs.size(), 2U);
+  const sys::JobRecord& fault = result.jobs[0];
+  EXPECT_TRUE(fault.result.fault);
+  EXPECT_FALSE(fault.result.deadlock);
+  EXPECT_EQ(fault.result.cycles, verdict.cycles);
+  EXPECT_EQ(fault.eoc_at, fault.started_at + verdict.cycles);
+  EXPECT_NE(fault.result.core_errors[0].find("misaligned lw"), std::string::npos);
+  EXPECT_TRUE(result.jobs[1].ok()) << result.jobs[1].verify_error;
+}
+
 TEST(System, AThrowingHookLeavesTheSystemReusable) {
   // A verify hook throws on the System's thread while the other job still
   // runs on its own: run_jobs stops and joins it before the exception
