@@ -119,6 +119,7 @@ Cluster::Cluster(ClusterConfig cfg)
     cores_.emplace_back(cfg_, static_cast<u16>(c), c / cfg_.cores_per_tile);
   }
   groups_.resize(cfg_.num_groups);
+  inboxes_.resize(cfg_.num_groups);
   for (u32 g = 0; g < cfg_.num_groups; ++g) {
     Group& group = groups_[g];
     group.index = g;
@@ -229,6 +230,10 @@ void Cluster::reset_run_state() {
     std::fill(group.active.begin(), group.active.end(), 0);
     group.active_banks.clear();
     group.queued.clear();
+  }
+  for (Inbox& inbox : inboxes_) {
+    inbox.responses.clear();
+    inbox.refills.clear();
   }
   for (u32 c = 0; c < cfg_.num_cores(); ++c) {
     activate_core(c);
@@ -399,6 +404,14 @@ u32 Cluster::awake_cores() const {
   return n;
 }
 
+u64 Cluster::activity() const {
+  u64 n = activity_;
+  for (const Group& group : groups_) {
+    n += group.activity;
+  }
+  return n;
+}
+
 u32 Cluster::halted_cores() const {
   u32 n = 0;
   for (const Group& group : groups_) {
@@ -478,7 +491,7 @@ void Cluster::request_icache_refill(u32 tile, u32 pc) {
   ++group.activity;
 }
 
-void Cluster::replay_requests(Group& group) {
+void Cluster::replay_requests(const Group& group) {
   for (const QueuedRequest& queued : group.queued) {
     switch (queued.kind) {
       case QueuedRequest::Kind::kGmem:
@@ -510,7 +523,6 @@ void Cluster::replay_requests(Group& group) {
       }
     }
   }
-  group.queued.clear();
 }
 
 void Cluster::deliver_response_to_core(const MemResponse& response) {
@@ -869,6 +881,7 @@ void Cluster::step() {
   // on unsampled cycles the timer holds null and every mark is a dead
   // null check, so the simulation's phase order below is untouched.
   const bool prof_sampled = cycle_ >= next_prof_at_;
+  prof_sampled_ = prof_sampled;
   prof::StepTimer timer(prof_sampled ? prof_.get() : nullptr);
 
   // ---- head ------------------------------------------------------------------
@@ -879,13 +892,11 @@ void Cluster::step() {
   gmem_refills_.clear();
   gmem_->step(cycle_, gmem_responses_, gmem_refills_, dma_->backlog_bytes());
   timer.mark(prof::Phase::kGmem);
+  // Refills and responses go to their group's inbox; its section lands
+  // and delivers them before anything else.
   for (const u32 token : gmem_refills_) {
     const auto [tile, line_addr] = refill_slots_[token];
-    icaches_[tile].finish_refill(line_addr);
-    // The new line may evict a parked core's: its next step must fetch.
-    for (u32 c = tile * cfg_.cores_per_tile; c < (tile + 1) * cfg_.cores_per_tile; ++c) {
-      unpark(c);
-    }
+    inboxes_[tile >> group_shift_].refills.emplace_back(tile, line_addr);
     refill_free_.push_back(token);
     ++activity_;
   }
@@ -897,7 +908,7 @@ void Cluster::step() {
       qos_->observe_scalar_latency(cycle_ - gmem_issue_cycles_.front());
       gmem_issue_cycles_.pop_front();
     }
-    deliver_response_to_core(resp);
+    inboxes_[core_group(resp.core)].responses.push_back(resp);
   }
   timer.mark(prof::Phase::kGmem);
 
@@ -919,7 +930,9 @@ void Cluster::step() {
   // and nothing the networks or banks do this cycle reads or writes what
   // they touch: their wakes and responses are consumed by phase 5, and a
   // DMA start by the next cycle's DMA step, as when they ran after the
-  // banks.
+  // banks. A ctrl response reaches its core before the cycle's gmem
+  // responses (the sections deliver those): the two retire different LSU
+  // slots, so the order changes no state.
   serve_ctrl();
   timer.mark(prof::Phase::kCtrl);
 
@@ -937,11 +950,7 @@ void Cluster::step() {
       pool_.reset();
       pool_ = std::make_unique<sim::ForkJoin>(budget - 1);
     }
-    auto section = [this, prof_sampled](u32 g) {
-      prof::SectionTimer timer(prof_sampled ? &groups_[g].phase_ns : nullptr);
-      run_section(groups_[g], timer);
-    };
-    pool_->run(cfg_.num_groups, section);
+    pool_->run(cfg_.num_groups, section_job_);
     if (prof_sampled) {
       timer.skip();
       for (Group& group : groups_) {
@@ -957,13 +966,16 @@ void Cluster::step() {
   noc_->end_cycle(cycle_);
   timer.mark(prof::Phase::kNoc);
   // The cores' requests of the cluster-wide queues, in group order, which
-  // is ascending core id: the order the cores stepped in.
-  for (Group& group : groups_) {
+  // is ascending core id: the order the cores stepped in. The tail only
+  // reads the groups, and writes its own flags only when they change.
+  for (const Group& group : groups_) {
     replay_requests(group);
-    activity_ += group.activity;
-    group.activity = 0;
-    sections_in_order_ |= group.lr_sc;
-    fault_ |= group.fault;
+    if (group.lr_sc && !sections_in_order_) {
+      sections_in_order_ = true;
+    }
+    if (group.fault && !fault_) {
+      fault_ = true;
+    }
   }
   timer.mark(prof::Phase::kCores);
 
@@ -980,8 +992,44 @@ void Cluster::step() {
   }
 }
 
+void Cluster::SectionJob::operator()(u32 g) const {
+  Group& group = cluster->groups_[g];
+  prof::SectionTimer timer(cluster->prof_sampled_ ? &group.phase_ns : nullptr);
+  cluster->run_section(group, timer);
+}
+
 template <typename Timer>
 void Cluster::run_section(Group& group, Timer& timer) {
+  // Issue the loads of the lines other threads wrote since this section's
+  // last cycle before using any of them: the clocks, the inbox and the
+  // heads of the mailboxes the group copies from.
+  Inbox& inbox = inboxes_[group.index];
+  __builtin_prefetch(&cycle_);
+  __builtin_prefetch(&inbox);
+  noc_->prefetch_group(group.index);
+
+  // 1. What the head handed over: refills that landed on the group's
+  // tiles (the new line may evict a parked core's, whose next step must
+  // fetch), then gmem responses to its cores.
+  if (!inbox.refills.empty()) {
+    for (const auto& [tile, line_addr] : inbox.refills) {
+      icaches_[tile].finish_refill(line_addr);
+      for (u32 c = tile * cfg_.cores_per_tile; c < (tile + 1) * cfg_.cores_per_tile; ++c) {
+        unpark(c);
+      }
+    }
+    inbox.refills.clear();
+  }
+  timer.mark(prof::Phase::kIcache);
+  if (!inbox.responses.empty()) {
+    for (const MemResponse& resp : inbox.responses) {
+      deliver_response_to_core(resp);
+    }
+    inbox.responses.clear();
+  }
+  timer.mark(prof::Phase::kGmem);
+  group.queued.clear();  // the tail replayed them
+
   // 2. Request network: the flits bound for this group's tiles.
   noc_->begin_group(group.index);
   noc_->deliver_requests(group.index, cycle_,

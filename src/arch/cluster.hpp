@@ -5,7 +5,8 @@
 // order:
 //
 //   head:    global memory -> DMA engines -> qos -> control peripherals
-//   group g: request network -> banks -> response network -> cores
+//   group g: icache refills and gmem responses -> request network -> banks
+//            -> response network -> cores
 //   tail:    replay the cores' gmem, refill and ctrl requests -> telemetry
 //
 // The DMA engines run directly after global memory so bulk transfers claim
@@ -23,6 +24,16 @@
 // of the cluster-wide queues wait for the tail. So the sections may run
 // side by side on host threads, and the results are the same for every
 // thread count.
+//
+// Side by side, a section reads only lines its own thread owns, plus the
+// fork line, the flits other groups pushed to it, what the head handed it
+// and the done lines. The head hands each group the gmem responses to its
+// cores and the refills that landed on its tiles in an inbox the section
+// drains first (a gmem and a ctrl response to one core in one cycle retire
+// different LSU slots, so their order changes no state); the tail only
+// reads group state; the fields the calling thread writes every cycle sit
+// on lines of their own; and a section issues the loads of the lines
+// other threads wrote since its last cycle before it uses any of them.
 //
 // This ordering yields the paper's zero-load latencies exactly: a local SPM
 // access issued in cycle n writes back in n+1 (1 cycle), a same-group
@@ -261,7 +272,7 @@ class Cluster final : public DmaSpmPort {
   /// Monotone progress witness of the deadlock watchdog: memory, DMA and
   /// ctrl events plus retired instructions (a core retrying a busy port
   /// retires nothing, so it cannot hide a hang).
-  u64 activity() const { return activity_; }
+  u64 activity() const;
   /// Fast-forward is enabled and every core is token-less asleep (none
   /// halted-out): a jump may be attempted. Only the memory system can then
   /// do work, and the cores phase has nothing to step.
@@ -305,15 +316,23 @@ class Cluster final : public DmaSpmPort {
  private:
   struct Group;
 
-  /// Group g's section of step(): phases 2-5 for its tiles, marked on
-  /// `timer` (a prof::StepTimer or a prof::SectionTimer).
+  /// The fork-join job of a side-by-side step: section g, timed on a
+  /// sampled cycle. A member, so the job the pool runs stays the same from
+  /// step to step.
+  struct SectionJob {
+    Cluster* cluster;
+    void operator()(u32 g) const;
+  };
+
+  /// Group g's section of step(): its inbox, then phases 2-5 for its
+  /// tiles, marked on `timer` (a prof::StepTimer or a prof::SectionTimer).
   template <typename Timer>
   void run_section(Group& group, Timer& timer);
   void serve_banks(Group& group);
   void step_cores(Group& group);
   /// The tail's replay of the group's queued gmem, refill and ctrl
-  /// requests, in issue order.
-  void replay_requests(Group& group);
+  /// requests, in issue order (the group's next section empties them).
+  void replay_requests(const Group& group);
   void serve_ctrl();
   void ctrl_access(const MemRequest& request);
   /// Fault the core that issued `request` with "<what> 0x<address>"; the
@@ -344,8 +363,12 @@ class Cluster final : public DmaSpmPort {
   ClusterConfig cfg_;
   AddrMap map_;
   u32 bank_tile_shift_;  ///< log2(banks_per_tile): global bank -> tile
-  sim::Cycle cycle_ = 0;
-  u32 entry_ = 0;  ///< entry point of the loaded program (reset_run_state)
+  /// The clock, written by the calling thread every cycle and read by
+  /// every section: on a line of its own, so writing it leaves the
+  /// read-mostly lines around it in the sections' caches.
+  alignas(64) sim::Cycle cycle_ = 0;
+  bool prof_sampled_ = false;  ///< this step is a sampled profiler cycle
+  alignas(64) u32 entry_ = 0;  ///< entry point of the loaded program (reset_run_state)
 
   // Cores and icaches live in contiguous arrays (no per-element heap
   // indirection): built once in the constructor with reserved capacity and
@@ -434,9 +457,10 @@ class Cluster final : public DmaSpmPort {
   std::unique_ptr<prof::StepProfiler> prof_;
   sim::Cycle next_prof_at_ = sim::kNever;
 
-  // Progress witness for deadlock detection (sim::drive's watchdog); the
-  // groups' events are added in at the end of each step.
-  u64 activity_ = 0;
+  // Progress witness for deadlock detection (sim::drive's watchdog): the
+  // calling thread's events, on a line of its own (it is bumped every
+  // cycle). activity() adds the groups' running counts.
+  alignas(64) u64 activity_ = 0;
 
   /// A core's request of a cluster-wide queue, made in its group's section
   /// and replayed by the tail.
@@ -472,16 +496,18 @@ class Cluster final : public DmaSpmPort {
   // wfi_cycles_ still accrues when cores are stepped directly, outside the
   // cluster's active-set loop.)
   //
-  // During a step only the group's section touches its Group (the head and
-  // the tail touch all of them, alone).
+  // During a step only the group's section writes its Group. The head
+  // writes one only for a ctrl response, a wake or a fault, and the tail
+  // only reads them (on a sampled profiler cycle it also takes and zeroes
+  // the section's phase times).
   struct alignas(64) Group {
     u32 index = 0;
     u32 first_core = 0;
     u32 awake = 0;
     u32 halted = 0;
-    bool lr_sc = false;  ///< a core issued an lr.w or sc.w to the SPM this step
-    bool fault = false;  ///< a core of the group faulted this step
-    u64 activity = 0;    ///< progress since the last step's end
+    bool lr_sc = false;  ///< a core issued an lr.w or sc.w to the SPM this run
+    bool fault = false;  ///< a core of the group faulted this run
+    u64 activity = 0;    ///< progress this run
     u64 wfi_idle_cycles = 0;
     std::array<u32, kNumWaits> parked{};
     std::array<u64, kNumWaits> parked_cycles{};
@@ -491,7 +517,15 @@ class Cluster final : public DmaSpmPort {
     sim::LineVector<u32> active_banks;  ///< banks with queued work, in activation order
     sim::LineVector<QueuedRequest> queued;  ///< this step's, in issue order
   };
-  std::vector<Group> groups_;
+  alignas(64) std::vector<Group> groups_;
+  /// What the head hands a group's section, which delivers it first: the
+  /// gmem responses to the group's cores and the icache refills that
+  /// landed on its tiles. The section empties it.
+  struct alignas(64) Inbox {
+    sim::LineVector<MemResponse> responses;
+    sim::LineVector<std::pair<u32, u32>> refills;  ///< (tile, line address)
+  };
+  std::vector<Inbox> inboxes_;  ///< one per group
   std::vector<u8> core_group_;  ///< group of each core
   u32 group_shift_;             ///< log2(tiles_per_group): tile -> group
   u32 cores_per_group_;
@@ -506,6 +540,7 @@ class Cluster final : public DmaSpmPort {
   /// The group sections' helper threads, started by the first step that
   /// runs sections side by side.
   std::unique_ptr<sim::ForkJoin> pool_;
+  SectionJob section_job_{this};
 };
 
 }  // namespace mp3d::arch

@@ -5,9 +5,7 @@ namespace mp3d::arch {
 
 void Interconnect::Direction::clear() {
   std::fill(last_inject.begin(), last_inject.end(), 0);
-  for (Mailbox& box : mailboxes) {
-    box.flits.clear();
-  }
+  std::fill(mail.begin(), mail.end(), Flit{});
   for (Lane& lane : lanes) {
     for (Ring& ring : lane.rings) {
       ring.head = 0;
@@ -20,7 +18,6 @@ void Interconnect::Direction::clear() {
     lane.local_hops = 0;
     lane.global_hops = 0;
   }
-  stepped = 0;
 }
 
 Interconnect::Interconnect(const ClusterConfig& cfg)
@@ -30,25 +27,22 @@ Interconnect::Interconnect(const ClusterConfig& cfg)
       num_ports_(cfg.num_tiles() * kNumNetworks),
       local_pipe_(cfg.local_net_pipe),
       global_pipe_(cfg.global_net_pipe),
-      queue_depth_(cfg.port_queue_depth) {
+      queue_depth_(cfg.port_queue_depth),
+      mailbox_flits_(u64{cfg.tiles_per_group} * cfg.port_queue_depth),
+      mailbox_stride_((mailbox_flits_ + 1 + 7) / 8 * 8) {
   MP3D_CHECK(is_pow2(cfg.tiles_per_group), "tiles per group must be a power of two");
+  static_assert(8 * sizeof(Flit) % sim::CacheLineAllocator<Flit>::kLine == 0);
   const std::size_t tile_words = (num_tiles_ + kWordBits - 1) / kWordBits;
   const u32 group_ports = cfg.tiles_per_group * kNumNetworks;
   // Room for a full egress queue plus a full pipeline; head-of-line
   // blocking can grow the rings past it.
   const u32 slots =
       std::bit_ceil(static_cast<u32>(queue_depth_) + std::max(local_pipe_, global_pipe_) + 1);
+  resp_.index = kResponses;
   for (Direction* dir : {&req_, &resp_}) {
     dir->last_inject.assign(num_ports_, 0);
-    dir->mailboxes.resize(std::size_t{num_groups_} * num_groups_ * 2);
-    for (u32 writer = 0; writer < num_groups_; ++writer) {
-      for (u32 reader = 0; reader < num_groups_; ++reader) {
-        for (u32 set = 0; set < 2 && writer != reader; ++set) {
-          // A cycle's pushes from one group to another at their usual
-          // scale; a burst beyond it grows the mailbox once.
-          mailbox(*dir, writer, reader, set).flits.reserve(cfg.tiles_per_group);
-        }
-      }
+    if (num_groups_ > 1) {
+      dir->mail.assign(std::size_t{num_groups_} * num_groups_ * 2 * mailbox_stride_, Flit{});
     }
     dir->lanes.resize(num_groups_);
     for (Lane& lane : dir->lanes) {
@@ -88,8 +82,12 @@ template <typename F>
 void Interconnect::for_each_pending(const Direction& dir, F&& visit) const {
   for (u32 writer = 0; writer < num_groups_; ++writer) {
     for (u32 reader = 0; reader < num_groups_; ++reader) {
-      for (const Flit& flit : mailbox(dir, writer, reader, mailbox_set()).flits) {
-        visit(flit);
+      if (writer == reader) {
+        continue;
+      }
+      const Flit* box = mailbox(dir, writer, reader, mailbox_set());
+      for (u64 i = 1; i <= box[0].stamp; ++i) {
+        visit(box[i]);
       }
     }
   }
@@ -105,7 +103,7 @@ bool Interconnect::idle(const Direction& dir) const {
 sim::Cycle Interconnect::next_event_cycle(sim::Cycle now) const {
   for (const Direction* dir : {&req_, &resp_}) {
     for (const Lane& lane : dir->lanes) {
-      if (lane.newest_inject >= dir->first_open(now)) {
+      if (lane.newest_inject >= first_open(*dir, now)) {
         return now + 1;  // a queued flit injects into its pipeline next step
       }
     }
@@ -126,7 +124,7 @@ sim::Cycle Interconnect::next_event_cycle(sim::Cycle now) const {
 void Interconnect::reset_run_state() {
   req_.clear();
   resp_.clear();
-  cycles_ = 0;
+  clock_ = Clock{};
 }
 
 u64 Interconnect::injected(const Direction& dir) const {
@@ -137,7 +135,8 @@ u64 Interconnect::injected(const Direction& dir) const {
   u64 pushed = 0;
   u64 waiting = 0;
   const auto waits = [&](const Flit& flit) {
-    return flit.ready_at() - pipe_latency(group_of(flit.src) ^ group_of(flit.dst)) > dir.stepped;
+    return flit.ready_at() - pipe_latency(group_of(flit.src) ^ group_of(flit.dst)) >
+           clock_.stepped[dir.index];
   };
   for (const Lane& lane : dir.lanes) {
     pushed += lane.pushed;

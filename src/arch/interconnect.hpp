@@ -44,7 +44,14 @@
 // cycle), so neither delays a delivery. Mailboxes alternate between two
 // sets by cycle, so a writer never touches the set its readers are
 // copying from, and each cycle's flits for one group cross between host
-// threads as one dense run.
+// threads as one dense run. A mailbox is a fixed, line-aligned array whose
+// slot 0 holds its flit count, sized for the most one group's tiles can
+// push to another in a cycle (each port takes at most its queue depth),
+// so a reader finds the count on the line of the first flits. The fields
+// the calling thread writes every cycle (the begin_cycle count and each
+// direction's last stepped cycle) sit on a line of their own, the clock,
+// which a group reads, with its incoming mailbox heads, through
+// prefetch_group before it uses any of them.
 //
 // A flit carries the SPM access itself (arch/mem_types.hpp's BankRequest,
 // the response word on the way back), the handle of the LSU slot it
@@ -112,8 +119,22 @@ class Interconnect {
 
   /// Start cycle `now`: the request direction steps it.
   void begin_cycle(sim::Cycle now) {
-    ++cycles_;
-    req_.stepped = now;
+    ++clock_.cycles;
+    clock_.stepped[kRequests] = now;
+  }
+  /// Issue the loads of the lines other threads wrote for `group` since
+  /// its previous part of a cycle (the clock, then the heads of the
+  /// mailboxes it copies from at begin_group), so their misses overlap.
+  /// Between begin_cycle and the group's begin_group.
+  void prefetch_group(u32 group) const {
+    const u32 set = mailbox_set() ^ 1;
+    for (const Direction* dir : {&req_, &resp_}) {
+      for (u32 writer = 0; writer < num_groups_; ++writer) {
+        if (writer != group) {
+          __builtin_prefetch(mailbox(*dir, writer, group, set));
+        }
+      }
+    }
   }
   /// Start `group`'s part of the cycle, before its deliveries and pushes:
   /// copy the flits pushed to it since the previous begin_cycle into its
@@ -136,7 +157,7 @@ class Interconnect {
   /// End cycle `now`: the response direction steps it. A direction must
   /// be stepped every cycle while it holds a flit not yet injected
   /// (next_event_cycle pins `now + 1` then).
-  void end_cycle(sim::Cycle now) { resp_.stepped = now; }
+  void end_cycle(sim::Cycle now) { clock_.stepped[kResponses] = now; }
 
   u32 num_groups() const { return num_groups_; }
   /// No flit in flight. Between cycles only.
@@ -230,27 +251,38 @@ class Interconnect {
     u64 global_hops = 0;  ///< pushes on the inter-group networks
   };
 
-  /// The flits one group's tiles pushed for one reader group in one cycle,
-  /// in push order.
-  struct alignas(64) Mailbox {
-    sim::LineVector<Flit> flits;
-  };
+  static constexpr u32 kRequests = 0;
+  static constexpr u32 kResponses = 1;
 
   /// The ports of one direction (requests or responses).
   struct Direction {
+    u32 index = kRequests;  ///< kRequests or kResponses
     /// Inject cycle of each port's newest flit, written by the port's
     /// tile's group.
     sim::LineVector<sim::Cycle> last_inject;
-    /// Mailbox (writer w, reader r, set s) at (w * groups + r) * 2 + s.
-    std::vector<Mailbox> mailboxes;
+    /// Mailbox (writer w, reader r, set s) at slot ((w * groups + r) * 2 +
+    /// s) * mailbox_stride_: the flits w's tiles pushed for r in one
+    /// cycle, their count in the stamp of the mailbox's slot 0 and the
+    /// flits in slots 1, 2, ... in push order.
+    sim::LineVector<Flit> mail;
     std::vector<Lane> lanes;  ///< one per group
-    sim::Cycle stepped = 0;   ///< last cycle this direction stepped
 
-    /// First cycle a flit pushed at `now` can inject in: `now`, unless
-    /// this direction has already stepped it.
-    sim::Cycle first_open(sim::Cycle now) const { return std::max(now, stepped + 1); }
     void clear();
   };
+
+  /// What the calling thread writes every cycle and every group reads, on
+  /// a line of its own so that writing it leaves the lines the groups read
+  /// alone.
+  struct alignas(64) Clock {
+    u32 cycles = 0;  ///< begin_cycle calls: picks the mailbox set
+    sim::Cycle stepped[2] = {0, 0};  ///< last cycle each direction stepped
+  };
+
+  /// First cycle a flit of `dir` pushed at `now` can inject in: `now`,
+  /// unless the direction has already stepped it.
+  sim::Cycle first_open(const Direction& dir, sim::Cycle now) const {
+    return std::max(now, clock_.stepped[dir.index] + 1);
+  }
 
   /// Calls `visit(i)` for every set bit `i` of `mask`, in index order
   /// starting at `start` and wrapping around. Each mask word is read when
@@ -264,12 +296,12 @@ class Interconnect {
   u32 net_to(u32 tile, u32 group) const { return group_of(tile) ^ group; }
   /// The mailbox set pushes go to this cycle (the other one is being
   /// copied from).
-  u32 mailbox_set() const { return cycles_ & 1; }
-  Mailbox& mailbox(Direction& dir, u32 writer, u32 reader, u32 set) const {
-    return dir.mailboxes[(writer * num_groups_ + reader) * 2 + set];
+  u32 mailbox_set() const { return clock_.cycles & 1; }
+  Flit* mailbox(Direction& dir, u32 writer, u32 reader, u32 set) const {
+    return dir.mail.data() + ((writer * num_groups_ + reader) * 2 + set) * mailbox_stride_;
   }
-  const Mailbox& mailbox(const Direction& dir, u32 writer, u32 reader, u32 set) const {
-    return dir.mailboxes[(writer * num_groups_ + reader) * 2 + set];
+  const Flit* mailbox(const Direction& dir, u32 writer, u32 reader, u32 set) const {
+    return dir.mail.data() + ((writer * num_groups_ + reader) * 2 + set) * mailbox_stride_;
   }
   /// Flits of `port` not yet injected at `first_open`: their inject cycles
   /// run consecutively from `first_open` to the port's last one.
@@ -279,7 +311,7 @@ class Interconnect {
   }
 
   bool can_push(const Direction& dir, u32 src_tile, u32 net, sim::Cycle now) const {
-    return queued(dir, port_index(src_tile, net), dir.first_open(now)) < queue_depth_;
+    return queued(dir, port_index(src_tile, net), first_open(dir, now)) < queue_depth_;
   }
   void push(Direction& dir, u32 src_tile, u32 dst_tile, u32 net, u32 handle,
             const BankRequest& request, sim::Cycle now);
@@ -305,10 +337,16 @@ class Interconnect {
   u32 local_pipe_;
   u32 global_pipe_;
   std::size_t queue_depth_;  ///< egress queue entries per port
-  u32 cycles_ = 0;  ///< begin_cycle calls: picks the mailbox set
+  /// Flits a mailbox holds: tiles_per_group x queue_depth_, the most one
+  /// group can push to another in a cycle.
+  u64 mailbox_flits_;
+  /// Slots per mailbox: the count slot and mailbox_flits_, rounded up to
+  /// whole lines (8 flits are 3 lines), so every mailbox starts a line.
+  std::size_t mailbox_stride_;
 
   Direction req_;
   Direction resp_;
+  Clock clock_;
 };
 
 inline void Interconnect::push(Direction& dir, u32 src_tile, u32 dst_tile, u32 net,
@@ -318,7 +356,7 @@ inline void Interconnect::push(Direction& dir, u32 src_tile, u32 dst_tile, u32 n
   Lane& lane = dir.lanes[writer];
   (net == 0 ? lane.local_hops : lane.global_hops) += 1;
   const u32 p = port_index(src_tile, net);
-  const sim::Cycle first = dir.first_open(now);
+  const sim::Cycle first = first_open(dir, now);
   MP3D_ASSERT_MSG(queued(dir, p, first) < queue_depth_, "push to a full egress queue");
   const sim::Cycle inject = std::max(first, dir.last_inject[p] + 1);
   // Arrival cycles ascend along a port because inject cycles do.
@@ -332,7 +370,10 @@ inline void Interconnect::push(Direction& dir, u32 src_tile, u32 dst_tile, u32 n
     lane.rings[src_tile].push(flit);
     lane.live[src_tile / kWordBits] |= bit(src_tile);
   } else {
-    mailbox(dir, writer, group_of(dst_tile), mailbox_set()).flits.push_back(flit);
+    Flit* box = mailbox(dir, writer, group_of(dst_tile), mailbox_set());
+    u64& count = box[0].stamp;
+    MP3D_ASSERT_MSG(count < mailbox_flits_, "mailbox overflow");
+    box[++count] = flit;
   }
   dir.last_inject[p] = inject;
   lane.newest_inject = std::max(lane.newest_inject, inject);
@@ -346,11 +387,17 @@ inline void Interconnect::begin_group(Direction& dir, u32 group) {
     if (writer == group) {
       continue;  // a group's own flits went straight into its rings
     }
-    for (const Flit& flit : mailbox(dir, writer, group, set ^ 1).flits) {
+    const Flit* in = mailbox(dir, writer, group, set ^ 1);
+    for (u64 i = 1; i <= in[0].stamp; ++i) {
+      const Flit& flit = in[i];
       lane.rings[flit.src].push(flit);
       lane.live[flit.src / kWordBits] |= bit(flit.src);
     }
-    mailbox(dir, group, writer, set).flits.clear();
+    // Empty this cycle's outgoing mailbox; one already empty stays
+    // untouched, its line shared with its reader.
+    if (u64& out = mailbox(dir, group, writer, set)[0].stamp; out != 0) {
+      out = 0;
+    }
   }
 }
 

@@ -108,12 +108,15 @@ void ForkJoin::helper(u32 k) {
     if (stopping_.load()) {
       return;
     }
-    // The run's job and count are set before its number is published, and
-    // stay until every call of it is done: only a claimed call reads them.
-    const u64 run = run_.load(std::memory_order_acquire);
-    for (u32 i = k; i < kMaxCalls; i += threads_) {
+    // The run's job is set before its number is published, and stays until
+    // every call of it is done: only a claimed call reads it. A helper late
+    // for a run finds every call below that run's count claimed.
+    const u64 word = run_.load(std::memory_order_acquire);
+    const u64 run = word >> kCountBits;
+    const u32 count = static_cast<u32>(word & ((1U << kCountBits) - 1));
+    for (u32 i = k; i < count; i += threads_) {
       if (!make_call(run, i)) {
-        break;  // taken by the caller, or past the run's count
+        break;  // taken by the caller
       }
     }
   }
@@ -121,14 +124,14 @@ void ForkJoin::helper(u32 k) {
 
 void ForkJoin::fork(Entry entry, void* job, u32 count) {
   MP3D_ASSERT(count <= kMaxCalls);
-  entry_ = entry;
-  job_ = job;
-  const u64 run = run_.load(std::memory_order_relaxed) + 1;
-  // Calls past the count are marked claimed, so no helper makes them.
-  for (u32 i = count; i < kMaxCalls; ++i) {
-    slots_[i].claimed.store(run, std::memory_order_relaxed);
+  if (entry_ != entry) {
+    entry_ = entry;
   }
-  run_.store(run, std::memory_order_release);
+  if (job_ != job) {
+    job_ = job;
+  }
+  const u64 run = (run_.load(std::memory_order_relaxed) >> kCountBits) + 1;
+  run_.store(run << kCountBits | count, std::memory_order_release);
   generation_.store(static_cast<u32>(run));
   if (sleeping_helpers_.load() != 0) {
     generation_.notify_all();

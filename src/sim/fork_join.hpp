@@ -100,12 +100,20 @@ class ForkJoin {
     std::atomic<u64> done{0};
   };
 
+  /// run_ packs a run's number (the high bits) with its call count.
+  static constexpr u32 kCountBits = 5;
+  static_assert(kMaxCalls < (1U << kCountBits));
+
   void fork(Entry entry, void* job, u32 count);
   /// Claim call `i` of run `run` and make it; false if it was claimed.
   bool make_call(u64 run, u32 i);
   void helper(u32 k);
 
   const u32 threads_;
+  /// The job, rewritten only when a run brings another one, so a job that
+  /// stays the same from run to run leaves this line in the helpers'
+  /// caches. A helper reads it only in a call it claimed, which the caller
+  /// waits for before it may change it.
   Entry entry_ = nullptr;
   void* job_ = nullptr;
   /// Set by the destructor before its last generation bump; a helper may
@@ -114,7 +122,9 @@ class ForkJoin {
   /// What the helpers wait on: the low bits of the run number, bumped by
   /// each fork after the run is set up.
   alignas(64) std::atomic<u32> generation_{0};
-  std::atomic<u64> run_{0};  ///< number of the current run (1, 2, ...)
+  /// The current run's number (1, 2, ...) << kCountBits | its call count,
+  /// so a helper reads both in one load and never looks past the count.
+  std::atomic<u64> run_{0};
   std::atomic<u32> sleeping_helpers_{0};
   /// Bumped by a finished call while the caller sleeps in the join.
   alignas(64) std::atomic<u32> finished_{0};

@@ -177,6 +177,21 @@ TEST(GroupSections, PaperClusterMatmulDoesNotDependOnTheThreadCount) {
   expect_budget_independent(cfg, kernels::build_matmul(cfg, params, 8));
 }
 
+TEST(GroupSections, TheWidestMailboxesDoNotDependOnTheThreadCount) {
+  // Eight-entry port queues: a group may push 16 flits to another in a
+  // cycle, the most its mailboxes hold.
+  ClusterConfig cfg = four_small_groups();
+  cfg.port_queue_depth = 8;
+  Prng prng(0x8D8ULL);
+  const Outcome first = expect_budget_independent(
+      cfg, assemble(cfg, random_barrier_program(cfg, prng)), no_init);
+  EXPECT_TRUE(first.result.eoc);
+  kernels::MatmulParams params;
+  params.m = 32;
+  params.t = 16;
+  expect_budget_independent(cfg, kernels::build_matmul(cfg, params, 10));
+}
+
 TEST(GroupSections, LrScAcrossGroupsDoesNotDependOnTheThreadCount) {
   // One counter in each group's banks. Every core adds to them in turn
   // with lr.w/sc.w loops, so reservations are taken and broken across

@@ -74,6 +74,57 @@ TEST(InterconnectUnit, OneFlitPerCyclePerPort) {
   EXPECT_EQ(total, 6U);
 }
 
+TEST(InterconnectUnit, AFullMailboxDeliversInPortOrder) {
+  // Every tile of group 0 pushes port_queue_depth requests to group 1 in
+  // one cycle: the most one group can push to another, which fills the
+  // mailbox exactly. Tile t sends to tile tiles_per_group + t, so no two
+  // ports share an ingress port and flit j of each port injects at cycle
+  // 2 + j (the cycle after the pushes) and arrives a global pipe later.
+  for (const u32 depth : {1U, 4U, 8U}) {
+    SCOPED_TRACE("port_queue_depth " + std::to_string(depth));
+    ClusterConfig cfg = ClusterConfig::mini();
+    cfg.num_groups = 2;
+    cfg.port_queue_depth = depth;
+    cfg.validate();
+    Interconnect noc(cfg);
+    const u32 tiles = cfg.tiles_per_group;
+    const u32 net = noc.network(0, tiles);
+    noc.begin_cycle(1);
+    for (u32 g = 0; g < noc.num_groups(); ++g) {
+      noc.begin_group(g);
+    }
+    for (u32 t = 0; t < tiles; ++t) {
+      for (u32 j = 0; j < depth; ++j) {
+        ASSERT_TRUE(noc.can_push_request(t, net, 1));
+        noc.push_request(t, tiles + t, net, /*handle=*/t << 8 | j, {}, 1);
+      }
+    }
+    for (u32 t = 0; t < tiles; ++t) {
+      EXPECT_FALSE(noc.can_push_request(t, net, 1)) << "tile " << t << " took one push too many";
+    }
+    noc.end_cycle(1);
+    std::vector<u32> next(tiles, 0);
+    u32 delivered = 0;
+    for (sim::Cycle now = 2; now < 2 + depth + cfg.global_net_pipe + 2; ++now) {
+      step_requests(noc, now, [&](u32 dst_tile, u32 handle) {
+        const u32 t = handle >> 8;
+        ASSERT_LT(t, tiles);
+        EXPECT_EQ(dst_tile, tiles + t);
+        EXPECT_EQ(handle & 0xFFU, next[t]) << "tile " << t << " out of port order";
+        EXPECT_EQ(now, 2 + next[t] + cfg.global_net_pipe) << "tile " << t;
+        ++next[t];
+        ++delivered;
+      });
+    }
+    EXPECT_EQ(delivered, tiles * depth);
+    EXPECT_TRUE(noc.idle());
+    sim::CounterSet counters;
+    noc.add_counters(counters);
+    EXPECT_EQ(counters.get("noc.req_flits"), tiles * depth);
+    EXPECT_EQ(counters.get("noc.req_hol_blocked"), 0U);
+  }
+}
+
 TEST(InterconnectUnit, RotatingStartArbitratesContendedIngress) {
   // Tiles 1 and 2 of the one-group mini cluster each send one flit to tile
   // 0 on the local network: egress ports 4 and 8 (tile * 4 + net) of 16,
