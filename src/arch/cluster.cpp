@@ -353,34 +353,59 @@ void Cluster::write_word(u32 addr, u32 value) {
   }
 }
 
-void Cluster::write_words(u32 addr, std::span<const u32> words) {
-  if (words.empty()) {
-    return;
-  }
+bool Cluster::host_range_in_spm(u32 addr, std::size_t words, const char* access) const {
   // The SPM's two regions are one address-ordered array, so a range may
   // cross from the sequential into the interleaved region.
   const Region region = map_.classify(addr);
   const bool spm = region == Region::kSpmSeq || region == Region::kSpmInterleaved;
   MP3D_CHECK(spm || region == Region::kGmem,
-             "host write to unmapped address 0x" << std::hex << addr);
+             "host " << access << " unmapped address 0x" << std::hex << addr);
   const u64 region_end = spm ? u64{cfg_.spm_base} + cfg_.spm_capacity
                              : u64{map_.gmem_base()} + map_.gmem_size();
-  MP3D_CHECK(u64{addr & ~3U} + words.size() * 4 <= region_end,
-             "host write to unmapped address 0x" << std::hex << region_end);
-  if (spm) {
+  MP3D_CHECK(u64{addr & ~3U} + words * 4 <= region_end,
+             "host " << access << " unmapped address 0x" << std::hex << region_end);
+  return spm;
+}
+
+void Cluster::write_words(u32 addr, std::span<const u32> words) {
+  if (words.empty()) {
+    return;
+  }
+  if (host_range_in_spm(addr, words.size(), "write to")) {
     spm_write_words(addr & ~3U, words);
   } else {
     gmem_->write_words(addr, words);
   }
 }
 
-std::vector<u32> Cluster::read_words(u32 addr, std::size_t count) const {
-  std::vector<u32> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(read_word(addr + static_cast<u32>(i) * 4));
+void Cluster::read_words(u32 addr, std::span<u32> words) const {
+  if (words.empty()) {
+    return;
   }
+  if (host_range_in_spm(addr, words.size(), "read from")) {
+    std::copy_n(spm_.begin() + (((addr & ~3U) - cfg_.spm_base) >> 2), words.size(),
+                words.begin());
+  } else {
+    gmem_->read_words(addr, words);
+  }
+}
+
+std::vector<u32> Cluster::read_words(u32 addr, std::size_t count) const {
+  std::vector<u32> out(count);
+  read_words(addr, std::span<u32>(out));
   return out;
+}
+
+void Cluster::clear_memory() {
+  constexpr std::size_t kPageWords = 1024;  // 4 KiB
+  for (std::size_t first = 0; first < spm_.size(); first += kPageWords) {
+    const std::span<u32> page = spm_.subspan(first, std::min(kPageWords, spm_.size() - first));
+    if (std::any_of(page.begin(), page.end(), [](u32 word) { return word != 0; })) {
+      std::fill(page.begin(), page.end(), 0U);
+    }
+  }
+  spm_reservations_.clear();
+  gmem_->clear();
 }
 
 void Cluster::activate_core(u32 core) {
@@ -1249,7 +1274,7 @@ void Cluster::collect_counters(sim::CounterSet& counters) const {
   counters.set("cycles", cycle_);
 }
 
-RunResult Cluster::finish(bool eoc, bool deadlock, bool hit_max) {
+RunResult Cluster::end_run(bool eoc, bool deadlock, bool hit_max) {
   RunResult result;
   result.cycles = cycle_;
   result.eoc = eoc;
@@ -1284,6 +1309,13 @@ RunResult Cluster::finish(bool eoc, bool deadlock, bool hit_max) {
     if (timeline != nullptr && cycle_ >= timeline->next_lo()) {
       sample_window();  // final partial window
     }
+  }
+  return result;
+}
+
+RunResult Cluster::finish(bool eoc, bool deadlock, bool hit_max) {
+  RunResult result = end_run(eoc, deadlock, hit_max);
+  if (telemetry_ != nullptr) {
     obs::collect_run(*telemetry_);  // no-op without an active global request
   }
   return result;

@@ -194,7 +194,15 @@ class Cluster final : public DmaSpmPort {
   /// memory pages. The range must lie in one region (the SPM or global
   /// memory); one that leaves it throws before anything is written.
   void write_words(u32 addr, std::span<const u32> words);
+  /// Read `words.size()` consecutive words from `addr` into `words`, as
+  /// read_word would one by one, but as one copy out of the SPM array or
+  /// the global memory pages. The range must lie in one region, as for
+  /// write_words.
+  void read_words(u32 addr, std::span<u32> words) const;
   std::vector<u32> read_words(u32 addr, std::size_t count) const;
+  /// Zero the SPM and global memory, as on a freshly built cluster. An SPM
+  /// page no run wrote is only read, so it stays unmapped.
+  void clear_memory();
 
   // ---- component access (tests, calibration) --------------------------------
   SnitchCore& core(u32 global_id) { return cores_[global_id]; }
@@ -258,10 +266,12 @@ class Cluster final : public DmaSpmPort {
   /// statistics (memory contents persist — reloading inputs is the kernel
   /// init hook's job, exactly as for load_program).
   void reset_run_state();
+  /// A program has been loaded (reset_run_state needs one).
+  bool has_program() const { return image_ != nullptr; }
 
   // ---- sim::drive hooks (see sim/driver.hpp) ---------------------------------
-  // Cluster::run hands the cluster itself to sim::drive; sys::System runs
-  // sim::drive on each running job's cluster, on a host thread of its own.
+  // Cluster::run hands the cluster itself to sim::drive; sys::System's job
+  // pool runs sim::drive on each job's cluster, on a pool thread.
 
   /// A core wrote the EOC register (the run's natural end).
   bool eoc_signaled() const { return eoc_; }
@@ -301,9 +311,11 @@ class Cluster final : public DmaSpmPort {
   /// if none did, so the run loop's watchdog sees the ticked run's
   /// last-progress cycle.
   sim::Cycle skip_to(sim::Cycle target);
-  /// Assemble the RunResult, close trace spans, sample the final partial
-  /// telemetry window and deposit the run with the obs collector. Called
-  /// exactly once per run, at the cycle the run ends.
+  /// Assemble the RunResult, close trace spans and sample the final
+  /// partial telemetry window. Called exactly once per run, at the cycle
+  /// the run ends.
+  RunResult end_run(bool eoc, bool deadlock, bool hit_max);
+  /// end_run, then deposit the run's telemetry with the obs collector.
   RunResult finish(bool eoc, bool deadlock, bool hit_max);
   /// Human-readable per-core stall summary for deadlock reports.
   std::string deadlock_diagnostic() const;
@@ -348,6 +360,10 @@ class Cluster final : public DmaSpmPort {
   // write drops the reservations on the words it writes.
   u32 spm_read_word(u32 addr) const;
   void spm_write_words(u32 addr, std::span<const u32> words);
+  /// Whether the host range of `words` words from `addr` lies in the SPM
+  /// (true) or in global memory (false); throws std::invalid_argument,
+  /// naming `access`, when it starts unmapped or leaves its region.
+  bool host_range_in_spm(u32 addr, std::size_t words, const char* access) const;
   void deliver_response_to_core(const MemResponse& response);
   /// Deliver `rdata`, the response to LSU slot `handle`, to its core.
   void deliver_spm_response(u32 handle, u32 rdata);

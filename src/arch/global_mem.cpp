@@ -83,6 +83,13 @@ void GlobalMemory::write_words(u32 addr, std::span<const u32> words) {
   }
 }
 
+void GlobalMemory::clear() {
+  reservations_.clear();
+  for (std::vector<u32>& page : pages_) {
+    std::fill(page.begin(), page.end(), 0U);
+  }
+}
+
 void GlobalMemory::enqueue(const MemRequest& request, sim::Cycle /*now*/) {
   Item item;
   item.is_refill = false;

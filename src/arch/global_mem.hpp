@@ -47,6 +47,9 @@ class GlobalMemory {
   /// drops every LR reservation on the range. Pre: the range lies in the
   /// window.
   void write_words(u32 addr, std::span<const u32> words);
+  /// Zero every word and drop every LR reservation, as on a fresh memory
+  /// (the pages a run wrote stay allocated, zeroed).
+  void clear();
 
   // ---- timed interface -----------------------------------------------------
   /// Enqueue a scalar request (always accepted; the paper's model has no

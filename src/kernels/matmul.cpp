@@ -247,33 +247,33 @@ std::function<std::string(arch::Cluster&, const arch::RunResult&)> make_matmul_v
     // it), A one row at a time. Each simulated input word is checked too.
     Prng a_stream(seed);
     Prng b_stream = skipped(a_stream, m * m, kMatmulLo, kMatmulHi);
-    std::vector<u32> b(static_cast<std::size_t>(m) * m);
+    const std::vector<u32> b = cluster.read_words(b_base, static_cast<std::size_t>(m) * m);
     for (u32 i = 0; i < m * m; ++i) {
-      b[i] = random_word(b_stream, kMatmulLo, kMatmulHi);
-      if (cluster.read_word(b_base + i * 4) != b[i]) {
+      if (b[i] != random_word(b_stream, kMatmulLo, kMatmulHi)) {
         return strfmt("B[%u][%u] was clobbered", i / m, i % m);
       }
     }
     const u32 span = tiles_chk * t_dim;  // computed leading sub-square
     std::vector<u32> a_row(m);
+    std::vector<u32> c_row(span);
     for (u32 r = 0; r < m; ++r) {
+      cluster.read_words(a_base + r * m * 4, a_row);
       for (u32 k = 0; k < m; ++k) {
-        a_row[k] = random_word(a_stream, kMatmulLo, kMatmulHi);
-        if (cluster.read_word(a_base + (r * m + k) * 4) != a_row[k]) {
+        if (a_row[k] != random_word(a_stream, kMatmulLo, kMatmulHi)) {
           return strfmt("A[%u][%u] was clobbered", r, k);
         }
       }
       if (r >= span) {
         continue;
       }
+      cluster.read_words(c_base + r * m * 4, c_row);
       for (u32 c = 0; c < span; ++c) {
         u32 acc = 0;
         for (u32 k = 0; k < m; ++k) {
           acc += a_row[k] * b[static_cast<std::size_t>(k) * m + c];
         }
-        const u32 got = cluster.read_word(c_base + (r * m + c) * 4);
-        if (got != acc) {
-          return strfmt("C[%u][%u] = 0x%x, expected 0x%x", r, c, got, acc);
+        if (c_row[c] != acc) {
+          return strfmt("C[%u][%u] = 0x%x, expected 0x%x", r, c, c_row[c], acc);
         }
       }
     }

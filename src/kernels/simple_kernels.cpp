@@ -3,6 +3,9 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -35,6 +38,34 @@ std::vector<u32> random_words(Prng& rng, u32 n, i32 lo, i32 hi) {
     w = random_word(rng, lo, hi);
   }
   return words;
+}
+
+/// The memcpy kernels' verify hook: dst holds the seed's words and src
+/// still does. Reads both a chunk at a time.
+std::function<std::string(arch::Cluster&, const arch::RunResult&)> make_memcpy_verify(
+    u32 src, u32 dst, u32 n, u64 seed) {
+  return [src, dst, n, seed](arch::Cluster& cluster, const arch::RunResult&) -> std::string {
+    constexpr u32 kChunk = 1024;
+    Prng rng(seed);
+    std::vector<u32> dst_chunk(std::min(n, kChunk));
+    std::vector<u32> src_chunk(dst_chunk.size());
+    for (u32 first = 0; first < n; first += kChunk) {
+      const u32 count = std::min(n - first, kChunk);
+      cluster.read_words(dst + first * 4, std::span<u32>(dst_chunk).first(count));
+      cluster.read_words(src + first * 4, std::span<u32>(src_chunk).first(count));
+      for (u32 j = 0; j < count; ++j) {
+        const u32 i = first + j;
+        const u32 want = random_word(rng, INT16_MIN, INT16_MAX);
+        if (dst_chunk[j] != want) {
+          return strfmt("dst[%u] = 0x%x, expected 0x%x", i, dst_chunk[j], want);
+        }
+        if (src_chunk[j] != want) {
+          return strfmt("src[%u] was clobbered", i);
+        }
+      }
+    }
+    return "";
+  };
 }
 
 }  // namespace
@@ -385,21 +416,7 @@ mc_loop:
     Prng rng(seed);
     write_random_words(cluster, src, rng, n, INT16_MIN, INT16_MAX);
   };
-  kernel.verify = [src, dst, n, seed](arch::Cluster& cluster,
-                                      const arch::RunResult&) -> std::string {
-    Prng rng(seed);
-    for (u32 i = 0; i < n; ++i) {
-      const u32 want = random_word(rng, INT16_MIN, INT16_MAX);
-      const u32 got = cluster.read_word(dst + i * 4);
-      if (got != want) {
-        return strfmt("dst[%u] = 0x%x, expected 0x%x", i, got, want);
-      }
-      if (cluster.read_word(src + i * 4) != want) {
-        return strfmt("src[%u] was clobbered", i);
-      }
-    }
-    return "";
-  };
+  kernel.verify = make_memcpy_verify(src, dst, n, seed);
   return kernel;
 }
 
@@ -1252,21 +1269,7 @@ mcd_done:
     Prng rng(seed);
     write_random_words(cluster, src, rng, n, INT16_MIN, INT16_MAX);
   };
-  kernel.verify = [src, dst, n, seed](arch::Cluster& cluster,
-                                      const arch::RunResult&) -> std::string {
-    Prng rng(seed);
-    for (u32 i = 0; i < n; ++i) {
-      const u32 want = random_word(rng, INT16_MIN, INT16_MAX);
-      const u32 got = cluster.read_word(dst + i * 4);
-      if (got != want) {
-        return strfmt("dst[%u] = 0x%x, expected 0x%x", i, got, want);
-      }
-      if (cluster.read_word(src + i * 4) != want) {
-        return strfmt("src[%u] was clobbered", i);
-      }
-    }
-    return "";
-  };
+  kernel.verify = make_memcpy_verify(src, dst, n, seed);
   return kernel;
 }
 

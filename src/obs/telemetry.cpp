@@ -12,6 +12,15 @@ Telemetry::Telemetry(const arch::TelemetryConfig& config) : config_(config) {
   }
 }
 
+Telemetry::Telemetry(const Telemetry& other) : config_(other.config_) {
+  if (other.trace_) {
+    trace_ = std::make_unique<Trace>(*other.trace_);
+  }
+  if (other.timeline_) {
+    timeline_ = std::make_unique<Timeline>(*other.timeline_);
+  }
+}
+
 void Telemetry::reset() {
   if (trace_) {
     trace_->clear_events();

@@ -20,6 +20,9 @@ inline constexpr u64 kTraceCapacity = u64{1} << 20;
 class Telemetry {
  public:
   explicit Telemetry(const arch::TelemetryConfig& config);
+  /// A deep copy: the copy's trace and timeline are its own.
+  Telemetry(const Telemetry& other);
+  Telemetry& operator=(const Telemetry&) = delete;
 
   const arch::TelemetryConfig& config() const { return config_; }
 

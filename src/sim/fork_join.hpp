@@ -3,8 +3,8 @@
 // host threads, and a fork-join pool.
 //
 // Every place that starts host threads splits its calling thread's budget
-// among them: a sweep's P workers get budget / P each, a System's job
-// workers budget / clusters each, and a Cluster steps its groups on at
+// among them: a sweep's P workers get budget / P each, a System's T job
+// pool threads budget / T each, and a Cluster steps its groups on at
 // most its budget's threads. So nested pools never stack threads beyond
 // the CPUs the process may run on.
 //

@@ -3,111 +3,376 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <deque>
 #include <exception>
+#include <mutex>
+#include <new>
+#include <span>
 #include <sstream>
 #include <thread>
+#include <utility>
+
+#include <sys/mman.h>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
 #include "obs/collector.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/fork_join.hpp"
 
 namespace mp3d::sys {
 
 namespace {
 
-/// A System thread that has caught up with a worker sleeps until the
-/// worker is this many cycles ahead or has ended, so it wakes at most once
-/// per that many of the worker's cycles.
-constexpr sim::Cycle kLookahead = 4096;
+constexpr std::size_t kNoJob = ~std::size_t{0};
 
 u64 round_up4(u64 bytes) { return (bytes + 3) & ~u64{3}; }
 
-}  // namespace
+/// The local-cycle cap of a job's pool run: its own cap, or the run's. A
+/// job dispatched at a later cycle is capped at fewer cycles by the run,
+/// so its pool run is never the shorter one.
+u64 pool_cap(const JobSpec& spec, u64 max_cycles) {
+  return spec.max_cycles > 0 ? std::min(spec.max_cycles, max_cycles) : max_cycles;
+}
 
-/// The host thread driving one running job's cluster. It is the sim::drive
-/// model of its thread: every hook is the cluster's own, and step() and
-/// skip_to() publish the cluster's clock. A published clock c means the job
-/// has not ended before local cycle c (drive ends a run only right after a
-/// step, and c may be that step), so offset + c bounds the job's end from
-/// below; once `ended` is set, the clock is the job's final cycle.
-///
-/// The System's thread waits on a worker by storing the clock it wants in
-/// `wake_at`, then reading `signal` and the clock, and sleeping on `signal`
-/// while the clock is short. The worker stores its clock, then reads
-/// `wake_at`, and bumps `signal` once the clock reaches it (claiming the
-/// request with a compare-exchange, so it never clears a newer one); it
-/// also bumps `signal` when it ends. All of these are sequentially
-/// consistent, so either the worker sees the request or the System sees
-/// the clock: no wake-up is lost.
-struct System::Worker {
-  Worker() = default;
-  Worker(const Worker&) = delete;
-  Worker& operator=(const Worker&) = delete;
+/// The sim::drive model of one pool run: the cluster's own hooks, with the
+/// pool's stop flag ending the run early when the System abandons it.
+struct StoppableRun {
+  arch::Cluster& cluster;
+  const std::atomic<bool>& stop;
 
-  arch::Cluster* cluster = nullptr;
-  // Written by the worker, read by the System's thread.
-  alignas(64) std::atomic<sim::Cycle> clock{0};
-  std::atomic<bool> ended{false};
-  std::atomic<u32> signal{0};
-  sim::RunEnd end = sim::RunEnd::kDone;  ///< set before `ended`
-  std::exception_ptr error;              ///< set before `ended`
-  // Written by the System's thread, read by the worker.
-  alignas(64) std::atomic<sim::Cycle> wake_at{sim::kNever};
-  std::atomic<bool> stop{false};
-  std::thread thread;  ///< runs while the cluster's seat is kRunning
+  sim::Cycle now() const { return cluster.now(); }
+  void step() { cluster.step(); }
+  bool done() const { return cluster.done() || stop.load(std::memory_order_relaxed); }
+  u64 activity() const { return cluster.activity(); }
+  bool may_skip() const { return cluster.may_skip(); }
+  sim::Cycle next_wake(sim::Cycle bound) const { return cluster.next_wake(bound); }
+  sim::Cycle horizon() const { return cluster.horizon(); }
+  sim::Cycle skip_to(sim::Cycle target) { return cluster.skip_to(target); }
+};
 
-  /// Drive `driven` on a new thread with a host-thread budget of `budget`
-  /// for its group sections.
-  void start(arch::Cluster& driven, u64 max_cycles, u32 budget) {
-    cluster = &driven;
-    clock.store(driven.now());
-    ended.store(false);
-    wake_at.store(sim::kNever);
-    stop.store(false);
-    end = sim::RunEnd::kDone;
-    error = nullptr;
-    thread = std::thread([this, max_cycles, budget] {
-      sim::set_host_thread_budget(budget);
-      try {
-        end = sim::drive(*this, max_cycles);
-      } catch (...) {
-        error = std::current_exception();
+/// Words in a private anonymous mapping of their own, not on the heap. A
+/// job's staged words live from its pool run until the replay copies them
+/// into the home store, whose pages the replay allocates meanwhile: on the
+/// heap they would leave holes among those pages that outlast the run.
+class MappedWords {
+ public:
+  MappedWords() = default;
+  explicit MappedWords(std::size_t count) : count_(count) {
+    if (count_ > 0) {
+      void* mapped = mmap(nullptr, count_ * 4, PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (mapped == MAP_FAILED) {
+        throw std::bad_alloc();
       }
-      clock.store(cluster->now());
-      ended.store(true);
-      signal.fetch_add(1);
-      signal.notify_one();
-    });
+      words_ = static_cast<u32*>(mapped);
+    }
+  }
+  MappedWords(MappedWords&& other) noexcept
+      : words_(std::exchange(other.words_, nullptr)), count_(std::exchange(other.count_, 0)) {}
+  MappedWords& operator=(MappedWords&& other) noexcept {
+    if (this != &other) {
+      release();
+      words_ = std::exchange(other.words_, nullptr);
+      count_ = std::exchange(other.count_, 0);
+    }
+    return *this;
+  }
+  MappedWords(const MappedWords&) = delete;
+  MappedWords& operator=(const MappedWords&) = delete;
+  ~MappedWords() { release(); }
+
+  std::span<u32> words() const { return {words_, count_}; }
+  void release() {
+    if (words_ != nullptr) {
+      munmap(words_, count_ * 4);
+    }
+    words_ = nullptr;
+    count_ = 0;
   }
 
-  void publish() {
-    const sim::Cycle now = cluster->now();
-    clock.store(now);
-    sim::Cycle wanted = wake_at.load();
-    if (now >= wanted && wake_at.compare_exchange_strong(wanted, sim::kNever)) {
-      signal.fetch_add(1);
-      signal.notify_one();
+ private:
+  u32* words_ = nullptr;
+  std::size_t count_ = 0;
+};
+
+/// `count` words of `cluster` from `addr`, in a mapping of their own.
+MappedWords capture(const arch::Cluster& cluster, u32 addr, std::size_t count) {
+  MappedWords out(count);
+  cluster.read_words(addr, out.words());
+  return out;
+}
+
+}  // namespace
+
+struct System::Outcome {
+  arch::RunResult result;
+  sim::RunEnd end = sim::RunEnd::kDone;
+  std::string verify_error;
+  std::string deadlock_diagnostic;  ///< the cluster's, when end is kDeadlock
+  MappedWords input;                ///< the staged input region after init
+  MappedWords output;               ///< the staged output region after verify
+  /// A copy of the run's telemetry, while the obs collector takes deposits.
+  std::unique_ptr<obs::Telemetry> telemetry;
+  std::exception_ptr error;  ///< what the program load, a hook or the run threw
+};
+
+/// The host threads that run one run_jobs call's jobs. Task i runs a job
+/// on a cluster with a local-cycle cap: the first tasks are the jobs in
+/// job order, each on the cluster that has been idle longest (so the last
+/// jobs run stay on as many clusters as there are); once those are
+/// drained, settle() adds re-runs on named clusters.
+///
+/// The pool threads only simulate. Each task's host work (clearing the
+/// cluster, loading the program, the init and verify hooks, reading the
+/// staged words back) runs on the calling thread, inside await(), drain()
+/// and run() while it waits on the pool, one task at a time as in a bare
+/// run_kernel. A task changes hands twice under the one mutex: the calling
+/// thread starts it and queues it, a pool thread simulates it and hands it
+/// back, and the calling thread finishes it. Whoever holds a task owns its
+/// cluster and its outcome until it hands the task on.
+class System::Pool {
+ public:
+  static constexpr u32 kAnyCluster = ~0U;
+  struct Task {
+    std::size_t job = kNoJob;
+    u32 cluster = kAnyCluster;  ///< kAnyCluster: the one idle longest
+    u64 cap = 0;
+  };
+
+  Pool(System& system, u32 threads, std::vector<Task> tasks)
+      : system_(system),
+        budget_(std::max<u32>(1, sim::host_thread_budget() / threads)),
+        ahead_(2 * threads),
+        tasks_(std::move(tasks)),
+        outcomes_(tasks_.size()),
+        finished_(tasks_.size(), 0),
+        ran_(system.num_clusters()) {
+    for (u32 c = 0; c < system.num_clusters(); ++c) {
+      idle_.push_back(c);
+    }
+    threads_.reserve(threads);
+    try {
+      for (u32 t = 0; t < threads; ++t) {
+        threads_.emplace_back([this] { simulate(); });
+      }
+    } catch (...) {
+      stop_and_join();
+      throw;
+    }
+  }
+  ~Pool() { stop_and_join(); }
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
+  /// Task i's outcome, once finished. Tasks up to `ahead_` past i may
+  /// start meanwhile.
+  Outcome& await(std::size_t i) {
+    limit_ = std::max(limit_, std::min(tasks_.size(), i + 1 + ahead_));
+    serve([this, i] { return finished_[i] != 0; });
+    return outcomes_[i];
+  }
+
+  /// Start no more tasks, drop those never started, and finish the others.
+  void drain() {
+    tasks_.resize(next_);
+    outcomes_.resize(next_);
+    finished_.resize(next_);
+    limit_ = next_;
+    serve([this] { return in_flight_ == 0; });
+  }
+
+  /// After drain(): run `more` and finish every one. Returns the index of
+  /// the first.
+  std::size_t run(const std::vector<Task>& more) {
+    const std::size_t first = tasks_.size();
+    tasks_.insert(tasks_.end(), more.begin(), more.end());
+    outcomes_.resize(tasks_.size());
+    finished_.resize(tasks_.size(), 0);
+    limit_ = tasks_.size();
+    serve([this] { return next_ == tasks_.size() && in_flight_ == 0; });
+    return first;
+  }
+
+  /// Task i's outcome (pre: it is finished).
+  Outcome& outcome(std::size_t i) { return outcomes_[i]; }
+  /// The last task cluster c ran (job kNoJob: none); pre: drained.
+  const Task& ran(u32 c) const { return ran_[c]; }
+
+ private:
+  /// A started task, as a pool thread sees it.
+  struct Queued {
+    std::size_t task = 0;
+    arch::Cluster* cluster = nullptr;
+    u64 cap = 0;
+    Outcome* outcome = nullptr;
+  };
+
+  /// The calling thread's loop: finish what the pool handed back, start
+  /// what the window and the idle clusters allow, and sleep only when
+  /// neither has work and `until` does not hold.
+  template <typename Until>
+  void serve(Until until) {
+    std::vector<std::size_t> simulated;
+    for (;;) {
+      {
+        std::unique_lock<std::mutex> lock(mutex_);
+        done_.wait(lock, [&] { return !simulated_.empty() || can_start() || until(); });
+        simulated.swap(simulated_);
+      }
+      for (const std::size_t i : simulated) {
+        finish(i);
+      }
+      simulated.clear();
+      while (can_start()) {
+        start(next_++);
+      }
+      if (until()) {
+        return;
+      }
     }
   }
 
-  // sim::drive hooks (see sim/driver.hpp); `stop` ends the run early when
-  // the System abandons it.
-  sim::Cycle now() const { return cluster->now(); }
-  void step() {
-    cluster->step();
-    publish();
+  bool can_start() const {
+    if (next_ >= limit_) {
+      return false;
+    }
+    const u32 named = tasks_[next_].cluster;
+    return named == kAnyCluster ? !idle_.empty()
+                                : std::find(idle_.begin(), idle_.end(), named) != idle_.end();
   }
-  bool done() const { return cluster->done() || stop.load(); }
-  u64 activity() const { return cluster->activity(); }
-  bool may_skip() const { return cluster->may_skip(); }
-  sim::Cycle next_wake(sim::Cycle bound) const { return cluster->next_wake(bound); }
-  sim::Cycle horizon() const { return cluster->horizon(); }
-  sim::Cycle skip_to(sim::Cycle target) {
-    const sim::Cycle active_at = cluster->skip_to(target);
-    publish();
-    return active_at;
+
+  /// Take task i's cluster, clear it, load the program, run the init hook
+  /// and read the staged input (the run_kernel recipe up to the run), then
+  /// queue the task for the pool.
+  void start(std::size_t i) {
+    Task& task = tasks_[i];
+    if (task.cluster == kAnyCluster) {
+      task.cluster = idle_.front();
+      idle_.pop_front();
+    } else {
+      idle_.erase(std::find(idle_.begin(), idle_.end(), task.cluster));
+    }
+    ++in_flight_;
+    arch::Cluster& cluster = *system_.clusters_[task.cluster];
+    const JobSpec& spec = system_.jobs_[task.job];
+    Outcome& out = outcomes_[i];
+    try {
+      cluster.clear_memory();
+      cluster.load_program(spec.kernel.program);
+      if (spec.kernel.init) {
+        spec.kernel.init(cluster);
+      }
+      if (spec.warm_icache) {
+        cluster.warm_icaches();
+      }
+      if (spec.input_bytes > 0) {
+        out.input = capture(cluster, spec.input_base, spec.input_bytes / 4);
+      }
+    } catch (...) {
+      out.error = std::current_exception();
+      finish(i);
+      return;
+    }
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      queued_.push_back(Queued{i, &cluster, task.cap, &out});
+    }
+    work_.notify_one();
   }
+
+  /// A pool thread: simulate queued tasks until stopped.
+  void simulate() {
+    sim::set_host_thread_budget(budget_);
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+      work_.wait(lock, [this] { return stop_.load() || !queued_.empty(); });
+      if (stop_.load()) {
+        return;
+      }
+      const Queued run = queued_.front();
+      queued_.pop_front();
+      lock.unlock();
+      try {
+        StoppableRun model{*run.cluster, stop_};
+        run.outcome->end = sim::drive(model, run.cap);
+      } catch (...) {
+        run.outcome->error = std::current_exception();
+      }
+      lock.lock();
+      simulated_.push_back(run.task);
+      done_.notify_one();
+    }
+  }
+
+  /// Close task i's run at its verdict, run the verify hook and read the
+  /// staged output (the rest of the run_kernel recipe), and free its
+  /// cluster.
+  void finish(std::size_t i) {
+    const Task& task = tasks_[i];
+    arch::Cluster& cluster = *system_.clusters_[task.cluster];
+    const JobSpec& spec = system_.jobs_[task.job];
+    Outcome& out = outcomes_[i];
+    if (!out.error) {
+      try {
+        const bool eoc = out.end == sim::RunEnd::kDone && cluster.eoc_signaled();
+        const bool deadlock = out.end == sim::RunEnd::kDeadlock;
+        if (deadlock) {
+          out.deadlock_diagnostic = cluster.deadlock_diagnostic();
+        }
+        out.result = cluster.end_run(eoc, deadlock, out.end == sim::RunEnd::kMaxCycles);
+        if (cluster.telemetry() != nullptr && obs::global_request_active()) {
+          out.telemetry = std::make_unique<obs::Telemetry>(*cluster.telemetry());
+        }
+        if (eoc && spec.kernel.verify) {
+          out.verify_error = spec.kernel.verify(cluster, out.result);
+        }
+        if (eoc && spec.output_bytes > 0) {
+          out.output = capture(cluster, spec.output_base, spec.output_bytes / 4);
+        }
+      } catch (...) {
+        out.error = std::current_exception();
+      }
+    }
+    finished_[i] = 1;
+    --in_flight_;
+    ran_[task.cluster] = task;
+    idle_.push_back(task.cluster);
+  }
+
+  void stop_and_join() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stop_.store(true);
+    }
+    work_.notify_all();
+    for (std::thread& thread : threads_) {
+      thread.join();
+    }
+  }
+
+  System& system_;
+  const u32 budget_;  ///< each pool thread's host-thread budget
+  const std::size_t ahead_;
+  // The calling thread's alone.
+  std::vector<Task> tasks_;
+  std::deque<Outcome> outcomes_;  ///< one per task; appends keep references
+  std::vector<u8> finished_;      ///< per task: its outcome is complete
+  std::size_t next_ = 0;          ///< the next task to start
+  std::size_t limit_ = 0;         ///< tasks below it may start
+  u32 in_flight_ = 0;             ///< started, not yet finished
+  std::vector<Task> ran_;         ///< per cluster: the last task it ran
+  std::deque<u32> idle_;          ///< clusters no task holds, idle longest first
+  // Shared under the mutex.
+  std::mutex mutex_;
+  std::condition_variable work_;  ///< pool threads: a task was queued, or stop
+  std::condition_variable done_;  ///< calling thread: a task was simulated
+  std::deque<Queued> queued_;     ///< started, waiting for a pool thread
+  std::vector<std::size_t> simulated_;  ///< simulated, waiting to be finished
+  /// Set under the mutex; running simulations read it every cycle to stop.
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> threads_;
 };
 
 std::string SystemConfig::to_string() const {
@@ -124,10 +389,8 @@ System::System(SystemConfig cfg)
     : cfg_(std::move(cfg)), scheduler_(cfg_.policy, cfg_.num_clusters) {
   cfg_.validate();
   clusters_.reserve(cfg_.num_clusters);
-  workers_.reserve(cfg_.num_clusters);
   for (u32 k = 0; k < cfg_.num_clusters; ++k) {
     clusters_.push_back(std::make_unique<arch::Cluster>(cfg_.cluster));
-    workers_.push_back(std::make_unique<Worker>());
   }
   icn_ = std::make_unique<ClusterIcn>(cfg_.icn, cfg_.num_clusters);
   sdma_ = std::make_unique<SysDma>(cfg_.sys_dma, *icn_);
@@ -135,26 +398,17 @@ System::System(SystemConfig cfg)
       cfg_.cluster.gmem_base, cfg_.cluster.gmem_size, cfg_.cluster.gmem_bytes_per_cycle,
       cfg_.cluster.gmem_latency);
   seats_.resize(cfg_.num_clusters);
-  loaded_.assign(cfg_.num_clusters, 0);
+  last_job_.assign(cfg_.num_clusters, kNoJob);
   fast_forward_ = clusters_[0]->fast_forward_enabled();
   home_slot_top_ = cfg_.cluster.gmem_base + cfg_.cluster.gmem_size;
 }
 
-System::~System() { stop_workers(); }
-
-void System::stop_workers() {
-  for (const std::unique_ptr<Worker>& worker : workers_) {
-    if (worker->thread.joinable()) {
-      worker->stop.store(true);
-      worker->thread.join();
-    }
-  }
-}
+System::~System() = default;
 
 void System::reset_run_state() {
-  for (u32 k = 0; k < num_clusters(); ++k) {
-    if (loaded_[k] != 0) {
-      clusters_[k]->reset_run_state();
+  for (const std::unique_ptr<arch::Cluster>& cluster : clusters_) {
+    if (cluster->has_program()) {
+      cluster->reset_run_state();
     }
   }
   icn_->reset_run_state();
@@ -162,6 +416,7 @@ void System::reset_run_state() {
   cycle_ = 0;
   job_events_ = 0;
   std::fill(seats_.begin(), seats_.end(), Seat{});
+  std::fill(last_job_.begin(), last_job_.end(), kNoJob);
   records_.clear();
   jobs_done_ = 0;
   home_slot_top_ = cfg_.cluster.gmem_base + cfg_.cluster.gmem_size;
@@ -177,16 +432,18 @@ u32 System::alloc_home_slot(u64 bytes) {
 
 void System::begin_staging_in(u32 k, const JobSpec& spec) {
   Seat& seat = seats_[k];
-  arch::Cluster& worker = *clusters_[k];
   // The init hook wrote the inputs into the worker's shard (the host-side
-  // programming model). Home the same bytes in the home store, then move
-  // them back over the mesh from the home cluster as a timed transfer: the
-  // data is unchanged, but the run pays the real staging latency, link
-  // occupancy and hop energy of inputs that live in home memory.
-  home_->write_words(seat.home_slot, worker.read_words(spec.input_base, spec.input_bytes / 4));
+  // programming model), and the pool run read them back. Home the same
+  // bytes in the home store, then move them over the mesh from the home
+  // cluster as a timed transfer. The worker already holds them, so the
+  // descriptor copies within the home store, but the run pays the real
+  // staging latency, link occupancy and hop energy of inputs that live in
+  // home memory.
+  home_->write_words(seat.home_slot, seat.outcome->input.words());
+  seat.outcome->input.release();
   seat.staging_ticket =
-      sdma_->push(k, C2cDescriptor{cfg_.home_cluster, k, home_.get(), &worker.gmem(),
-                                   seat.home_slot, spec.input_base, spec.input_bytes, 0});
+      sdma_->push(k, C2cDescriptor{cfg_.home_cluster, k, home_.get(), home_.get(),
+                                   seat.home_slot, seat.home_slot, spec.input_bytes, 0});
   seat.state = ClusterState::kStagingIn;
 }
 
@@ -194,18 +451,9 @@ void System::begin_running(u32 k) {
   Seat& seat = seats_[k];
   seat.state = ClusterState::kRunning;
   seat.offset = cycle_;
+  seat.ends_at = cycle_ + seat.outcome->result.cycles;
   records_[seat.job].started_at = cycle_;
   ++job_events_;
-  // The worker stops at the job's own cap or at the run's, whichever
-  // comes first; step() runs no later than cycle max_cycles_, so the
-  // run's cap leaves at least one local cycle.
-  u64 cap = max_cycles_ - cycle_;
-  if (seat.job_max_cycles > 0) {
-    cap = std::min(cap, seat.job_max_cycles);
-  }
-  // Each job's thread gets its share of this thread's host threads.
-  workers_[k]->start(*clusters_[k], cap,
-                     std::max<u32>(1, sim::host_thread_budget() / num_clusters()));
 }
 
 void System::dispatch_jobs() {
@@ -219,12 +467,12 @@ void System::dispatch_jobs() {
     }
     Seat& seat = seats_[k];
     seat.job = *job;
-    JobSpec& spec = jobs_[*job];
+    const JobSpec& spec = jobs_[*job];
     JobRecord& rec = records_[*job];
     rec.cluster = k;
     rec.assigned_at = cycle_;
     rec.dispatched = true;
-    seat.job_max_cycles = spec.max_cycles;
+    last_job_[k] = *job;
     if (spec.input_bytes > 0 || spec.output_bytes > 0) {
       const u64 region = cfg_.cluster.gmem_size;
       MP3D_CHECK(spec.input_bytes % 4 == 0 && spec.output_bytes % 4 == 0,
@@ -241,13 +489,9 @@ void System::dispatch_jobs() {
       seat.home_slot =
           alloc_home_slot(std::max(spec.input_bytes, spec.output_bytes));
     }
-    clusters_[k]->load_program(spec.kernel.program);
-    loaded_[k] = 1;
-    if (spec.kernel.init) {
-      spec.kernel.init(*clusters_[k]);
-    }
-    if (spec.warm_icache) {
-      clusters_[k]->warm_icaches();
+    seat.outcome = &pool_->await(*job);
+    if (seat.outcome->error) {
+      std::rethrow_exception(seat.outcome->error);
     }
     if (spec.input_bytes > 0) {
       begin_staging_in(k, spec);
@@ -257,36 +501,41 @@ void System::dispatch_jobs() {
   }
 }
 
-arch::RunResult System::labelled_finish(u32 k, bool eoc, bool deadlock,
-                                        bool hit_max) {
+void System::deposit(u32 k, const obs::Telemetry& telemetry) {
   if (num_clusters() == 1) {
     // Single-cluster back-compat: do not touch the collect label, so the
     // deposited timeline/trace bytes match a bare Cluster run exactly.
-    return clusters_[k]->finish(eoc, deadlock, hit_max);
+    obs::collect_run(telemetry);
+    return;
   }
   const std::string saved = obs::collect_label();
   std::string mine = "c";
   mine += std::to_string(k);
   obs::set_collect_label(saved.empty() ? mine : saved + "." + mine);
-  arch::RunResult result = clusters_[k]->finish(eoc, deadlock, hit_max);
+  obs::collect_run(telemetry);
   obs::set_collect_label(saved);
-  return result;
 }
 
-void System::finish_job(u32 k, bool eoc, bool deadlock, bool hit_max) {
+void System::finish_job(u32 k, Outcome& outcome) {
   Seat& seat = seats_[k];
   const JobSpec& spec = jobs_[seat.job];
   JobRecord& rec = records_[seat.job];
-  rec.result = labelled_finish(k, eoc, deadlock, hit_max);
+  rec.result = std::move(outcome.result);
+  if (outcome.telemetry != nullptr) {
+    deposit(k, *outcome.telemetry);
+    outcome.telemetry.reset();
+  }
   rec.eoc_at = cycle_;
   ++job_events_;
-  if (eoc && spec.kernel.verify) {
-    rec.verify_error = spec.kernel.verify(*clusters_[k], rec.result);
-  }
-  if (eoc && spec.output_bytes > 0) {
-    seat.staging_ticket = sdma_->push(
-        k, C2cDescriptor{k, cfg_.home_cluster, &clusters_[k]->gmem(), home_.get(),
-                         spec.output_base, seat.home_slot, spec.output_bytes, 0});
+  rec.verify_error = std::move(outcome.verify_error);
+  if (rec.result.eoc && spec.output_bytes > 0) {
+    // The worker's result, read back after its pool run, lands in the home
+    // store now; the descriptor charges its move over the mesh.
+    home_->write_words(seat.home_slot, outcome.output.words());
+    outcome.output.release();
+    seat.staging_ticket =
+        sdma_->push(k, C2cDescriptor{k, cfg_.home_cluster, home_.get(), home_.get(),
+                                     seat.home_slot, seat.home_slot, spec.output_bytes, 0});
     seat.state = ClusterState::kStagingOut;
     return;
   }
@@ -295,62 +544,16 @@ void System::finish_job(u32 k, bool eoc, bool deadlock, bool hit_max) {
   seat.state = ClusterState::kIdle;
 }
 
-void System::await_worker(u32 k, sim::Cycle local) {
-  Worker& worker = *workers_[k];
-  if (worker.ended.load() || worker.clock.load() > local) {
-    return;
-  }
-  const sim::Cycle wanted = local + kLookahead;
-  worker.wake_at.store(wanted);
-  for (;;) {
-    const u32 seen = worker.signal.load();
-    if (worker.ended.load() || worker.clock.load() >= wanted) {
-      return;
-    }
-    worker.signal.wait(seen);
-  }
-}
-
 bool System::ends_at(u32 k, sim::Cycle at) const {
-  const Worker& worker = *workers_[k];
   const Seat& seat = seats_[k];
-  if (!worker.ended.load()) {
+  if (seat.ends_at != at) {
     return false;
   }
-  if (worker.error) {
-    return true;  // whenever it threw: end_job rethrows it
-  }
-  if (seat.offset + worker.clock.load() != at) {
-    return false;
-  }
-  return worker.end != sim::RunEnd::kMaxCycles ||
-         (seat.job_max_cycles > 0 && at - seat.offset >= seat.job_max_cycles);
-}
-
-void System::join_worker(u32 k) {
-  Worker& worker = *workers_[k];
-  worker.thread.join();
-  if (worker.error) {
-    std::rethrow_exception(worker.error);
-  }
-}
-
-void System::end_job(u32 k) {
-  join_worker(k);
-  const arch::Cluster& cluster = *clusters_[k];
-  switch (workers_[k]->end) {
-    case sim::RunEnd::kDone:
-      finish_job(k, cluster.eoc_signaled(), false, false);
-      break;
-    case sim::RunEnd::kDeadlock:
-      MP3D_WARN("deadlock: job " << records_[seats_[k].job].name << " on cluster " << k
-                                 << ": " << cluster.deadlock_diagnostic());
-      finish_job(k, false, true, false);
-      break;
-    case sim::RunEnd::kMaxCycles:
-      finish_job(k, false, false, true);
-      break;
-  }
+  // A run cut by a cycle cap ends the job only at the job's own cap; at
+  // the run's, the run itself ends first and settle() finishes the job.
+  const u64 job_cap = jobs_[seat.job].max_cycles;
+  return seat.outcome->end != sim::RunEnd::kMaxCycles ||
+         (job_cap > 0 && at - seat.offset >= job_cap);
 }
 
 void System::step() {
@@ -375,16 +578,17 @@ void System::step() {
     }
   }
   ++cycle_;
-  // The jobs that end this cycle, in cluster order. A worker behind this
-  // cycle may still end in it, so wait until it is past it or has ended.
+  // The jobs that end this cycle, in cluster order.
   for (u32 k = 0; k < num_clusters(); ++k) {
-    if (seats_[k].state != ClusterState::kRunning) {
+    Seat& seat = seats_[k];
+    if (seat.state != ClusterState::kRunning || !ends_at(k, cycle_)) {
       continue;
     }
-    await_worker(k, cycle_ - seats_[k].offset);
-    if (ends_at(k, cycle_)) {
-      end_job(k);
+    if (seat.outcome->end == sim::RunEnd::kDeadlock) {
+      MP3D_WARN("deadlock: job " << records_[seat.job].name << " on cluster " << k << ": "
+                                 << seat.outcome->deadlock_diagnostic);
     }
+    finish_job(k, *seat.outcome);
   }
 }
 
@@ -402,9 +606,9 @@ bool System::may_skip() const {
 
 sim::Cycle System::next_wake(sim::Cycle bound) const {
   sim::Cycle target = std::min(bound, sdma_->next_event_cycle(cycle_));
-  for (u32 k = 0; k < num_clusters(); ++k) {
-    if (seats_[k].state == ClusterState::kRunning) {
-      target = std::min(target, seats_[k].offset + workers_[k]->clock.load());
+  for (const Seat& seat : seats_) {
+    if (seat.state == ClusterState::kRunning) {
+      target = std::min(target, seat.ends_at);
     }
   }
   return target;
@@ -459,6 +663,82 @@ SystemResult System::assemble_result(bool deadlock, bool hit_max) {
   return result;
 }
 
+void System::settle() {
+  pool_->drain();
+  // The run each cluster index must end holding: the last job the
+  // schedule gave it, run as its record says. A job cut while staging in
+  // never started (cap 0), one cut while running stopped at the run's cap.
+  // holder[k] is the cluster that ends at index k. An index the run gave
+  // no job keeps its own cluster, which the pool never used: with fewer
+  // jobs than clusters the first cycle dispatched every job, to clusters
+  // 0, 1, ..., and the pool ran them on the clusters idle longest, the
+  // same ones.
+  std::vector<Pool::Task> finals(num_clusters());
+  std::vector<u32> holder(num_clusters(), Pool::kAnyCluster);
+  std::vector<u8> taken(num_clusters(), 0);
+  for (u32 k = 0; k < num_clusters(); ++k) {
+    const std::size_t job = last_job_[k];
+    if (job == kNoJob) {
+      holder[k] = k;
+      taken[k] = 1;
+      continue;
+    }
+    const Seat& seat = seats_[k];
+    u64 cap = pool_cap(jobs_[job], max_cycles_);
+    if (seat.state == ClusterState::kStagingIn) {
+      cap = 0;
+    } else if (seat.state == ClusterState::kRunning) {
+      cap = max_cycles_ - seat.offset;
+    }
+    finals[k] = Pool::Task{job, k, cap};
+  }
+  // Index k takes the cluster that ran exactly that last, if any.
+  for (u32 k = 0; k < num_clusters(); ++k) {
+    for (u32 c = 0; c < num_clusters() && holder[k] == Pool::kAnyCluster; ++c) {
+      const Pool::Task& ran = pool_->ran(c);
+      if (taken[c] == 0 && ran.job == finals[k].job && ran.cap == finals[k].cap) {
+        holder[k] = c;
+        taken[c] = 1;
+      }
+    }
+  }
+  // The others re-run their job on a cluster left over, their own first.
+  std::vector<Pool::Task> reruns;
+  std::vector<std::size_t> rerun_of(num_clusters(), kNoJob);
+  for (u32 k = 0; k < num_clusters(); ++k) {
+    if (holder[k] != Pool::kAnyCluster) {
+      continue;
+    }
+    u32 c = k;
+    while (taken[c] != 0) {
+      c = (c + 1) % num_clusters();
+    }
+    holder[k] = c;
+    taken[c] = 1;
+    rerun_of[k] = reruns.size();
+    reruns.push_back(Pool::Task{finals[k].job, c, finals[k].cap});
+  }
+  const std::size_t first = reruns.empty() ? 0 : pool_->run(reruns);
+  for (std::size_t i = 0; i < reruns.size(); ++i) {
+    if (pool_->outcome(first + i).error) {
+      std::rethrow_exception(pool_->outcome(first + i).error);
+    }
+  }
+  // The jobs still running stop at the run's cap, on this very cycle.
+  for (u32 k = 0; k < num_clusters(); ++k) {
+    if (seats_[k].state == ClusterState::kRunning) {
+      finish_job(k, rerun_of[k] == kNoJob ? *seats_[k].outcome
+                                          : pool_->outcome(first + rerun_of[k]));
+    }
+  }
+  pool_.reset();
+  std::vector<std::unique_ptr<arch::Cluster>> held(num_clusters());
+  for (u32 k = 0; k < num_clusters(); ++k) {
+    held[k] = std::move(clusters_[holder[k]]);
+  }
+  clusters_ = std::move(held);
+}
+
 SystemResult System::run_jobs(std::vector<JobSpec> jobs, u64 max_cycles) {
   reset_run_state();
   jobs_ = std::move(jobs);
@@ -469,24 +749,21 @@ SystemResult System::run_jobs(std::vector<JobSpec> jobs, u64 max_cycles) {
     records_[i].name = jobs_[i].name;
   }
   sim::RunEnd end = sim::RunEnd::kDone;
-  try {
-    if (!done()) {
-      end = sim::drive(*this, max_cycles);
-    }
-    // The jobs still running when the run itself ends: their workers stop
-    // at the run's cap, on this very cycle.
-    if (end != sim::RunEnd::kDone) {
-      const bool deadlock = end == sim::RunEnd::kDeadlock;
-      for (u32 k = 0; k < num_clusters(); ++k) {
-        if (seats_[k].state == ClusterState::kRunning) {
-          join_worker(k);
-          finish_job(k, false, deadlock, !deadlock);
-        }
+  if (!done()) {
+    try {
+      std::vector<Pool::Task> tasks(jobs_.size());
+      for (std::size_t j = 0; j < jobs_.size(); ++j) {
+        tasks[j] = Pool::Task{j, Pool::kAnyCluster, pool_cap(jobs_[j], max_cycles)};
       }
+      const u32 threads = static_cast<u32>(std::min<std::size_t>(
+          {sim::host_thread_budget(), num_clusters(), jobs_.size()}));
+      pool_ = std::make_unique<Pool>(*this, threads, std::move(tasks));
+      end = sim::drive(*this, max_cycles);
+      settle();
+    } catch (...) {
+      pool_.reset();
+      throw;
     }
-  } catch (...) {
-    stop_workers();
-    throw;
   }
   return assemble_result(end == sim::RunEnd::kDeadlock,
                          end == sim::RunEnd::kMaxCycles);

@@ -5,34 +5,62 @@
 //
 // System::run_jobs shards independent jobs across the clusters:
 //
-//   assign    the scheduler hands a job to an idle cluster; the kernel's
-//             program is loaded and its init hook runs (exactly the bare
-//             run_kernel recipe);
-//   stage in  when the job declares an input region, its bytes are copied
-//             into the System's home store and DMA'd to the worker across
-//             the mesh — the cluster stays frozen until the copy retires;
-//   run       a host thread of its own drives the cluster through
-//             sim::drive, exactly as Cluster::run does (its local clock is
-//             the system clock minus the cycle its program started);
+//   assign    the scheduler hands a job to an idle cluster;
+//   stage in  when the job declares an input region, its bytes (what the
+//             kernel's init hook wrote there) are homed in the System's
+//             home store and DMA'd to the worker across the mesh; the
+//             cluster stays frozen until the copy retires;
+//   run       the cluster runs the job as a bare Cluster::run would (its
+//             local clock is the system clock minus the cycle its program
+//             started);
 //   stage out when the job declares an output region, the worker's result
 //             is DMA'd back to the home store before the cluster is
 //             considered idle again.
 //
-// A running job touches only its own cluster, so each one runs on its own
-// host thread (at most one per cluster, with budget / clusters of the
-// calling thread's host-thread budget for the cluster's group sections;
-// see sim/fork_join.hpp) and publishes its local clock
-// after every step and jump. The System is a sim::drive model too, on the
-// thread that called run_jobs: step() runs dispatch, the system DMA, the
-// staging transitions and the job ends; the wake oracle is the system
-// DMA's next event plus every running job's end (known once its thread
-// has ended, otherwise bounded below by its published clock). The System
-// processes system cycle X only after every running job has ended or
-// published a local clock past X - offset, so every record, counter and
+// What a job may read. Every job starts from cleared cluster memory: its
+// SPM and gmem shard hold only what its program load, its init hook and
+// its staged input wrote, as on a freshly built Cluster (the staged input
+// is the bytes its init hook wrote). So a job's run needs nothing from the
+// schedule, and the schedule needs only each job's length.
+//
+// Which thread runs it. run_jobs runs the jobs in job order on a pool of
+// min(host-thread budget, clusters, jobs) host threads, each with
+// budget / threads of the calling thread's budget for its cluster's group
+// sections (see sim/fork_join.hpp). The pool threads only simulate: each
+// job takes the cluster that has been idle longest, and the calling
+// thread, while it waits on the pool, clears that cluster, loads the
+// program, runs the init hook and reads the staged input, hands the
+// cluster to a pool thread for sim::drive, and once the run is back runs
+// the verify hook and reads the staged output (the run_kernel recipe). So
+// hooks run one at a time on the calling thread, as in a bare run_kernel.
+// Each job keeps its RunResult, verify verdict, staged words (in mappings
+// of their own, off the heap), telemetry and any exception. The pool
+// starts at most twice its thread count of jobs past the last one the
+// schedule has dispatched, so what it holds stays small, and it never
+// holds back a job the schedule waits on.
+//
+// When its end and its deposit land. The calling thread replays the
+// schedule as a sim::drive model of its own: step() runs dispatch, the
+// system DMA and the staging transitions, and a running job ends at its
+// start cycle plus its pool run's length. The replay waits on the pool
+// only when it dispatches a job the pool has not run yet; a job's
+// exception leaves run_jobs there. The wake oracle is the system DMA's
+// next event plus every running job's end. Staging descriptors keep their
+// mesh routes and byte counts, so timing, counters and energy are the
+// mesh's, but they copy within the home store, which already holds the
+// bytes: a job's inputs are written there at its dispatch, its outputs
+// when its write-back starts. A job's telemetry is deposited with the obs
+// collector on the cycle it ends. So every record, counter and collected
 // byte is the one a single thread stepping all clusters in lockstep would
-// produce. A job ends at its own cluster's verdict: EOC, all cores halted,
-// a core fault, its cycle cap, or the deadlock verdict a bare Cluster::run
-// would reach.
+// produce, whichever thread ran what. A job ends at its own cluster's
+// verdict: EOC, all cores halted, a core fault, its cycle cap, or the
+// deadlock verdict a bare Cluster::run would reach.
+//
+// Two cases re-run a job. A job the run's max_cycles cuts short is re-run
+// with that cap. And when the run ends, cluster(k) holds the last job the
+// schedule gave cluster k: the pool cluster that ran that job last takes
+// index k, or the job is re-run there.
+//
 // A single-cluster System run is bit-identical to a bare Cluster::run:
 // same RunResult, same counter names, same timeline and trace bytes.
 //
@@ -140,23 +168,28 @@ class System {
   sim::Cycle now() const { return cycle_; }
 
  private:
+  /// What running one job on a cluster left behind (defined in
+  /// system.cpp).
+  struct Outcome;
+  /// The host threads that simulate the jobs, and the calling thread's
+  /// host work around each run (defined in system.cpp).
+  class Pool;
+
   enum class ClusterState : u8 {
     kIdle,       ///< no job; eligible for dispatch
-    kStagingIn,  ///< program loaded, waiting for the input transfer
-    kRunning,    ///< its worker thread drives the cluster
+    kStagingIn,  ///< job dispatched, waiting for the input transfer
+    kRunning,    ///< the job runs until `ends_at`
     kStagingOut  ///< run finished, waiting for the write-back transfer
   };
   struct Seat {
     ClusterState state = ClusterState::kIdle;
     std::size_t job = 0;          ///< index into jobs_ (valid unless kIdle)
+    Outcome* outcome = nullptr;   ///< the job's pool run (valid unless kIdle)
     sim::Cycle offset = 0;        ///< system cycle of the job's local cycle 0
-    u64 job_max_cycles = 0;       ///< the job's own local-cycle cap (0 = none)
+    sim::Cycle ends_at = 0;       ///< offset plus the pool run's length
     u64 staging_ticket = 0;       ///< SysDma ticket the seat waits on
     u32 home_slot = 0;            ///< staging slot in the home store
   };
-  /// The host thread driving one running job's cluster (defined in
-  /// system.cpp).
-  struct Worker;
 
   // sim::drive hooks (see sim/driver.hpp).
   template <typename Model>
@@ -169,34 +202,28 @@ class System {
   /// Progress witness: system DMA progress plus job starts and ends.
   u64 activity() const { return sdma_->activity() + job_events_; }
   /// Fast-forward is on and no idle cluster is about to be handed a job.
-  /// Running jobs never veto a jump: they run on their own threads.
   bool may_skip() const;
   sim::Cycle next_wake(sim::Cycle bound) const;
   /// The System has no boundaries of its own: job cycle caps and the
-  /// clusters' telemetry and profiler boundaries live in the workers.
+  /// clusters' telemetry and profiler boundaries live in the pool runs.
   sim::Cycle horizon() const { return sim::kNever; }
   sim::Cycle skip_to(sim::Cycle target);
 
   void dispatch_jobs();
   void begin_staging_in(u32 k, const JobSpec& spec);
   void begin_running(u32 k);
-  /// Block until cluster k's worker has ended or is past local cycle
-  /// `local`; when it is behind, sleep until it is kLookahead cycles past.
-  void await_worker(u32 k, sim::Cycle local);
-  /// Whether cluster k's job ends at system cycle `at`: its worker ended
-  /// there with a verdict of the job's own (the run's cycle cap is not
-  /// one), or it threw.
+  /// Whether cluster k's job ends at system cycle `at` on a verdict of its
+  /// own (the run's cycle cap is not one).
   bool ends_at(u32 k, sim::Cycle at) const;
-  /// Join cluster k's ended worker; rethrow what it threw.
-  void join_worker(u32 k);
-  /// Finish cluster k's job on its worker's verdict.
-  void end_job(u32 k);
-  void finish_job(u32 k, bool eoc, bool deadlock, bool hit_max);
-  /// Cluster k's finish(), with the telemetry collect label suffixed
-  /// ".c<k>" at N > 1 so merged traces keep per-cluster pseudo-processes.
-  arch::RunResult labelled_finish(u32 k, bool eoc, bool deadlock, bool hit_max);
-  /// Ask every worker still running to stop, and join them all.
-  void stop_workers();
+  /// Record cluster k's job as ended this cycle with `outcome`'s result,
+  /// deposit its telemetry and start its write-back.
+  void finish_job(u32 k, Outcome& outcome);
+  /// Deposit a job's telemetry with the obs collector, labelled ".c<k>"
+  /// at N > 1 so merged traces keep per-cluster pseudo-processes.
+  void deposit(u32 k, const obs::Telemetry& telemetry);
+  /// After the replay: finish the jobs the run's cap cut, and give each
+  /// cluster index the cluster holding the last job the schedule gave it.
+  void settle();
   u32 alloc_home_slot(u64 bytes);
   SystemResult assemble_result(bool deadlock, bool hit_max);
 
@@ -205,7 +232,7 @@ class System {
   std::unique_ptr<ClusterIcn> icn_;
   std::unique_ptr<SysDma> sdma_;
   std::unique_ptr<arch::GlobalMemory> home_;
-  std::vector<std::unique_ptr<Worker>> workers_;  ///< one per cluster
+  std::unique_ptr<Pool> pool_;  ///< the current run_jobs call's pool
   JobScheduler scheduler_;
   bool fast_forward_ = true;  ///< cluster 0's env-resolved setting
 
@@ -213,7 +240,7 @@ class System {
   u64 max_cycles_ = 0;   ///< the current run's cap, in system cycles
   u64 job_events_ = 0;   ///< job starts and ends so far this run
   std::vector<Seat> seats_;
-  std::vector<u8> loaded_;  ///< clusters with a program image (resettable)
+  std::vector<std::size_t> last_job_;  ///< per cluster: last job dispatched this run
   std::vector<JobSpec> jobs_;  ///< the current run's job list
   std::vector<JobRecord> records_;
   std::size_t jobs_done_ = 0;

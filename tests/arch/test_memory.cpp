@@ -95,6 +95,39 @@ TEST(Backdoor, WriteWordsLeavingTheWindowFailsLikeWriteWord) {
   EXPECT_EQ(cluster.read_words(gmem_end - 12, 3), three);
 }
 
+TEST(Backdoor, ReadWordsAcrossAGmemPageBoundaryMatchesReadWord) {
+  const ClusterConfig cfg = ClusterConfig::mini();
+  Cluster cluster(cfg);
+  // Global memory is stored in 64 KiB pages counted from gmem_base. The
+  // range starts 300 words before the second page, whose first 100 words
+  // are written; the rest of that page reads as zeros.
+  const u32 boundary = cfg.gmem_base + static_cast<u32>(KiB(64));
+  const u32 first = boundary - 4 * 300;
+  for (u32 i = 0; i < 400; ++i) {
+    cluster.write_word(first + 4 * i, 0x9E37'79B9U * (i + 1));
+  }
+  const std::vector<u32> got = cluster.read_words(first, 700);
+  ASSERT_EQ(got.size(), 700U);
+  for (u32 i = 0; i < 700; ++i) {
+    EXPECT_EQ(got[i], cluster.read_word(first + 4 * i)) << "word " << i;
+    EXPECT_EQ(got[i], i < 400 ? 0x9E37'79B9U * (i + 1) : 0U) << "word " << i;
+  }
+  EXPECT_TRUE(cluster.read_words(first, 0).empty());
+}
+
+TEST(Backdoor, ReadWordsLeavingTheWindowFailsLikeReadWord) {
+  const ClusterConfig cfg = ClusterConfig::mini();
+  Cluster cluster(cfg);
+  const u32 spm_end = static_cast<u32>(cfg.spm_base + cfg.spm_capacity);
+  const u32 gmem_end = static_cast<u32>(cfg.gmem_base + cfg.gmem_size);
+  EXPECT_THROW(cluster.read_words(spm_end - 8, 3), std::invalid_argument);
+  EXPECT_THROW(cluster.read_words(gmem_end - 8, 3), std::invalid_argument);
+  EXPECT_THROW(cluster.read_words(0x70000000, 1), std::invalid_argument);
+  // A range that ends exactly at the end of its region is fine.
+  EXPECT_EQ(cluster.read_words(spm_end - 12, 3), (std::vector<u32>{0, 0, 0}));
+  EXPECT_EQ(cluster.read_words(gmem_end - 12, 3), (std::vector<u32>{0, 0, 0}));
+}
+
 class AtomicsTest : public ::testing::Test {
  protected:
   AtomicsTest() : cluster_(ClusterConfig::tiny()) {}

@@ -2,19 +2,24 @@
 // The multi-cluster System driver: job sharding, staging through the home
 // store, scheduler policies, counter namespacing, determinism across
 // back-to-back runs, the recorded schedule of the mixed job batch, the
-// per-job deadlock verdict, and system-level energy accounting.
+// per-job deadlock verdict, job isolation, the job pool at every
+// host-thread budget, and system-level energy accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "exp/row.hpp"
 #include "isa/assembler.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/simple_kernels.hpp"
+#include "obs/collector.hpp"
 #include "power/energy_model.hpp"
+#include "sim/fork_join.hpp"
 #include "sys/energy.hpp"
 #include "sys/system.hpp"
 #include "testing.hpp"
@@ -76,20 +81,73 @@ std::vector<sys::JobSpec> mixed_jobs(const arch::ClusterConfig& cfg, u32 count) 
   return jobs;
 }
 
-/// FNV-1a over every counter's name and value, in name order.
-u64 counter_digest(const sim::CounterSet& counters) {
+/// The batch of staged_job_mix in tests/sim/test_fast_forward.cpp: one
+/// more staged copy than there are clusters, each writing a 256-byte slice
+/// back through the mesh, with rounds cycling 1, 2, 3 and seeds from 5.
+std::vector<sys::JobSpec> staged_copies(const arch::ClusterConfig& cfg, u32 count) {
+  std::vector<sys::JobSpec> jobs;
+  for (u32 i = 0; i < count; ++i) {
+    sys::JobSpec job = memcpy_job(cfg, 1024, 1 + i % 3, 5 + i, "memcpy" + std::to_string(i));
+    job.output_base = job.input_base;
+    job.output_bytes = 256;
+    jobs.push_back(std::move(job));
+  }
+  return jobs;
+}
+
+/// FNV-1a, fed piece by piece.
+struct Fnv {
   u64 h = 14695981039346656037ULL;
-  const auto mix = [&h](const void* data, std::size_t size) {
+  void mix(const void* data, std::size_t size) {
     const auto* bytes = static_cast<const unsigned char*>(data);
     for (std::size_t i = 0; i < size; ++i) {
       h = (h ^ bytes[i]) * 1099511628211ULL;
     }
-  };
-  for (const auto& [name, value] : counters.all()) {
-    mix(name.data(), name.size());
+  }
+  template <typename T>
+  void mix_value(const T& value) {
     mix(&value, sizeof value);
   }
-  return h;
+  void mix_words(const std::vector<u32>& words) { mix(words.data(), words.size() * 4); }
+};
+
+/// FNV-1a over every counter's name and value, in name order.
+u64 counter_digest(const sim::CounterSet& counters) {
+  Fnv fnv;
+  for (const auto& [name, value] : counters.all()) {
+    fnv.mix(name.data(), name.size());
+    fnv.mix_value(value);
+  }
+  return fnv.h;
+}
+
+/// Restores the calling thread's host-thread budget on scope exit.
+class BudgetScope {
+ public:
+  explicit BudgetScope(u32 budget) : saved_(sim::host_thread_budget()) {
+    sim::set_host_thread_budget(budget);
+  }
+  ~BudgetScope() { sim::set_host_thread_budget(saved_); }
+  BudgetScope(const BudgetScope&) = delete;
+  BudgetScope& operator=(const BudgetScope&) = delete;
+
+ private:
+  u32 saved_;
+};
+
+void expect_same_result(const arch::RunResult& a, const arch::RunResult& b,
+                        const std::string& name) {
+  EXPECT_EQ(a.cycles, b.cycles) << name;
+  EXPECT_EQ(a.eoc, b.eoc) << name;
+  EXPECT_EQ(a.deadlock, b.deadlock) << name;
+  EXPECT_EQ(a.fault, b.fault) << name;
+  EXPECT_EQ(a.hit_max_cycles, b.hit_max_cycles) << name;
+  EXPECT_EQ(a.exit_code, b.exit_code) << name;
+  EXPECT_EQ(a.core_exit_codes, b.core_exit_codes) << name;
+  EXPECT_EQ(a.instret, b.instret) << name;
+  EXPECT_EQ(a.console, b.console) << name;
+  EXPECT_EQ(a.markers.size(), b.markers.size()) << name;
+  EXPECT_TRUE(a.counters == b.counters) << name;
 }
 
 void expect_same_records(const sys::SystemResult& a, const sys::SystemResult& b) {
@@ -427,6 +485,222 @@ TEST(System, HitMaxCyclesIsReportedNotThrown) {
   ASSERT_EQ(result.jobs.size(), 1U);
   EXPECT_TRUE(result.jobs[0].result.hit_max_cycles);
   EXPECT_EQ(result.jobs[0].result.cycles, 500U);
+}
+
+TEST(SystemIsolation, AJobReadsZeroWhereItsInitWroteNothing) {
+  // The first job stores a word to gmem and reads it back, so the store
+  // has landed when it ends; the second job, on the same cluster, loads
+  // that word without writing it first and exits with what it read. Every
+  // job starts from cleared memory, so it reads 0 (a System that left the
+  // previous job's memory in place would report 0x5eed).
+  const arch::ClusterConfig ccfg = arch::ClusterConfig::mini();
+  const std::string cell = std::to_string(ccfg.gmem_base + MiB(2));
+  const std::string writer_src = ctrl_prelude(ccfg) + ".equ CELL, " + cell + R"(
+.text 0x80000000
+_start:
+    csrr t0, mhartid
+    bnez t0, park
+    li t1, CELL
+    li t2, 0x5eed
+    sw t2, 0(t1)
+    lw t3, 0(t1)
+    sub a0, t3, t2
+    li t4, EOC
+    sw a0, 0(t4)
+park:
+    wfi
+    j park
+)";
+  const std::string reader_src = ctrl_prelude(ccfg) + ".equ CELL, " + cell + R"(
+.text 0x80000000
+_start:
+    csrr t0, mhartid
+    bnez t0, park
+    li t1, CELL
+    lw a0, 0(t1)
+    li t4, EOC
+    sw a0, 0(t4)
+park:
+    wfi
+    j park
+)";
+  isa::AsmOptions options;
+  options.default_base = ccfg.gmem_base;
+  std::vector<sys::JobSpec> jobs(2);
+  jobs[0].name = "writer";
+  jobs[0].kernel.name = "writer";
+  jobs[0].kernel.program = isa::assemble(writer_src, options);
+  jobs[1].name = "reader";
+  jobs[1].kernel.name = "reader";
+  jobs[1].kernel.program = isa::assemble(reader_src, options);
+  sys::System system(mini_system(1));
+  const sys::SystemResult result = system.run_jobs(jobs, 1'000'000);
+  ASSERT_EQ(result.jobs.size(), 2U);
+  EXPECT_TRUE(result.jobs[0].ok());
+  EXPECT_TRUE(result.jobs[1].result.eoc);
+  EXPECT_EQ(result.jobs[1].result.exit_code, 0U);
+  EXPECT_TRUE(result.ok);
+}
+
+TEST(SystemIsolation, EveryJobMatchesAFreshCluster) {
+  // Every job's RunResult inside a System is the one kernels::run_kernel
+  // gives on a freshly built cluster: a job needs nothing from the
+  // schedule, whichever cluster ran it and whatever ran there before.
+  const auto check = [](const sys::SystemConfig& cfg, const std::vector<sys::JobSpec>& jobs) {
+    sys::System system(cfg);
+    const sys::SystemResult result = system.run_jobs(jobs, 50'000'000);
+    ASSERT_TRUE(result.ok);
+    ASSERT_EQ(result.jobs.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      arch::Cluster fresh(cfg.cluster);
+      const arch::RunResult bare = kernels::run_kernel(fresh, jobs[i].kernel, 50'000'000);
+      expect_same_result(result.jobs[i].result, bare, jobs[i].name);
+    }
+  };
+  sys::SystemConfig mixed = mini_system(4);
+  mixed.policy = sys::SchedPolicy::kLeastLoaded;
+  check(mixed, mixed_jobs(mixed.cluster, 8));
+  for (const u32 clusters : {1U, 2U, 4U}) {
+    sys::SystemConfig copies = mini_system(clusters);
+    copies.policy = sys::SchedPolicy::kLeastLoaded;
+    check(copies, staged_copies(copies.cluster, clusters + 1));
+  }
+}
+
+/// What a traced run of the mixed batch leaves behind: the result, every
+/// cluster's staged window, and the collector's timeline and trace bytes.
+struct Observed {
+  sys::SystemResult result;
+  std::vector<std::vector<u32>> windows;
+  std::string timeline_csv;
+  std::string trace_json;
+};
+
+Observed observe_mixed_batch(u32 budget, sys::SchedPolicy policy) {
+  const BudgetScope scope(budget);
+  arch::TelemetryConfig request;
+  request.sample_window = 256;
+  request.trace = true;
+  obs::set_global_request(request);
+  obs::set_collect_label("pin");
+  Observed out;
+  {
+    sys::SystemConfig cfg = mini_system(4);
+    cfg.policy = policy;
+    sys::System system(cfg);
+    out.result = system.run_jobs(mixed_jobs(cfg.cluster, 10), 50'000'000);
+    // The largest staged window: a matmul's A, B and C.
+    const u32 words = 3 * 32 * 32;
+    for (u32 k = 0; k < system.num_clusters(); ++k) {
+      out.windows.push_back(
+          system.cluster(k).read_words(cfg.cluster.gmem_base + MiB(1), words));
+    }
+  }
+  out.timeline_csv = exp::rows_to_csv(obs::collected_timeline_rows());
+  out.trace_json = obs::collected_trace_json();
+  obs::set_global_request(arch::TelemetryConfig{});
+  obs::set_collect_label("");
+  return out;
+}
+
+TEST(SystemPool, RecordsCountersMemoryAndTelemetryMatchAtEveryBudget) {
+  // The same batch at host-thread budgets 1, 2 and 4: the records, the
+  // counters, every cluster's staged window and the collected timeline
+  // and trace bytes do not depend on which host thread ran which job.
+  for (const sys::SchedPolicy policy :
+       {sys::SchedPolicy::kLeastLoaded, sys::SchedPolicy::kRoundRobin}) {
+    SCOPED_TRACE(sys::to_string(policy));
+    const Observed one = observe_mixed_batch(1, policy);
+    ASSERT_TRUE(one.result.ok);
+    EXPECT_FALSE(one.timeline_csv.empty());
+    for (const u32 budget : {2U, 4U}) {
+      SCOPED_TRACE("budget " + std::to_string(budget));
+      const Observed other = observe_mixed_batch(budget, policy);
+      expect_same_records(one.result, other.result);
+      EXPECT_EQ(one.windows, other.windows);
+      EXPECT_EQ(one.timeline_csv, other.timeline_csv);
+      EXPECT_EQ(one.trace_json, other.trace_json);
+    }
+  }
+}
+
+TEST(SystemPool, OnePoolClusterKeepsTheRecordsAndMemoryOfLockstep) {
+  // At budget 1 one pool cluster runs every job, yet each cluster ends
+  // holding the last job the schedule gave it. Six copies of one shape
+  // on two clusters write the same words, so every cluster's memory, like
+  // the records, matches what the lockstep System (which stepped each job
+  // on its own cluster) left: the pinned digest was recorded there.
+  const BudgetScope scope(1);
+  sys::SystemConfig cfg = mini_system(2);
+  cfg.policy = sys::SchedPolicy::kLeastLoaded;
+  sys::System system(cfg);
+  const sys::SystemResult result = system.run_jobs(staged_copies(cfg.cluster, 6), 50'000'000);
+  ASSERT_TRUE(result.ok);
+  Fnv fnv;
+  fnv.mix_value(result.cycles);
+  fnv.mix_value(counter_digest(result.counters));
+  for (const sys::JobRecord& job : result.jobs) {
+    fnv.mix_value(job.cluster);
+    fnv.mix_value(job.assigned_at);
+    fnv.mix_value(job.started_at);
+    fnv.mix_value(job.eoc_at);
+    fnv.mix_value(job.completed_at);
+    fnv.mix_value(job.result.cycles);
+  }
+  const u64 records = fnv.h;
+  const arch::ClusterConfig& ccfg = cfg.cluster;
+  const u32 page = static_cast<u32>(KiB(64) / 4);
+  for (u32 k = 0; k < system.num_clusters(); ++k) {
+    fnv.mix_words(system.cluster(k).read_words(ccfg.spm_base, ccfg.spm_capacity / 4));
+    fnv.mix_words(system.cluster(k).read_words(ccfg.gmem_base, page));
+    fnv.mix_words(system.cluster(k).read_words(ccfg.gmem_base + MiB(1), page));
+  }
+  EXPECT_EQ(records, 0xf5405dfa7a209af3ULL);
+  EXPECT_EQ(fnv.h, 0x386a6f91fa3e7717ULL);
+}
+
+TEST(SystemPool, TheRunsCapCutsAJobAsTheLockstepSystemDid) {
+  // The second of two staged copies on one cluster starts late, so the
+  // run's max_cycles cuts it shorter than its pool run (capped at the
+  // run's max_cycles from cycle 0): it is re-run with the cap left, and
+  // reports what a bare run with that cap does. Cut while its input is
+  // still staging, it never starts, and the cluster holds it loaded and
+  // initialised.
+  const arch::ClusterConfig ccfg = arch::ClusterConfig::mini();
+  const auto jobs = [&]() {
+    std::vector<sys::JobSpec> list;
+    list.push_back(memcpy_job(ccfg, 1024, 2, 5, "first"));
+    list.push_back(memcpy_job(ccfg, 1024, 8, 6, "second"));
+    return list;
+  };
+  sys::System system(mini_system(1));
+  const sys::SystemResult full = system.run_jobs(jobs(), 1'000'000);
+  ASSERT_TRUE(full.ok);
+  const sys::JobRecord& second = full.jobs[1];
+  ASSERT_GT(second.started_at, second.assigned_at + 1);
+
+  const u64 left = second.result.cycles / 2;
+  const sys::SystemResult cut = system.run_jobs(jobs(), second.started_at + left);
+  EXPECT_TRUE(cut.hit_max_cycles);
+  EXPECT_TRUE(cut.jobs[0].ok());
+  arch::Cluster bare(ccfg);
+  bare.load_program(jobs()[1].kernel.program);
+  jobs()[1].kernel.init(bare);
+  const arch::RunResult capped = bare.run(left);
+  ASSERT_TRUE(capped.hit_max_cycles);
+  expect_same_result(cut.jobs[1].result, capped, "second");
+  EXPECT_EQ(cut.jobs[1].eoc_at, second.started_at + left);
+
+  const sys::SystemResult staging = system.run_jobs(jobs(), second.assigned_at + 1);
+  EXPECT_TRUE(staging.hit_max_cycles);
+  EXPECT_TRUE(staging.jobs[1].dispatched);
+  EXPECT_EQ(staging.jobs[1].started_at, 0U);
+  arch::Cluster loaded(ccfg);
+  loaded.load_program(jobs()[1].kernel.program);
+  jobs()[1].kernel.init(loaded);
+  EXPECT_EQ(system.cluster(0).now(), 0U);
+  EXPECT_EQ(system.cluster(0).read_words(ccfg.gmem_base + MiB(1), 1024),
+            loaded.read_words(ccfg.gmem_base + MiB(1), 1024));
 }
 
 TEST(System, EnergyReportAddsFabricOnTopOfClusterSums) {
