@@ -1313,22 +1313,18 @@ RunResult Cluster::end_run(bool eoc, bool deadlock, bool hit_max) {
   return result;
 }
 
-RunResult Cluster::finish(bool eoc, bool deadlock, bool hit_max) {
-  RunResult result = end_run(eoc, deadlock, hit_max);
-  if (telemetry_ != nullptr) {
-    obs::collect_run(*telemetry_);  // no-op without an active global request
-  }
-  return result;
-}
-
 RunResult Cluster::run(u64 max_cycles) {
   MP3D_CHECK(image_ != nullptr, "no program loaded");
   const sim::RunEnd end = sim::drive(*this, max_cycles);
   if (end == sim::RunEnd::kDeadlock) {
     MP3D_WARN("deadlock: " << deadlock_diagnostic());
   }
-  return finish(end == sim::RunEnd::kDone && eoc_, end == sim::RunEnd::kDeadlock,
-                end == sim::RunEnd::kMaxCycles);
+  RunResult result = end_run(end == sim::RunEnd::kDone && eoc_,
+                             end == sim::RunEnd::kDeadlock, end == sim::RunEnd::kMaxCycles);
+  if (telemetry_ != nullptr) {
+    obs::collect_run(*telemetry_);  // no-op without an active global request
+  }
+  return result;
 }
 
 }  // namespace mp3d::arch

@@ -167,7 +167,7 @@ class Cluster final : public DmaSpmPort {
   void load_program(const isa::Program& program);
 
   /// Run until EOC / all cores halted / a core fault / deadlock /
-  /// `max_cycles`.
+  /// `max_cycles`, then deposit the run's telemetry with the obs collector.
   RunResult run(u64 max_cycles);
 
   /// Single-step one cycle (exposed for tests and interactive tools). The
@@ -228,7 +228,7 @@ class Cluster final : public DmaSpmPort {
   const prof::StepProfiler* profiler() const { return prof_.get(); }
 
   /// Snapshot every component's cumulative counters (the same assembly
-  /// RunResult::counters gets at finish; also the windowed sampler's
+  /// RunResult::counters gets at end_run; also the windowed sampler's
   /// source).
   void collect_counters(sim::CounterSet& counters) const;
 
@@ -315,8 +315,6 @@ class Cluster final : public DmaSpmPort {
   /// partial telemetry window. Called exactly once per run, at the cycle
   /// the run ends.
   RunResult end_run(bool eoc, bool deadlock, bool hit_max);
-  /// end_run, then deposit the run's telemetry with the obs collector.
-  RunResult finish(bool eoc, bool deadlock, bool hit_max);
   /// Human-readable per-core stall summary for deadlock reports.
   std::string deadlock_diagnostic() const;
 

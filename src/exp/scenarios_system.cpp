@@ -25,8 +25,9 @@ sys::SystemConfig system_config(u32 clusters, sys::SchedPolicy policy,
   return cfg;
 }
 
-/// A staged memcpy job: the kernel's gmem source vector is homed in the
-/// home store and transferred in over the mesh before the run starts.
+/// A staged memcpy job: the move of the kernel's gmem source vector from
+/// the home cluster is timed over the mesh before the run starts (its init
+/// hook writes the vector in place).
 sys::JobSpec memcpy_job(const arch::ClusterConfig& cfg, u32 n, u32 rounds,
                         u64 seed, const std::string& name) {
   sys::JobSpec job;
@@ -38,7 +39,7 @@ sys::JobSpec memcpy_job(const arch::ClusterConfig& cfg, u32 n, u32 rounds,
 }
 
 /// A staged matmul job: A and B stream in, C streams back to the home
-/// store after EOC (the full shard-in / compute / shard-out shape).
+/// cluster after EOC (the full shard-in / compute / shard-out shape).
 sys::JobSpec matmul_job(const arch::ClusterConfig& cfg, u32 m, u32 t,
                         u64 seed, const std::string& name) {
   kernels::MatmulParams params;

@@ -41,7 +41,6 @@ class ClusterIcn {
   u32 claim(u32 src, u32 dst, u32 bytes, sim::Cycle now);
 
   u64 bytes_moved() const { return bytes_moved_; }
-  u64 byte_hops() const { return byte_hops_; }
 
   void reset_run_state();
   void add_counters(sim::CounterSet& counters) const;
@@ -58,7 +57,7 @@ class ClusterIcn {
 
   u64 bytes_moved_ = 0;
   u64 byte_hops_ = 0;       ///< sum over grants of bytes x hops (energy witness)
-  u64 local_bytes_ = 0;     ///< src == dst grants (home-cluster self-copies)
+  u64 local_bytes_ = 0;     ///< src == dst grants (the home cluster's own staging)
   u64 starved_claims_ = 0;  ///< nonzero asks granted 0 bytes (port contention)
 };
 

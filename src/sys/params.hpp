@@ -2,7 +2,8 @@
 // Configuration of the hierarchical multi-cluster system: N identical
 // Clusters, each owning one shard of the partitioned global memory,
 // connected by an inter-cluster interconnect with its own hop latencies
-// and energies, plus per-cluster cluster-to-cluster DMA engines and a job
+// and energies, plus per-cluster cluster-to-cluster DMA engines that time
+// each job's staging between the home cluster and its worker, and a job
 // scheduler. Mirrors the MemPool line's scaling recipe: keep the cluster,
 // add a hierarchy level.
 #pragma once
@@ -37,17 +38,13 @@ struct IcnConfig {
   }
 };
 
-/// Cluster-to-cluster DMA: one engine per cluster, each with a bounded
-/// descriptor queue and an SPM-port-style per-cycle byte cap (the engine's
-/// claim is additionally limited by the icn link budgets).
+/// Cluster-to-cluster DMA: one engine per cluster, each timing one
+/// transfer at a time under an SPM-port-style per-cycle byte cap (the
+/// engine's claim is additionally limited by the icn link budgets).
 struct SysDmaConfig {
-  u32 queue_depth = 8;
   u32 port_bytes_per_cycle = 64;
 
   void validate() const {
-    if (queue_depth == 0) {
-      throw std::invalid_argument("SysDmaConfig::queue_depth must be >= 1");
-    }
     if (port_bytes_per_cycle == 0 || port_bytes_per_cycle % 4 != 0) {
       throw std::invalid_argument(
           "SysDmaConfig::port_bytes_per_cycle must be a positive multiple of 4");
@@ -73,7 +70,8 @@ struct SystemConfig {
   IcnConfig icn;
   SysDmaConfig sys_dma;
   SchedPolicy policy = SchedPolicy::kRoundRobin;
-  /// Shard holding every job's staged inputs/outputs (the "home" memory).
+  /// The cluster a job's staged inputs come from and its staged outputs
+  /// go back to: the far end of every staging route.
   u32 home_cluster = 0;
 
   u32 mesh_cols() const {

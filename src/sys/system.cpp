@@ -7,13 +7,9 @@
 #include <deque>
 #include <exception>
 #include <mutex>
-#include <new>
-#include <span>
 #include <sstream>
 #include <thread>
 #include <utility>
-
-#include <sys/mman.h>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -27,7 +23,20 @@ namespace {
 
 constexpr std::size_t kNoJob = ~std::size_t{0};
 
-u64 round_up4(u64 bytes) { return (bytes + 3) & ~u64{3}; }
+/// Reject a job whose staged regions are not whole words inside the
+/// worker's gmem window; the message names the job.
+void check_staging(const JobSpec& spec, const arch::ClusterConfig& cfg) {
+  // Written so that no sum of a base and a size can wrap.
+  const auto inside = [&cfg](u32 base, u64 bytes) {
+    return bytes == 0 || (base >= cfg.gmem_base && bytes <= cfg.gmem_size &&
+                          base - cfg.gmem_base <= cfg.gmem_size - bytes);
+  };
+  MP3D_CHECK(spec.input_bytes % 4 == 0 && spec.output_bytes % 4 == 0,
+             "job " << spec.name << ": staged regions must be whole words");
+  MP3D_CHECK(inside(spec.input_base, spec.input_bytes) &&
+                 inside(spec.output_base, spec.output_bytes),
+             "job " << spec.name << ": staged regions must lie in the worker's gmem window");
+}
 
 /// The local-cycle cap of a job's pool run: its own cap, or the run's. A
 /// job dispatched at a later cycle is capped at fewer cycles by the run,
@@ -52,58 +61,6 @@ struct StoppableRun {
   sim::Cycle skip_to(sim::Cycle target) { return cluster.skip_to(target); }
 };
 
-/// Words in a private anonymous mapping of their own, not on the heap. A
-/// job's staged words live from its pool run until the replay copies them
-/// into the home store, whose pages the replay allocates meanwhile: on the
-/// heap they would leave holes among those pages that outlast the run.
-class MappedWords {
- public:
-  MappedWords() = default;
-  explicit MappedWords(std::size_t count) : count_(count) {
-    if (count_ > 0) {
-      void* mapped = mmap(nullptr, count_ * 4, PROT_READ | PROT_WRITE,
-                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-      if (mapped == MAP_FAILED) {
-        throw std::bad_alloc();
-      }
-      words_ = static_cast<u32*>(mapped);
-    }
-  }
-  MappedWords(MappedWords&& other) noexcept
-      : words_(std::exchange(other.words_, nullptr)), count_(std::exchange(other.count_, 0)) {}
-  MappedWords& operator=(MappedWords&& other) noexcept {
-    if (this != &other) {
-      release();
-      words_ = std::exchange(other.words_, nullptr);
-      count_ = std::exchange(other.count_, 0);
-    }
-    return *this;
-  }
-  MappedWords(const MappedWords&) = delete;
-  MappedWords& operator=(const MappedWords&) = delete;
-  ~MappedWords() { release(); }
-
-  std::span<u32> words() const { return {words_, count_}; }
-  void release() {
-    if (words_ != nullptr) {
-      munmap(words_, count_ * 4);
-    }
-    words_ = nullptr;
-    count_ = 0;
-  }
-
- private:
-  u32* words_ = nullptr;
-  std::size_t count_ = 0;
-};
-
-/// `count` words of `cluster` from `addr`, in a mapping of their own.
-MappedWords capture(const arch::Cluster& cluster, u32 addr, std::size_t count) {
-  MappedWords out(count);
-  cluster.read_words(addr, out.words());
-  return out;
-}
-
 }  // namespace
 
 struct System::Outcome {
@@ -111,8 +68,6 @@ struct System::Outcome {
   sim::RunEnd end = sim::RunEnd::kDone;
   std::string verify_error;
   std::string deadlock_diagnostic;  ///< the cluster's, when end is kDeadlock
-  MappedWords input;                ///< the staged input region after init
-  MappedWords output;               ///< the staged output region after verify
   /// A copy of the run's telemetry, while the obs collector takes deposits.
   std::unique_ptr<obs::Telemetry> telemetry;
   std::exception_ptr error;  ///< what the program load, a hook or the run threw
@@ -125,13 +80,13 @@ struct System::Outcome {
 /// drained, settle() adds re-runs on named clusters.
 ///
 /// The pool threads only simulate. Each task's host work (clearing the
-/// cluster, loading the program, the init and verify hooks, reading the
-/// staged words back) runs on the calling thread, inside await(), drain()
-/// and run() while it waits on the pool, one task at a time as in a bare
-/// run_kernel. A task changes hands twice under the one mutex: the calling
-/// thread starts it and queues it, a pool thread simulates it and hands it
-/// back, and the calling thread finishes it. Whoever holds a task owns its
-/// cluster and its outcome until it hands the task on.
+/// cluster, loading the program, the init and verify hooks) runs on the
+/// calling thread, inside await(), drain() and run() while it waits on the
+/// pool, one task at a time as in a bare run_kernel. A task changes hands
+/// twice under the one mutex: the calling thread starts it and queues it,
+/// a pool thread simulates it and hands it back, and the calling thread
+/// finishes it. Whoever holds a task owns its cluster and its outcome
+/// until it hands the task on.
 class System::Pool {
  public:
   static constexpr u32 kAnyCluster = ~0U;
@@ -243,9 +198,9 @@ class System::Pool {
                                 : std::find(idle_.begin(), idle_.end(), named) != idle_.end();
   }
 
-  /// Take task i's cluster, clear it, load the program, run the init hook
-  /// and read the staged input (the run_kernel recipe up to the run), then
-  /// queue the task for the pool.
+  /// Take task i's cluster, clear it, load the program and run the init
+  /// hook (the run_kernel recipe up to the run), then queue the task for
+  /// the pool.
   void start(std::size_t i) {
     Task& task = tasks_[i];
     if (task.cluster == kAnyCluster) {
@@ -266,9 +221,6 @@ class System::Pool {
       }
       if (spec.warm_icache) {
         cluster.warm_icaches();
-      }
-      if (spec.input_bytes > 0) {
-        out.input = capture(cluster, spec.input_base, spec.input_bytes / 4);
       }
     } catch (...) {
       out.error = std::current_exception();
@@ -306,9 +258,8 @@ class System::Pool {
     }
   }
 
-  /// Close task i's run at its verdict, run the verify hook and read the
-  /// staged output (the rest of the run_kernel recipe), and free its
-  /// cluster.
+  /// Close task i's run at its verdict, run the verify hook (the rest of
+  /// the run_kernel recipe), and free its cluster.
   void finish(std::size_t i) {
     const Task& task = tasks_[i];
     arch::Cluster& cluster = *system_.clusters_[task.cluster];
@@ -327,9 +278,6 @@ class System::Pool {
         }
         if (eoc && spec.kernel.verify) {
           out.verify_error = spec.kernel.verify(cluster, out.result);
-        }
-        if (eoc && spec.output_bytes > 0) {
-          out.output = capture(cluster, spec.output_base, spec.output_bytes / 4);
         }
       } catch (...) {
         out.error = std::current_exception();
@@ -379,8 +327,8 @@ std::string SystemConfig::to_string() const {
   std::ostringstream oss;
   oss << "System{clusters=" << num_clusters << " mesh_cols=" << mesh_cols()
       << " icn=" << icn.link_bytes_per_cycle << "B/cy/" << icn.hop_latency
-      << "cy-hop sys_dma=" << sys_dma.port_bytes_per_cycle << "B/cy x"
-      << sys_dma.queue_depth << " policy=" << sys::to_string(policy)
+      << "cy-hop sys_dma=" << sys_dma.port_bytes_per_cycle
+      << "B/cy policy=" << sys::to_string(policy)
       << " home=" << home_cluster << "}";
   return oss.str();
 }
@@ -394,13 +342,9 @@ System::System(SystemConfig cfg)
   }
   icn_ = std::make_unique<ClusterIcn>(cfg_.icn, cfg_.num_clusters);
   sdma_ = std::make_unique<SysDma>(cfg_.sys_dma, *icn_);
-  home_ = std::make_unique<arch::GlobalMemory>(
-      cfg_.cluster.gmem_base, cfg_.cluster.gmem_size, cfg_.cluster.gmem_bytes_per_cycle,
-      cfg_.cluster.gmem_latency);
   seats_.resize(cfg_.num_clusters);
   last_job_.assign(cfg_.num_clusters, kNoJob);
   fast_forward_ = clusters_[0]->fast_forward_enabled();
-  home_slot_top_ = cfg_.cluster.gmem_base + cfg_.cluster.gmem_size;
 }
 
 System::~System() = default;
@@ -419,32 +363,6 @@ void System::reset_run_state() {
   std::fill(last_job_.begin(), last_job_.end(), kNoJob);
   records_.clear();
   jobs_done_ = 0;
-  home_slot_top_ = cfg_.cluster.gmem_base + cfg_.cluster.gmem_size;
-}
-
-u32 System::alloc_home_slot(u64 bytes) {
-  bytes = round_up4(bytes);
-  MP3D_CHECK(bytes <= home_slot_top_ - cfg_.cluster.gmem_base,
-             "the run's staged regions overflow the home store");
-  home_slot_top_ -= bytes;
-  return static_cast<u32>(home_slot_top_);
-}
-
-void System::begin_staging_in(u32 k, const JobSpec& spec) {
-  Seat& seat = seats_[k];
-  // The init hook wrote the inputs into the worker's shard (the host-side
-  // programming model), and the pool run read them back. Home the same
-  // bytes in the home store, then move them over the mesh from the home
-  // cluster as a timed transfer. The worker already holds them, so the
-  // descriptor copies within the home store, but the run pays the real
-  // staging latency, link occupancy and hop energy of inputs that live in
-  // home memory.
-  home_->write_words(seat.home_slot, seat.outcome->input.words());
-  seat.outcome->input.release();
-  seat.staging_ticket =
-      sdma_->push(k, C2cDescriptor{cfg_.home_cluster, k, home_.get(), home_.get(),
-                                   seat.home_slot, seat.home_slot, spec.input_bytes, 0});
-  seat.state = ClusterState::kStagingIn;
 }
 
 void System::begin_running(u32 k) {
@@ -473,28 +391,18 @@ void System::dispatch_jobs() {
     rec.assigned_at = cycle_;
     rec.dispatched = true;
     last_job_[k] = *job;
-    if (spec.input_bytes > 0 || spec.output_bytes > 0) {
-      const u64 region = cfg_.cluster.gmem_size;
-      MP3D_CHECK(spec.input_bytes % 4 == 0 && spec.output_bytes % 4 == 0,
-                 "staged regions must be whole words");
-      MP3D_CHECK(
-          (spec.input_bytes == 0 ||
-           (spec.input_base >= cfg_.cluster.gmem_base &&
-            spec.input_base + spec.input_bytes <= cfg_.cluster.gmem_base + region)) &&
-              (spec.output_bytes == 0 ||
-               (spec.output_base >= cfg_.cluster.gmem_base &&
-                spec.output_base + spec.output_bytes <=
-                    cfg_.cluster.gmem_base + region)),
-          "staged regions must lie in the worker's gmem window");
-      seat.home_slot =
-          alloc_home_slot(std::max(spec.input_bytes, spec.output_bytes));
-    }
     seat.outcome = &pool_->await(*job);
     if (seat.outcome->error) {
       std::rethrow_exception(seat.outcome->error);
     }
     if (spec.input_bytes > 0) {
-      begin_staging_in(k, spec);
+      // The init hook wrote the inputs into the worker's shard (the
+      // host-side programming model), so the transfer from the home
+      // cluster moves no words, but the run pays the staging latency, link
+      // occupancy and hop energy of inputs that live in home memory.
+      seat.staging_ticket =
+          sdma_->push(k, C2cDescriptor{cfg_.home_cluster, k, spec.input_bytes, 0});
+      seat.state = ClusterState::kStagingIn;
     } else {
       begin_running(k);
     }
@@ -529,13 +437,10 @@ void System::finish_job(u32 k, Outcome& outcome) {
   ++job_events_;
   rec.verify_error = std::move(outcome.verify_error);
   if (rec.result.eoc && spec.output_bytes > 0) {
-    // The worker's result, read back after its pool run, lands in the home
-    // store now; the descriptor charges its move over the mesh.
-    home_->write_words(seat.home_slot, outcome.output.words());
-    outcome.output.release();
+    // The worker's result goes back to the home cluster: the transfer
+    // charges its move over the mesh.
     seat.staging_ticket =
-        sdma_->push(k, C2cDescriptor{k, cfg_.home_cluster, home_.get(), home_.get(),
-                                     seat.home_slot, seat.home_slot, spec.output_bytes, 0});
+        sdma_->push(k, C2cDescriptor{k, cfg_.home_cluster, spec.output_bytes, 0});
     seat.state = ClusterState::kStagingOut;
     return;
   }
@@ -740,6 +645,9 @@ void System::settle() {
 }
 
 SystemResult System::run_jobs(std::vector<JobSpec> jobs, u64 max_cycles) {
+  for (const JobSpec& spec : jobs) {
+    check_staging(spec, cfg_.cluster);
+  }
   reset_run_state();
   jobs_ = std::move(jobs);
   max_cycles_ = max_cycles;

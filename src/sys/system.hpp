@@ -6,22 +6,24 @@
 // System::run_jobs shards independent jobs across the clusters:
 //
 //   assign    the scheduler hands a job to an idle cluster;
-//   stage in  when the job declares an input region, its bytes (what the
-//             kernel's init hook wrote there) are homed in the System's
-//             home store and DMA'd to the worker across the mesh; the
-//             cluster stays frozen until the copy retires;
+//   stage in  when the job declares an input region, a system-DMA
+//             transfer from the home cluster to the worker times its move
+//             across the mesh; the cluster stays frozen until it retires;
 //   run       the cluster runs the job as a bare Cluster::run would (its
 //             local clock is the system clock minus the cycle its program
 //             started);
-//   stage out when the job declares an output region, the worker's result
-//             is DMA'd back to the home store before the cluster is
-//             considered idle again.
+//   stage out when the job declares an output region, a transfer back to
+//             the home cluster times the result's move before the cluster
+//             is considered idle again.
+//
+// Staging is timing only: it moves no words. A job's staged input is what
+// its own init hook writes into its worker's shard, and nothing reads its
+// staged output but the job's verify hook, on the worker.
 //
 // What a job may read. Every job starts from cleared cluster memory: its
-// SPM and gmem shard hold only what its program load, its init hook and
-// its staged input wrote, as on a freshly built Cluster (the staged input
-// is the bytes its init hook wrote). So a job's run needs nothing from the
-// schedule, and the schedule needs only each job's length.
+// SPM and gmem shard hold only what its program load and its init hook
+// wrote, as on a freshly built Cluster. So a job's run needs nothing from
+// the schedule, and the schedule needs only each job's length.
 //
 // Which thread runs it. run_jobs runs the jobs in job order on a pool of
 // min(host-thread budget, clusters, jobs) host threads, each with
@@ -29,15 +31,13 @@
 // sections (see sim/fork_join.hpp). The pool threads only simulate: each
 // job takes the cluster that has been idle longest, and the calling
 // thread, while it waits on the pool, clears that cluster, loads the
-// program, runs the init hook and reads the staged input, hands the
-// cluster to a pool thread for sim::drive, and once the run is back runs
-// the verify hook and reads the staged output (the run_kernel recipe). So
-// hooks run one at a time on the calling thread, as in a bare run_kernel.
-// Each job keeps its RunResult, verify verdict, staged words (in mappings
-// of their own, off the heap), telemetry and any exception. The pool
-// starts at most twice its thread count of jobs past the last one the
-// schedule has dispatched, so what it holds stays small, and it never
-// holds back a job the schedule waits on.
+// program, runs the init hook, hands the cluster to a pool thread for
+// sim::drive, and once the run is back runs the verify hook (the
+// run_kernel recipe). So hooks run one at a time on the calling thread, as
+// in a bare run_kernel. Each job keeps its RunResult, verify verdict,
+// telemetry and any exception. The pool starts at most twice its thread
+// count of jobs past the last one the schedule has dispatched, so what it
+// holds stays small, and it never holds back a job the schedule waits on.
 //
 // When its end and its deposit land. The calling thread replays the
 // schedule as a sim::drive model of its own: step() runs dispatch, the
@@ -45,16 +45,14 @@
 // start cycle plus its pool run's length. The replay waits on the pool
 // only when it dispatches a job the pool has not run yet; a job's
 // exception leaves run_jobs there. The wake oracle is the system DMA's
-// next event plus every running job's end. Staging descriptors keep their
+// next event plus every running job's end. Staging transfers keep their
 // mesh routes and byte counts, so timing, counters and energy are the
-// mesh's, but they copy within the home store, which already holds the
-// bytes: a job's inputs are written there at its dispatch, its outputs
-// when its write-back starts. A job's telemetry is deposited with the obs
-// collector on the cycle it ends. So every record, counter and collected
-// byte is the one a single thread stepping all clusters in lockstep would
-// produce, whichever thread ran what. A job ends at its own cluster's
-// verdict: EOC, all cores halted, a core fault, its cycle cap, or the
-// deadlock verdict a bare Cluster::run would reach.
+// mesh's. A job's telemetry is deposited with the obs collector on the
+// cycle it ends. So every record, counter and collected byte is the one a
+// single thread stepping all clusters in lockstep would produce, whichever
+// thread ran what. A job ends at its own cluster's verdict: EOC, all cores
+// halted, a core fault, its cycle cap, or the deadlock verdict a bare
+// Cluster::run would reach.
 //
 // Two cases re-run a job. A job the run's max_cycles cuts short is re-run
 // with that cap. And when the run ends, cluster(k) holds the last job the
@@ -88,12 +86,12 @@
 namespace mp3d::sys {
 
 /// One job: a kernel plus its staging contract. Regions are byte windows
-/// in the *worker* cluster's address space; when `input_bytes` is nonzero
-/// the region's contents (written by the kernel's init hook) are homed in
-/// the home store and transferred in over the mesh from the home cluster
-/// before the cluster starts, and when `output_bytes` is nonzero the
-/// region is transferred back to the home store after EOC. Zero-byte
-/// regions skip staging.
+/// in the *worker* cluster's address space, whole words inside its gmem
+/// window; when `input_bytes` is nonzero the region (which the kernel's
+/// init hook writes in place) is timed in over the mesh from the home
+/// cluster before the cluster starts, and when `output_bytes` is nonzero
+/// the region is timed back to the home cluster after EOC. Staging moves
+/// no words. Zero-byte regions skip staging.
 struct JobSpec {
   std::string name;
   kernels::Kernel kernel;
@@ -141,17 +139,12 @@ class System {
   u32 num_clusters() const { return static_cast<u32>(clusters_.size()); }
   arch::Cluster& cluster(u32 k) { return *clusters_[k]; }
   const arch::Cluster& cluster(u32 k) const { return *clusters_[k]; }
-  ClusterIcn& icn() { return *icn_; }
-  SysDma& sys_dma() { return *sdma_; }
-  /// The System's own memory holding every job's staged copies, at the
-  /// home cluster's gmem addresses: slots are bump-allocated down from the
-  /// top of the window, in dispatch order, each as large as the job's
-  /// larger staged region.
-  const arch::GlobalMemory& home_store() const { return *home_; }
 
   /// Shard one run across the clusters: dispatch every job per the
-  /// configured policy, stage inputs/outputs through the home store, and
+  /// configured policy, time its staged inputs/outputs over the mesh, and
   /// drive all clusters to completion (or `max_cycles` system cycles).
+  /// Throws std::invalid_argument, before any job starts, when a job's
+  /// staged regions are not whole words inside the gmem window.
   SystemResult run_jobs(std::vector<JobSpec> jobs, u64 max_cycles);
 
   /// The bare-cluster path: one job, no staging, on cluster 0. At
@@ -160,9 +153,8 @@ class System {
                           bool warm_icache = false);
 
   /// Reset every component (clusters, icn, sys dma) to its post-load
-  /// state, and empty the home store's slot allocator. run_jobs does this
-  /// implicitly on entry, so back-to-back runs of the same job list are
-  /// identical.
+  /// state. run_jobs does this implicitly on entry, so back-to-back runs
+  /// of the same job list are identical.
   void reset_run_state();
 
   sim::Cycle now() const { return cycle_; }
@@ -188,7 +180,6 @@ class System {
     sim::Cycle offset = 0;        ///< system cycle of the job's local cycle 0
     sim::Cycle ends_at = 0;       ///< offset plus the pool run's length
     u64 staging_ticket = 0;       ///< SysDma ticket the seat waits on
-    u32 home_slot = 0;            ///< staging slot in the home store
   };
 
   // sim::drive hooks (see sim/driver.hpp).
@@ -210,7 +201,6 @@ class System {
   sim::Cycle skip_to(sim::Cycle target);
 
   void dispatch_jobs();
-  void begin_staging_in(u32 k, const JobSpec& spec);
   void begin_running(u32 k);
   /// Whether cluster k's job ends at system cycle `at` on a verdict of its
   /// own (the run's cycle cap is not one).
@@ -224,14 +214,12 @@ class System {
   /// After the replay: finish the jobs the run's cap cut, and give each
   /// cluster index the cluster holding the last job the schedule gave it.
   void settle();
-  u32 alloc_home_slot(u64 bytes);
   SystemResult assemble_result(bool deadlock, bool hit_max);
 
   SystemConfig cfg_;
   std::vector<std::unique_ptr<arch::Cluster>> clusters_;
   std::unique_ptr<ClusterIcn> icn_;
   std::unique_ptr<SysDma> sdma_;
-  std::unique_ptr<arch::GlobalMemory> home_;
   std::unique_ptr<Pool> pool_;  ///< the current run_jobs call's pool
   JobScheduler scheduler_;
   bool fast_forward_ = true;  ///< cluster 0's env-resolved setting
@@ -244,10 +232,6 @@ class System {
   std::vector<JobSpec> jobs_;  ///< the current run's job list
   std::vector<JobRecord> records_;
   std::size_t jobs_done_ = 0;
-
-  // Home-store staging slots: a descending bump allocator from the top of
-  // the gmem window.
-  u64 home_slot_top_ = 0;
 };
 
 }  // namespace mp3d::sys

@@ -166,7 +166,7 @@ data:
   while (!cluster.eoc_signaled() && cluster.now() < 100'000) {
     cluster.step();
   }
-  const RunResult r = cluster.finish(cluster.eoc_signaled(), false, false);
+  const RunResult r = cluster.end_run(cluster.eoc_signaled(), false, false);
   ASSERT_TRUE(r.eoc);
   EXPECT_TRUE(r.fault);
   EXPECT_EQ(cluster.core(0).state(), CoreState::kError);

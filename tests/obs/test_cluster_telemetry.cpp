@@ -96,7 +96,7 @@ TEST(ClusterTelemetry, TraceCarriesDmaLifecycleAndSleepSpans) {
   EXPECT_TRUE(seen.count("dma_xfer"));
   EXPECT_TRUE(seen.count("dma_retired"));
   EXPECT_TRUE(seen.count("wfi"));
-  // Spans are balanced (finish() closes anything still open).
+  // Spans are balanced (end_run() closes anything still open).
   EXPECT_EQ(begins, ends);
 
   // The export is valid Chrome JSON with the cluster's track layout.

@@ -1,12 +1,13 @@
 // SPDX-License-Identifier: Apache-2.0
-// The multi-cluster System driver: job sharding, staging through the home
-// store, scheduler policies, counter namespacing, determinism across
-// back-to-back runs, the recorded schedule of the mixed job batch, the
-// per-job deadlock verdict, job isolation, the job pool at every
-// host-thread budget, and system-level energy accounting.
+// The multi-cluster System driver: job sharding, timed staging over the
+// mesh, up-front rejection of bad staged regions, scheduler policies,
+// counter namespacing, determinism across back-to-back runs, the recorded
+// schedule of the mixed job batch, the per-job deadlock verdict, job
+// isolation, the job pool at every host-thread budget, and system-level
+// energy accounting.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -36,8 +37,9 @@ sys::SystemConfig mini_system(u32 clusters) {
   return cfg;
 }
 
-/// A staged memcpy job: the kernel's gmem source vector (written by its
-/// init hook) is homed and transferred in over the mesh before the run.
+/// A staged memcpy job: the move of the kernel's gmem source vector
+/// (written in place by its init hook) from the home cluster is timed
+/// over the mesh before the run.
 sys::JobSpec memcpy_job(const arch::ClusterConfig& cfg, u32 n, u32 rounds,
                         u64 seed, const std::string& name) {
   sys::JobSpec job;
@@ -49,7 +51,7 @@ sys::JobSpec memcpy_job(const arch::ClusterConfig& cfg, u32 n, u32 rounds,
 }
 
 /// A staged matmul job: A and B stream in, C streams back to the home
-/// store after EOC (the full shard-in / compute / shard-out shape).
+/// cluster after EOC (the full shard-in / compute / shard-out shape).
 sys::JobSpec matmul_job(const arch::ClusterConfig& cfg, u32 m, u32 t,
                         u64 seed, const std::string& name) {
   kernels::MatmulParams params;
@@ -215,23 +217,9 @@ TEST(System, ShardsStagedJobsAcrossFourClusters) {
   EXPECT_EQ(result.counters.get("sys.icn.bytes"), staged_bytes);
   // Cluster 0 is the home cluster: its own job's staging is a local claim.
   EXPECT_GT(result.counters.get("sys.icn.local_bytes"), 0U);
-  // The staged inputs sit in the System's home store, in slots taken down
-  // from the top of the gmem window. The home cluster's own shard reads 0
-  // over that whole span, so a job running there never sees staging.
-  const u32 top = static_cast<u32>(ccfg.gmem_base + ccfg.gmem_size);
-  const u32 span_base = static_cast<u32>(top - staged_bytes);
-  const std::vector<u32> shard =
-      system.cluster(0).read_words(span_base, staged_bytes / 4);
-  EXPECT_EQ(std::count(shard.begin(), shard.end(), 0U),
-            static_cast<std::ptrdiff_t>(shard.size()));
-  u32 staged_nonzero = 0;
-  for (u32 addr = span_base; addr < top; addr += 4) {
-    staged_nonzero += system.home_store().read_word(addr) != 0 ? 1 : 0;
-  }
-  EXPECT_GT(staged_nonzero, 0U);
 }
 
-TEST(System, MatmulRoundTripStagesOutputsBackToTheHomeStore) {
+TEST(System, MatmulRoundTripTimesOutputsBackToTheHomeCluster) {
   sys::System system(mini_system(2));
   const arch::ClusterConfig& ccfg = system.config().cluster;
   std::vector<sys::JobSpec> jobs;
@@ -248,22 +236,64 @@ TEST(System, MatmulRoundTripStagesOutputsBackToTheHomeStore) {
   const u64 mat = 32 * 32 * 4;
   EXPECT_EQ(result.counters.get("sys.dma.bytes"), 2 * (2 * mat) + 2 * mat);
   EXPECT_EQ(result.counters.get("sys.dma.descriptors"), 4U);
-  // The worker cluster's C tile crossed the mesh into the home store:
-  // verify the home copy of job mm1's output matches the worker's. Both
-  // jobs are dispatched at cycle 0, mm0 first, and each takes a slot as
-  // large as its larger region (A and B) down from the top of the window.
+  // Job mm1 ran on cluster 1, one mesh hop from the home cluster, so its
+  // transfers cost wire energy.
   const sys::JobRecord& remote = result.jobs[1];
   ASSERT_EQ(remote.cluster, 1U);
   EXPECT_GT(result.counters.get("sys.icn.byte_hops"), 0U);
-  const u32 slot = static_cast<u32>(ccfg.gmem_base + ccfg.gmem_size - 2 * (2 * mat));
-  const u32 c_base = static_cast<u32>(ccfg.gmem_base + MiB(1) + 2 * mat);
-  u32 nonzero = 0;
-  for (u32 i = 0; i < mat / 4; ++i) {
-    const u32 worker_word = system.cluster(1).read_word(c_base + 4 * i);
-    ASSERT_EQ(system.home_store().read_word(slot + 4 * i), worker_word) << "word " << i;
-    nonzero += worker_word != 0 ? 1 : 0;
+}
+
+TEST(System, RejectsABadJobListBeforeAnyJobStarts) {
+  // The second job's staged region is not whole words, starts below the
+  // gmem window, or runs past it (also by a size whose sum with the base
+  // wraps): run_jobs throws naming that job before any init hook runs, and
+  // the same System then runs a valid list.
+  sys::System system(mini_system(2));
+  const arch::ClusterConfig& ccfg = system.config().cluster;
+  u32 inits = 0;
+  const auto jobs = [&]() {
+    std::vector<sys::JobSpec> list;
+    list.push_back(memcpy_job(ccfg, 1024, 1, 5, "first"));
+    list.push_back(memcpy_job(ccfg, 1024, 1, 6, "second"));
+    for (sys::JobSpec& job : list) {
+      job.kernel.init = [&inits, init = job.kernel.init](arch::Cluster& cluster) {
+        ++inits;
+        init(cluster);
+      };
+    }
+    return list;
+  };
+  const u32 top = static_cast<u32>(ccfg.gmem_base + ccfg.gmem_size);
+  const std::vector<std::pair<std::string, std::function<void(sys::JobSpec&)>>> cases = {
+      {"not whole words", [](sys::JobSpec& job) { job.input_bytes += 2; }},
+      {"below the window", [&](sys::JobSpec& job) { job.input_base = ccfg.gmem_base - 4; }},
+      {"past the window",
+       [&](sys::JobSpec& job) {
+         job.output_base = top - 4;
+         job.output_bytes = 8;
+       }},
+      {"wrapping past the window",
+       [&](sys::JobSpec& job) {
+         job.output_base = top - 4;
+         job.output_bytes = ~u64{3};
+       }},
+  };
+  for (const auto& [what, spoil] : cases) {
+    SCOPED_TRACE(what);
+    std::vector<sys::JobSpec> list = jobs();
+    spoil(list[1]);
+    try {
+      system.run_jobs(list, 5'000'000);
+      ADD_FAILURE() << "run_jobs accepted the list";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("job second"), std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(inits, 0U);
   }
-  EXPECT_GT(nonzero, 0U);
+  const sys::SystemResult result = system.run_jobs(jobs(), 5'000'000);
+  EXPECT_TRUE(result.ok);
+  EXPECT_EQ(inits, 2U);
 }
 
 TEST(System, SchedulerPoliciesDivergeOnSkewedJobs) {
